@@ -4,6 +4,7 @@
 #include <chrono>
 #include <deque>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -48,15 +49,14 @@ ContigMap::locate(u64 pos) const
     return {lo, pos - _contigs[lo].start};
 }
 
-SamRecord
-pipelineUnmappedRecord(const FastqRecord &read)
+std::vector<SamRefSeq>
+ContigMap::samHeader() const
 {
-    SamRecord rec;
-    rec.qname = read.name;
-    rec.flag = kSamUnmapped;
-    rec.seq = decode(read.seq);
-    rec.qual = phredToAscii(read.qual);
-    return rec;
+    std::vector<SamRefSeq> refs;
+    refs.reserve(_contigs.size());
+    for (const auto &c : _contigs)
+        refs.push_back({c.name, c.length});
+    return refs;
 }
 
 SamRecord
@@ -89,25 +89,23 @@ namespace {
 
 /**
  * Emit one batch's SAM records in input order and fold its outcomes
- * into the ledger. `reads` and `failed` cover the whole batch;
- * `maps` and `degraded` cover only the admitted (non-failed) reads,
- * in the same relative order.
+ * into the ledger. `failed` covers the whole batch; `aligned` covers
+ * only the admitted (non-failed) reads, in the same relative order.
  */
 void
 emitBatch(SamWriter &sam, const ContigMap &contigs,
           const std::vector<FastqRecord> &reads,
           const std::vector<u8> &failed,
-          const std::vector<Mapping> &maps,
-          const std::vector<u8> &degraded, PipelineResult &res)
+          const AlignEngine::Batch &aligned, PipelineResult &res)
 {
-    size_t live = 0; // index into maps/degraded (admitted reads only)
+    size_t live = 0; // index into aligned (admitted reads only)
     for (size_t i = 0; i < reads.size(); ++i) {
         if (failed[i]) {
-            sam.write(pipelineUnmappedRecord(reads[i]));
+            sam.write(pipelineSamRecord(contigs, reads[i], Mapping{}));
             continue;
         }
-        const Mapping &m = maps[live];
-        const bool via_fallback = degraded[live] != 0;
+        const Mapping &m = aligned.maps[live];
+        const bool via_fallback = aligned.degraded[live] != 0;
         ++live;
         if (!m.mapped)
             ++res.unmapped;
@@ -190,18 +188,15 @@ validateReference(const std::vector<FastaRecord> &ref)
     return okStatus();
 }
 
-/** attachIndexSnapshot() + fold the disposition into a pipeline
- *  result. */
-Status
-attachSnapshot(const std::string &path, const Seq &refseq,
-               IndexAttachment &att, PipelineResult &res)
+/** The software engine's settings for `opts`. */
+AlignerConfig
+alignerConfig(const EngineOptions &opts)
 {
-    GENAX_TRY_ASSIGN(att, attachIndexSnapshot(path, refseq));
-    res.indexFromSnapshot = att.fromSnapshot;
-    res.indexMapped = att.mapped;
-    res.indexFallback = att.fallback;
-    res.indexNote = att.note;
-    return okStatus();
+    AlignerConfig cfg;
+    cfg.k = opts.k;
+    cfg.band = opts.band;
+    cfg.threads = opts.threads;
+    return cfg;
 }
 
 } // namespace
@@ -246,134 +241,136 @@ applyIndexAttachment(GenAxConfig &cfg, const IndexAttachment &att)
     cfg.snapshot = &*att.snapshot;
 }
 
-StatusOr<PipelineResult>
-alignToSam(const std::vector<FastaRecord> &ref,
-           const std::vector<FastqRecord> &reads, std::ostream &out,
-           const PipelineOptions &opts)
+StatusOr<std::unique_ptr<AlignEngine>>
+AlignEngine::create(const std::vector<FastaRecord> &ref,
+                    const EngineOptions &opts)
 {
-    if (Status s = validateReference(ref); !s.ok())
-        return s;
-    const ContigMap contigs(ref);
-
-    PipelineResult res;
-    res.reads = reads.size();
-
-    IndexAttachment attach;
-    if (!opts.indexSnapshot.empty())
-        GENAX_TRY(attachSnapshot(opts.indexSnapshot,
-                                 contigs.sequence(), attach, res));
-
-    // Admission: the genax.pipeline.read fault point models a read
-    // lost inside the pipeline (staging-buffer corruption and the
-    // like). Such a read is Failed in the ledger and emitted as an
-    // unmapped placeholder so the SAM output stays index-aligned with
-    // the input.
-    std::vector<u8> failed(reads.size(), 0);
-    std::vector<Seq> seqs;
-    seqs.reserve(reads.size());
-    for (size_t i = 0; i < reads.size(); ++i) {
-        if (faultFires(fault::kPipelineRead)) [[unlikely]] {
-            failed[i] = 1;
-            ++res.failed;
-            continue;
-        }
-        seqs.push_back(reads[i].seq);
+    GENAX_TRY(validateReference(ref));
+    // No make_unique: the constructor is private.
+    // genax-lint: allow(naked-new): one engine per run, not per-read scratch
+    std::unique_ptr<AlignEngine> engine(new AlignEngine(ref, opts));
+    if (!opts.indexSnapshot.empty()) {
+        GENAX_TRY_ASSIGN(engine->_attach,
+                         attachIndexSnapshot(opts.indexSnapshot,
+                                             engine->_contigs.sequence()));
     }
-
     // Graceful degradation: an edit bound beyond what a SillaX lane
-    // supports cannot run on the accelerator model at all; the whole
-    // run falls back to the software engine and its mapped reads are
-    // reported as degraded rather than silently relabelled.
-    bool use_software = opts.engine == PipelineOptions::Engine::Software;
-    if (!use_software && opts.band > kMaxSillaK) {
+    // supports cannot run on the accelerator model at all.
+    if (opts.engine == EngineOptions::Engine::GenAx &&
+        opts.band > kMaxSillaK) {
         GENAX_WARN("edit bound ", opts.band,
                    " exceeds the SillaX maximum ", kMaxSillaK,
                    "; degrading the run to the software engine");
-        use_software = true;
-        res.softwareFallback = true;
+        engine->_softwareFallback = true;
     }
-
-    std::vector<Mapping> maps;
-    std::vector<u8> degraded(seqs.size(), 0);
-    const auto t0 = std::chrono::steady_clock::now();
-    if (!use_software) {
-        GenAxConfig cfg;
-        cfg.k = opts.k;
-        cfg.editBound = opts.band;
-        cfg.segmentCount = opts.segments;
-        cfg.segmentOverlap = opts.segmentOverlap;
-        cfg.threads = opts.threads;
-        applyIndexAttachment(cfg, attach);
-        GenAxSystem system(contigs.sequence(), cfg);
-        maps = system.alignAll(seqs);
-        res.perf = system.perf();
-        res.hostProfile = system.hostProfile();
-        degraded = system.degradedReads();
-    } else {
-        AlignerConfig cfg;
-        cfg.k = opts.k;
-        cfg.band = opts.band;
-        cfg.threads = opts.threads;
-        BwaMemLike aligner(contigs.sequence(), cfg);
-        maps = aligner.alignAll(seqs);
-        if (res.softwareFallback)
-            degraded.assign(seqs.size(), 1);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    res.seconds = std::chrono::duration<double>(t1 - t0).count();
-
-    std::vector<SamRefSeq> header;
-    for (const auto &c : contigs.contigs())
-        header.push_back({c.name, c.length});
-    SamWriter sam(out, header);
-    emitBatch(sam, contigs, reads, failed, maps, degraded, res);
-    if (!out)
-        return ioError("failed writing SAM output after " +
-                       std::to_string(sam.count()) + " records");
-    GENAX_CHECK(res.ledgerBalanced(),
-                "pipeline ledger out of balance: ", res.mapped, "+",
-                res.unmapped, "+", res.skippedMalformed, "+",
-                res.degraded, "+", res.failed, " != ", res.reads);
-    return res;
+    return engine;
 }
 
-StatusOr<PipelineResult>
-alignStreamToSam(const std::vector<FastaRecord> &ref,
-                 FastqReader &reads, std::ostream &out,
-                 const PipelineOptions &opts)
+void
+AlignEngine::begin()
 {
-    if (Status s = validateReference(ref); !s.ok())
-        return s;
-    const ContigMap contigs(ref);
-
-    PipelineResult res;
-
-    IndexAttachment attach;
-    if (!opts.indexSnapshot.empty())
-        GENAX_TRY(attachSnapshot(opts.indexSnapshot,
-                                 contigs.sequence(), attach, res));
-
-    bool use_software = opts.engine == PipelineOptions::Engine::Software;
-    if (!use_software && opts.band > kMaxSillaK) {
-        GENAX_WARN("edit bound ", opts.band,
-                   " exceeds the SillaX maximum ", kMaxSillaK,
-                   "; degrading the run to the software engine");
-        use_software = true;
-        res.softwareFallback = true;
+    GENAX_CHECK(!_system && !_aligner, "AlignEngine begun twice");
+    if (_opts.engine == EngineOptions::Engine::GenAx &&
+        !_softwareFallback) {
+        GenAxConfig cfg;
+        cfg.k = _opts.k;
+        cfg.editBound = _opts.band;
+        cfg.segmentCount = _opts.segments;
+        cfg.segmentOverlap = _opts.segmentOverlap;
+        cfg.threads = _opts.threads;
+        applyIndexAttachment(cfg, _attach);
+        _system.emplace(_contigs.sequence(), cfg);
+        _system->streamBegin();
+    } else {
+        _aligner.emplace(_contigs.sequence(), alignerConfig(_opts));
     }
+    _open = true;
+}
+
+AlignEngine::Batch
+AlignEngine::batch(const std::vector<Seq> &seqs)
+{
+    GENAX_CHECK(_open, "AlignEngine::batch() outside begin()/end()");
+    Batch out;
+    if (_system) {
+        out.maps = _system->streamBatch(seqs, _base);
+        out.degraded = _system->degradedReads();
+    } else if (_aligner) {
+        out.maps = _aligner->alignAll(seqs);
+        out.degraded.assign(seqs.size(), _softwareFallback ? 1 : 0);
+    }
+    _base += seqs.size();
+    return out;
+}
+
+void
+AlignEngine::end()
+{
+    if (!_open)
+        return;
+    _open = false;
+    if (_system) {
+        _system->streamEnd();
+        _perf = _system->perf();
+        _hostProfile = _system->hostProfile();
+    }
+}
+
+namespace {
+
+/** The driver's reads: a FASTQ reader drained in batches, or one
+ *  batch the caller already holds in memory (exactly one is set). */
+struct ReadSource
+{
+    FastqReader *reader = nullptr;
+    const std::vector<FastqRecord> *reads = nullptr;
+    /** Prefixed to the reader's failures, e.g. "FASTQ file 'x'". */
+    std::string context;
+};
+
+/**
+ * The one pipeline driver: every front end streams its reads through
+ * here, batch by batch, into one AlignEngine, and gets SAM in input
+ * order plus the outcome ledger back. `open_out`, when set, opens
+ * `out` once the first batch is in hand, so a run that fails reading
+ * it leaves no output file behind.
+ */
+StatusOr<PipelineResult>
+drive(const std::vector<FastaRecord> &ref, const ReadSource &src,
+      std::ostream &out, const PipelineOptions &opts,
+      const std::function<Status()> &open_out = {})
+{
+    GENAX_TRY_ASSIGN(const auto engine, AlignEngine::create(ref, opts));
+    const ContigMap &contigs = engine->contigs();
+    PipelineResult res;
+    res.softwareFallback = engine->softwareFallback();
+    const IndexAttachment &att = engine->indexAttachment();
+    res.indexFromSnapshot = att.fromSnapshot;
+    res.indexMapped = att.mapped;
+    res.indexFallback = att.fallback;
+    res.indexNote = att.note;
 
     const u64 batch_size =
         opts.batchReads == 0 ? ~u64{0} : opts.batchReads;
+    const auto parse_batch = [&]() -> StatusOr<std::vector<FastqRecord>> {
+        auto batch = src.reader->nextBatch(batch_size);
+        if (src.context.empty())
+            return batch;
+        return std::move(batch).withContext(src.context);
+    };
 
-    // IO-overlap policy: at one effective worker nothing can overlap
-    // — parallelFor already runs inline at width 1 — so the reader
-    // and writer threads plus their queue hand-offs would be pure
-    // dispatch overhead. The single-width path parses, aligns and
-    // writes synchronously on this thread instead. Record order,
-    // every fault site's ordinal stream and the SAM byte stream are
-    // identical either way: the threaded reader parses strictly
-    // sequentially and the writer drains in batch order.
-    const bool inline_io = ThreadPool::resolveWidth(opts.threads) == 1;
+    // IO-overlap policy: overlap needs more than one batch — with one,
+    // parsing, aligning and writing it are strictly sequential, and a
+    // writer thread would have to hold the whole SAM text — and more
+    // than one worker: at width 1 parallelFor already runs inline, so
+    // reader and writer threads plus their queue hand-offs would be
+    // pure dispatch overhead. Without overlap this thread parses,
+    // aligns and writes synchronously. Record order, every fault
+    // site's ordinal stream and the SAM byte stream are identical
+    // either way: the threaded reader parses strictly sequentially and
+    // the writer drains in batch order.
+    const bool overlap = src.reader && opts.batchReads > 0 &&
+                         ThreadPool::resolveWidth(opts.threads) > 1;
 
     // Reader stage: one prefetch thread keeps the next batch in
     // flight while the current one aligns. The parse itself stays
@@ -382,10 +379,10 @@ alignStreamToSam(const std::vector<FastaRecord> &ref,
     // a synchronous read would produce.
     BoundedQueue<StatusOr<std::vector<FastqRecord>>> parsed(1);
     std::thread reader_thread;
-    if (!inline_io) {
+    if (overlap) {
         reader_thread = std::thread([&] {
             for (;;) {
-                auto batch = reads.nextBatch(batch_size);
+                auto batch = parse_batch();
                 const bool stop = !batch.ok() || batch->empty();
                 if (!parsed.push(std::move(batch)))
                     break; // aligner bailed out; stop reading
@@ -396,42 +393,58 @@ alignStreamToSam(const std::vector<FastaRecord> &ref,
         });
     }
 
-    // Writer stage: records are formatted into an in-memory stage on
-    // this thread (keeping the sam.write fault ordinals in emission
-    // order) and the finished text drains to `out` in batch order on
-    // the writer thread. An injected write fault poisons the stage's
-    // stream state exactly like a real device error poisons a file
-    // stream, and is checked the same way at the end of the run.
-    std::vector<SamRefSeq> header;
-    for (const auto &c : contigs.contigs())
-        header.push_back({c.name, c.length});
+    // Writer stage: records are formatted on this thread (keeping the
+    // sam.write fault ordinals in emission order), straight into `out`
+    // or, with overlap, into an in-memory stage whose text the writer
+    // thread drains to `out` in batch order. An injected write fault
+    // poisons the stream it formats into exactly like a real device
+    // error poisons a file stream, and is checked the same way at the
+    // end of the run. The header waits for the first batch, so a
+    // failure reading it writes nothing.
     std::ostringstream stage;
-    SamWriter sam(stage, header);
+    std::ostream &sam_out =
+        overlap ? static_cast<std::ostream &>(stage) : out;
+    std::optional<SamWriter> sam;
     BoundedQueue<std::string> emitted(2);
     std::thread writer_thread;
-    if (!inline_io) {
+    if (overlap) {
         writer_thread = std::thread([&] {
-            for (;;) {
-                auto text = emitted.pop();
-                if (!text)
-                    break;
+            while (auto text = emitted.pop())
                 out.write(text->data(),
                           static_cast<std::streamsize>(text->size()));
-            }
         });
     }
     const auto flush_stage = [&] {
+        if (!overlap)
+            return;
         std::string text = stage.str();
         stage.str(std::string());
-        if (text.empty())
-            return;
-        if (inline_io)
-            out.write(text.data(),
-                      static_cast<std::streamsize>(text.size()));
-        else
+        if (!text.empty())
             emitted.push(std::move(text));
     };
-    flush_stage(); // the header, so an empty input still yields SAM
+
+    // The batch in hand: the caller's reads (handed out once, never
+    // copied) or the reader's next batch; empty at end of input.
+    const std::vector<FastqRecord> *unread = src.reads;
+    std::vector<FastqRecord> parsed_batch;
+    const auto next_batch =
+        [&]() -> StatusOr<const std::vector<FastqRecord> *> {
+        parsed_batch.clear();
+        if (!src.reader) {
+            const auto *batch = unread ? unread : &parsed_batch;
+            unread = nullptr;
+            return batch;
+        }
+        StatusOr<std::vector<FastqRecord>> next =
+            std::vector<FastqRecord>{};
+        if (!overlap)
+            next = parse_batch();
+        else if (auto popped = parsed.pop())
+            next = std::move(*popped);
+        GENAX_TRY(next.status());
+        parsed_batch = std::move(next).value();
+        return &parsed_batch;
+    };
 
     double align_seconds = 0;
     const auto timed = [&](auto &&fn) {
@@ -442,55 +455,33 @@ alignStreamToSam(const std::vector<FastaRecord> &ref,
         align_seconds +=
             std::chrono::duration<double>(t1 - t0).count();
     };
-
-    std::optional<GenAxSystem> system;
-    std::optional<BwaMemLike> aligner;
-    timed([&] {
-        if (!use_software) {
-            GenAxConfig cfg;
-            cfg.k = opts.k;
-            cfg.editBound = opts.band;
-            cfg.segmentCount = opts.segments;
-            cfg.segmentOverlap = opts.segmentOverlap;
-            cfg.threads = opts.threads;
-            applyIndexAttachment(cfg, attach);
-            system.emplace(contigs.sequence(), cfg);
-            system->streamBegin();
-        } else {
-            AlignerConfig cfg;
-            cfg.k = opts.k;
-            cfg.band = opts.band;
-            cfg.threads = opts.threads;
-            aligner.emplace(contigs.sequence(), cfg);
-        }
-    });
+    timed([&] { engine->begin(); });
 
     Status failure = okStatus();
-    u64 base = 0; // admitted reads before the current batch
     for (;;) {
-        StatusOr<std::vector<FastqRecord>> next{
-            std::vector<FastqRecord>{}};
-        if (inline_io) {
-            next = reads.nextBatch(batch_size);
-        } else {
-            auto popped = parsed.pop();
-            if (!popped)
-                break;
-            next = std::move(*popped);
-        }
+        auto next = next_batch();
         if (!next.ok()) {
             failure = next.status();
             break;
         }
-        const std::vector<FastqRecord> batch =
-            std::move(next).value();
+        const std::vector<FastqRecord> &batch = **next;
+        if (!sam) {
+            if (open_out)
+                failure = open_out();
+            if (!failure.ok())
+                break;
+            sam.emplace(sam_out, contigs.samHeader());
+        }
         if (batch.empty())
             break;
         res.reads += batch.size();
 
-        // Admission (genax.pipeline.read): on this thread, in read
-        // order, so the fault site's ordinals match the load-all
-        // path's single admission loop.
+        // Admission: the genax.pipeline.read fault point models a read
+        // lost inside the pipeline (staging-buffer corruption and the
+        // like). Such a read is Failed in the ledger and emitted as an
+        // unmapped placeholder so the SAM output stays index-aligned
+        // with the input. It runs on this thread in read order, so the
+        // site's ordinals are the same at any batch size.
         std::vector<u8> failed(batch.size(), 0);
         std::vector<Seq> seqs;
         seqs.reserve(batch.size());
@@ -503,34 +494,23 @@ alignStreamToSam(const std::vector<FastaRecord> &ref,
             seqs.push_back(batch[i].seq);
         }
 
-        std::vector<Mapping> maps;
-        std::vector<u8> degraded(seqs.size(), 0);
-        timed([&] {
-            if (system) {
-                maps = system->streamBatch(seqs, base);
-                degraded = system->degradedReads();
-            } else {
-                maps = aligner->alignAll(seqs);
-                if (res.softwareFallback)
-                    degraded.assign(seqs.size(), 1);
-            }
-        });
-        base += seqs.size();
-
-        emitBatch(sam, contigs, batch, failed, maps, degraded, res);
+        AlignEngine::Batch aligned;
+        timed([&] { aligned = engine->batch(seqs); });
+        emitBatch(*sam, contigs, batch, failed, aligned, res);
         flush_stage();
     }
+    flush_stage(); // the header alone, for an empty input
 
-    if (system && failure.ok()) {
-        timed([&] { system->streamEnd(); });
-        res.perf = system->perf();
-        res.hostProfile = system->hostProfile();
+    if (failure.ok()) {
+        timed([&] { engine->end(); });
+        res.perf = engine->perf();
+        res.hostProfile = engine->hostProfile();
     }
     res.seconds = align_seconds;
 
     // Wind down the IO stages (close() unblocks a reader stuck on a
     // full queue after an early exit).
-    if (!inline_io) {
+    if (overlap) {
         parsed.close();
         reader_thread.join();
         emitted.close();
@@ -539,14 +519,34 @@ alignStreamToSam(const std::vector<FastaRecord> &ref,
 
     if (!failure.ok())
         return failure;
-    if (!stage || !out)
+    if (!sam_out || !out)
         return ioError("failed writing SAM output after " +
-                       std::to_string(sam.count()) + " records");
+                       std::to_string(res.reads) + " records");
     GENAX_CHECK(res.ledgerBalanced(),
                 "pipeline ledger out of balance: ", res.mapped, "+",
                 res.unmapped, "+", res.skippedMalformed, "+",
                 res.degraded, "+", res.failed, " != ", res.reads);
     return res;
+}
+
+} // namespace
+
+StatusOr<PipelineResult>
+alignToSam(const std::vector<FastaRecord> &ref,
+           const std::vector<FastqRecord> &reads, std::ostream &out,
+           const PipelineOptions &opts)
+{
+    return drive(ref, {.reader = nullptr, .reads = &reads, .context = ""},
+                 out, opts);
+}
+
+StatusOr<PipelineResult>
+alignStreamToSam(const std::vector<FastaRecord> &ref,
+                 FastqReader &reads, std::ostream &out,
+                 const PipelineOptions &opts)
+{
+    return drive(ref, {.reader = &reads, .reads = nullptr, .context = ""},
+                 out, opts);
 }
 
 namespace {
@@ -617,24 +617,16 @@ alignPairsToSam(const std::vector<FastaRecord> &ref,
             std::to_string(reads2.size()) +
             " (skipped malformed records can desynchronize mates)");
     }
-    if (Status s = validateReference(ref); !s.ok())
-        return s;
+    GENAX_TRY(validateReference(ref));
     const ContigMap contigs(ref);
 
-    AlignerConfig cfg;
-    cfg.k = opts.k;
-    cfg.band = opts.band;
-    cfg.threads = opts.threads;
-    BwaMemLike aligner(contigs.sequence(), cfg);
+    BwaMemLike aligner(contigs.sequence(), alignerConfig(opts));
     PairedAligner paired(aligner);
 
     PipelineResult res;
     res.reads = reads1.size() * 2;
 
-    std::vector<SamRefSeq> header;
-    for (const auto &c : contigs.contigs())
-        header.push_back({c.name, c.length});
-    SamWriter sam(out, header);
+    SamWriter sam(out, contigs.samHeader());
 
     const auto t0 = std::chrono::steady_clock::now();
     for (size_t i = 0; i < reads1.size(); ++i) {
@@ -642,9 +634,9 @@ alignPairsToSam(const std::vector<FastaRecord> &ref,
         // are emitted as unmapped placeholders and counted Failed.
         if (faultFires(fault::kPipelineRead)) [[unlikely]] {
             res.failed += 2;
-            SamRecord r1 = pipelineUnmappedRecord(reads1[i]);
+            SamRecord r1 = pipelineSamRecord(contigs, reads1[i], {});
             r1.flag |= kSamPaired | kSamRead1 | kSamMateUnmapped;
-            SamRecord r2 = pipelineUnmappedRecord(reads2[i]);
+            SamRecord r2 = pipelineSamRecord(contigs, reads2[i], {});
             r2.flag |= kSamPaired | kSamRead2 | kSamMateUnmapped;
             sam.write(r1);
             sam.write(r2);
@@ -722,45 +714,33 @@ alignFiles(const std::string &ref_fasta, const std::string &reads_fastq,
 {
     ReaderOptions ropts;
     ropts.maxMalformed = opts.maxMalformed;
-    ReaderStats ref_stats, read_stats;
+    ReaderStats ref_stats;
     GENAX_TRY_ASSIGN(const auto ref,
                      readFastaFile(ref_fasta, ropts, &ref_stats));
-
-    if (opts.batchReads > 0) {
-        std::ifstream in(reads_fastq);
-        if (!in)
-            return ioErrorFromErrno("cannot open FASTQ file",
-                                    reads_fastq);
-        std::ofstream out(out_sam);
+    std::ifstream in(reads_fastq);
+    if (!in)
+        return ioErrorFromErrno("cannot open FASTQ file", reads_fastq);
+    FastqReader reader(in, ropts);
+    std::ofstream out;
+    const auto open_out = [&]() -> Status {
+        out.open(out_sam);
         if (!out)
             return ioErrorFromErrno("cannot open output SAM", out_sam);
-        FastqReader reader(in, ropts);
-        GENAX_TRY_ASSIGN(PipelineResult res,
-                         alignStreamToSam(ref, reader, out, opts));
-        out.flush();
-        if (!out)
-            return ioError("failed flushing SAM output to " +
-                           out_sam);
-        res.refInput = ref_stats;
-        res.readInput = reader.stats();
-        res.skippedMalformed = res.readInput.malformed;
-        res.reads += res.skippedMalformed;
-        return res;
-    }
-
-    GENAX_TRY_ASSIGN(const auto reads,
-                     readFastqFile(reads_fastq, ropts, &read_stats));
-    std::ofstream out(out_sam);
-    if (!out)
-        return ioErrorFromErrno("cannot open output SAM", out_sam);
-    GENAX_TRY_ASSIGN(PipelineResult res,
-                     alignToSam(ref, reads, out, opts));
+        return okStatus();
+    };
+    GENAX_TRY_ASSIGN(
+        PipelineResult res,
+        drive(ref,
+              {.reader = &reader,
+               .reads = nullptr,
+               .context = "FASTQ file '" + reads_fastq + "'"},
+              out, opts, open_out));
     out.flush();
     if (!out)
         return ioError("failed flushing SAM output to " + out_sam);
     res.refInput = ref_stats;
-    res.readInput = read_stats;
-    res.skippedMalformed = read_stats.malformed;
+    res.readInput = reader.stats();
+    res.skippedMalformed = res.readInput.malformed;
     res.reads += res.skippedMalformed;
     return res;
 }

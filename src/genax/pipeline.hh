@@ -1,7 +1,8 @@
 /**
  * @file
  * File-to-file alignment pipeline: FASTA reference + FASTQ reads in,
- * SAM out — the driver behind the genax_align command-line tool.
+ * SAM out — the driver behind the genax_align command-line tool —
+ * and the alignment engine it shares with the serving daemon.
  *
  * Multi-contig references are concatenated into one coordinate space
  * with a contig map so SAM records carry per-contig names and
@@ -13,6 +14,7 @@
 #define GENAX_GENAX_PIPELINE_HH
 
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "io/fastq.hh"
 #include "io/sam.hh"
 #include "seed/index_snapshot.hh"
+#include "swbase/bwamem_like.hh"
 
 namespace genax {
 
@@ -50,27 +53,22 @@ class ContigMap
      */
     std::pair<size_t, u64> locate(u64 pos) const;
 
+    /** The @SQ lines of a SAM header for this reference. */
+    std::vector<SamRefSeq> samHeader() const;
+
   private:
     Seq _seq;
     std::vector<Contig> _contigs;
 };
 
 /**
- * Unmapped placeholder SAM record for a read the pipeline could not
- * align (failed admission, or an engine that produced no mapping).
- * This is the exact record alignToSam emits, exposed so the serving
- * layer's per-connection output stays byte-identical to an offline
- * run.
- */
-SamRecord pipelineUnmappedRecord(const FastqRecord &read);
-
-/**
- * SAM record for an admitted read and its mapping — the one
- * formatting path shared by the offline pipeline and the serving
- * layer. Orientation, contig translation, CIGAR text, score and
- * quality handling all live here, so "same read, same reference,
- * same config" produces the same SAM bytes no matter which front end
- * asked.
+ * SAM record for a read and its mapping — the one formatting path
+ * shared by the offline pipeline and the serving layer. Orientation,
+ * contig translation, CIGAR text, score and quality handling all live
+ * here, so "same read, same reference, same config" produces the same
+ * SAM bytes no matter which front end asked. An unmapped mapping
+ * (e.g. `Mapping{}` for a read lost before alignment) gives the
+ * unmapped placeholder record.
  */
 SamRecord pipelineSamRecord(const ContigMap &contigs,
                             const FastqRecord &read, const Mapping &m);
@@ -90,9 +88,9 @@ struct IndexAttachment
 };
 
 /**
- * Snapshot attach policy, shared by the offline pipeline and the
- * load-once daemon. Opens `path` and decides how a run gets its
- * per-segment indexes:
+ * Snapshot attach policy, applied by AlignEngine::create for every
+ * front end. Opens `path` and decides how a run gets its per-segment
+ * indexes:
  *
  *  - fingerprint mismatch against the parsed reference → hard error
  *    (a snapshot must never be applied to the wrong reference);
@@ -109,8 +107,13 @@ StatusOr<IndexAttachment> attachIndexSnapshot(const std::string &path,
 void applyIndexAttachment(GenAxConfig &cfg,
                           const IndexAttachment &att);
 
-/** Pipeline configuration. */
-struct PipelineOptions
+/**
+ * Engine settings: what AlignEngine needs to build an engine. The
+ * offline pipeline (PipelineOptions) and the serving daemon
+ * (ServiceConfig) share them, so one set of flags means the same
+ * engine in either front end.
+ */
+struct EngineOptions
 {
     enum class Engine
     {
@@ -126,22 +129,6 @@ struct PipelineOptions
      *  threads. Output and modelled results are identical at any
      *  width. */
     unsigned threads = 1;
-    /** Malformed input records tolerated (skipped and counted) per
-     *  input file before the run fails with InvalidInput. */
-    u64 maxMalformed = 1000;
-    /**
-     * Streaming batch size in reads; 0 loads the whole read file
-     * before aligning (the legacy path). With batching, parsing,
-     * alignment and SAM emission overlap on separate threads and
-     * peak host memory is O(batch) instead of O(dataset), while SAM
-     * bytes, the outcome ledger, the modelled perf report and armed
-     * fault replay stay byte-identical to the load-all path at any
-     * batch size and thread count (see DESIGN.md "Memory &
-     * streaming"). Only alignFiles() consumes this option —
-     * alignToSam() takes pre-parsed reads, and paired mode always
-     * loads both mate files whole.
-     */
-    u64 batchReads = 0;
     /**
      * Optional path to a pre-built index snapshot (genax_index
      * --format flat). When set, the GenAx engine serves each
@@ -157,6 +144,96 @@ struct PipelineOptions
      * with or without a matching snapshot.
      */
     std::string indexSnapshot;
+};
+
+/** Pipeline configuration: the engine settings plus how reads are
+ *  read from a file. */
+struct PipelineOptions : EngineOptions
+{
+    /** Malformed input records tolerated (skipped and counted) per
+     *  input file before the run fails with InvalidInput. */
+    u64 maxMalformed = 1000;
+    /**
+     * Streaming batch size in reads (see alignStreamToSam()); 0 = one
+     * unbounded batch, the whole read file. Peak host memory is
+     * O(batch), while output is byte-identical at any batch size and
+     * thread count (DESIGN.md "Memory & streaming"). Paired mode
+     * always loads both mate files whole.
+     */
+    u64 batchReads = 0;
+};
+
+/**
+ * The alignment engine behind every front end — the pipeline driver
+ * and the serving daemon (serve/service.hh) — and usable without
+ * either.
+ *
+ * create() makes the run's set-up decisions: the reference check, the
+ * snapshot attach policy (attachIndexSnapshot) and the
+ * degrade-to-software decision, where an edit bound beyond what a
+ * SillaX lane supports moves the whole run to the software engine and
+ * flags every read it maps as degraded. begin() constructs exactly
+ * one of GenAxSystem / BwaMemLike and opens its stream, batch()
+ * aligns one batch, end() closes the stream. Mappings do not depend
+ * on how reads are split into batches: fault keys and perf accounting
+ * use the global read index.
+ *
+ * Pinned in memory: the engines hold references to
+ * contigs().sequence().
+ */
+class AlignEngine
+{
+  public:
+    /** Check the reference, concatenate its contigs, attach
+     *  opts.indexSnapshot and decide which engine runs. A snapshot
+     *  of another reference is FailedPrecondition. */
+    static StatusOr<std::unique_ptr<AlignEngine>>
+    create(const std::vector<FastaRecord> &ref, const EngineOptions &opts);
+
+    AlignEngine(const AlignEngine &) = delete;
+    AlignEngine &operator=(const AlignEngine &) = delete;
+
+    const ContigMap &contigs() const { return _contigs; }
+    const IndexAttachment &indexAttachment() const { return _attach; }
+    /** The run degraded from GenAx to the software engine. */
+    bool softwareFallback() const { return _softwareFallback; }
+
+    /** Construct the engine and open its stream. */
+    void begin();
+
+    /** One batch's results, parallel to its reads. */
+    struct Batch
+    {
+        std::vector<Mapping> maps;
+        /** Non-zero where a read went through a fallback path. */
+        std::vector<u8> degraded;
+    };
+    Batch batch(const std::vector<Seq> &seqs);
+
+    /** Close the stream (idempotent). perf() and hostProfile() then
+     *  cover every batch; both stay empty on the software engine. */
+    void end();
+    const GenAxPerf &perf() const { return _perf; }
+    const GenAxHostProfile &hostProfile() const { return _hostProfile; }
+
+    /** Reads aligned so far, over every batch. */
+    u64 readsAligned() const { return _base; }
+
+  private:
+    AlignEngine(const std::vector<FastaRecord> &ref,
+                const EngineOptions &opts)
+        : _opts(opts), _contigs(ref) {}
+
+    const EngineOptions _opts;
+    const ContigMap _contigs;
+    IndexAttachment _attach;
+    bool _softwareFallback = false;
+    std::optional<GenAxSystem> _system; //!< GenAx engine
+    std::optional<BwaMemLike> _aligner; //!< software engine
+    bool _open = false;
+    u64 _base = 0;
+    GenAxPerf _perf;
+    GenAxHostProfile _hostProfile;
 };
 
 /**
@@ -207,9 +284,11 @@ struct PipelineResult
 
 /**
  * Align reads against a (possibly multi-contig) reference and write
- * SAM records to `out`. Recoverable failures (no usable reference,
- * SAM write failure) come back as a Status; per-read trouble is
- * absorbed into the result's outcome ledger instead.
+ * SAM records to `out`. The reads go through the pipeline driver as
+ * one batch, aligned in place. Recoverable failures (no usable
+ * reference, snapshot of another reference, SAM write failure) come
+ * back as a Status; per-read trouble is absorbed into the result's
+ * outcome ledger instead.
  */
 StatusOr<PipelineResult>
 alignToSam(const std::vector<FastaRecord> &ref,
@@ -217,26 +296,28 @@ alignToSam(const std::vector<FastaRecord> &ref,
            const PipelineOptions &opts);
 
 /**
- * Streaming variant of alignToSam(): reads arrive through a
- * FastqReader and flow through the engine in batches of
- * opts.batchReads (0 = one unbounded batch). A reader thread
- * prefetches the next batch while the current one aligns, and an
- * in-order writer thread drains finished batches to `out`, so
- * parse / align / emit overlap. At one effective worker width the
- * stages instead run synchronously on the calling thread — no
- * overlap is possible there and the queue hand-offs are measurable
- * overhead — with byte-identical output and fault replay. One
- * behavioural difference from the load-all path: a reader failure
- * (IO error, malformed budget exhausted) mid-run surfaces after
- * earlier batches' SAM records were already written.
+ * The pipeline driver over a FastqReader: reads flow through the
+ * engine in batches of opts.batchReads (0 = one unbounded batch).
+ * With more than one batch and more than one worker, a reader thread
+ * prefetches the next batch while the current one aligns and an
+ * in-order writer thread drains finished batches to `out`, so parse /
+ * align / emit overlap. Otherwise the stages run synchronously on the
+ * calling thread, writing records straight to `out` — nothing could
+ * overlap and the queue hand-offs would be pure overhead — with
+ * byte-identical output and fault replay. A reader failure (IO error,
+ * malformed budget exhausted) while reading the first batch returns
+ * before any SAM byte is written; later, it surfaces after earlier
+ * batches' records were already written.
  */
 StatusOr<PipelineResult>
 alignStreamToSam(const std::vector<FastaRecord> &ref,
                  FastqReader &reads, std::ostream &out,
                  const PipelineOptions &opts);
 
-/** File-path convenience wrapper; IO failures surface as Status.
- *  Routes through the streaming path when opts.batchReads > 0. */
+/** File-path wrapper over alignStreamToSam(); IO failures surface as
+ *  Status, and reader failures carry the FASTQ file's path. The
+ *  output file is opened once the first batch is read, so a run that
+ *  fails reading it leaves none behind. */
 StatusOr<PipelineResult> alignFiles(const std::string &ref_fasta,
                                     const std::string &reads_fastq,
                                     const std::string &out_sam,

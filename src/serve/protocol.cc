@@ -160,6 +160,10 @@ decodeAlignRequest(std::string_view payload)
     size_t off = 0;
     u32 count = 0;
     GENAX_TRY(getInt<u32>(payload, off, count));
+    // Each read takes at least its three length prefixes, so a count
+    // the payload cannot hold is damage, not an allocation request.
+    if (count > (payload.size() - off) / (3 * sizeof(u32)))
+        return invalidInputError("align request count beyond payload");
     std::vector<FastqRecord> reads;
     reads.reserve(count);
     for (u32 i = 0; i < count; ++i) {
@@ -198,6 +202,9 @@ decodeAlignResponse(std::string_view payload)
     size_t off = 0;
     u32 count = 0;
     GENAX_TRY(getInt<u32>(payload, off, count));
+    // Each line takes at least its length prefix.
+    if (count > (payload.size() - off) / sizeof(u32))
+        return invalidInputError("align response count beyond payload");
     std::vector<std::string> lines;
     lines.reserve(count);
     for (u32 i = 0; i < count; ++i) {

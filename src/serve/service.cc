@@ -2,71 +2,25 @@
 
 #include <utility>
 
-#include "common/check.hh"
-#include "common/logging.hh"
-#include "silla/silla.hh"
-
 namespace genax {
 
+AlignService::AlignService(std::unique_ptr<AlignEngine> engine)
+    : _engine(std::move(engine)),
+      _sam(_stage, _engine->contigs().samHeader()),
+      _header(_stage.str())
+{
+    _stage.str(std::string());
+}
+
 StatusOr<std::unique_ptr<AlignService>>
-AlignService::create(std::vector<FastaRecord> ref,
+AlignService::create(const std::vector<FastaRecord> &ref,
                      const ServiceConfig &cfg)
 {
-    if (ref.empty())
-        return invalidInputError("reference has no usable contigs");
-    for (const auto &rec : ref) {
-        if (rec.seq.empty())
-            return invalidInputError("reference contig '" + rec.name +
-                                     "' is empty");
-    }
-
+    GENAX_TRY_ASSIGN(auto engine, AlignEngine::create(ref, cfg));
+    engine->begin();
     // No make_unique: the constructor is private.
-    std::unique_ptr<AlignService> svc(new AlignService());
-    svc->_ref = std::move(ref);
-    svc->_contigs.emplace(svc->_ref);
-
-    if (!cfg.indexSnapshot.empty()) {
-        GENAX_TRY_ASSIGN(svc->_attach,
-                         attachIndexSnapshot(
-                             cfg.indexSnapshot,
-                             svc->_contigs->sequence()));
-    }
-
-    bool use_software =
-        cfg.engine == PipelineOptions::Engine::Software;
-    if (!use_software && cfg.band > kMaxSillaK) {
-        GENAX_WARN("edit bound ", cfg.band,
-                   " exceeds the SillaX maximum ", kMaxSillaK,
-                   "; serving on the software engine");
-        use_software = true;
-        svc->_softwareFallback = true;
-    }
-
-    if (!use_software) {
-        GenAxConfig gcfg;
-        gcfg.k = cfg.k;
-        gcfg.editBound = cfg.band;
-        gcfg.segmentCount = cfg.segments;
-        gcfg.segmentOverlap = cfg.segmentOverlap;
-        gcfg.threads = cfg.threads;
-        applyIndexAttachment(gcfg, svc->_attach);
-        svc->_system.emplace(svc->_contigs->sequence(), gcfg);
-        svc->_system->streamBegin();
-    } else {
-        AlignerConfig acfg;
-        acfg.k = cfg.k;
-        acfg.band = cfg.band;
-        acfg.threads = cfg.threads;
-        svc->_aligner.emplace(svc->_contigs->sequence(), acfg);
-    }
-
-    std::vector<SamRefSeq> header;
-    for (const auto &c : svc->_contigs->contigs())
-        header.push_back({c.name, c.length});
-    svc->_sam.emplace(svc->_stage, header);
-    svc->_header = svc->_stage.str();
-    svc->_stage.str(std::string());
-    return svc;
+    return std::unique_ptr<AlignService>(
+        new AlignService(std::move(engine)));
 }
 
 AlignService::~AlignService()
@@ -77,8 +31,6 @@ AlignService::~AlignService()
 BatchOutcome
 AlignService::alignBatch(const std::vector<FastqRecord> &reads)
 {
-    GENAX_CHECK(!_finished,
-                "alignBatch() after the service stream was closed");
     BatchOutcome out;
     if (reads.empty())
         return out;
@@ -87,34 +39,23 @@ AlignService::alignBatch(const std::vector<FastqRecord> &reads)
     seqs.reserve(reads.size());
     for (const auto &r : reads)
         seqs.push_back(r.seq);
-
-    std::vector<Mapping> maps;
-    std::vector<u8> degraded(seqs.size(), 0);
-    if (_system) {
-        maps = _system->streamBatch(seqs, _base);
-        degraded = _system->degradedReads();
-    } else {
-        maps = _aligner->alignAll(seqs);
-        if (_softwareFallback)
-            degraded.assign(seqs.size(), 1);
-    }
-    _base += seqs.size();
+    const AlignEngine::Batch aligned = _engine->batch(seqs);
 
     out.samLines.reserve(reads.size());
     out.outcomes.reserve(reads.size());
     for (size_t i = 0; i < reads.size(); ++i) {
-        const Mapping &m = maps[i];
+        const Mapping &m = aligned.maps[i];
         if (!m.mapped) {
             ++out.unmapped;
             out.outcomes.push_back(BatchOutcome::kUnmapped);
-        } else if (degraded[i]) {
+        } else if (aligned.degraded[i]) {
             ++out.degraded;
             out.outcomes.push_back(BatchOutcome::kDegraded);
         } else {
             ++out.mapped;
             out.outcomes.push_back(BatchOutcome::kMapped);
         }
-        _sam->write(pipelineSamRecord(*_contigs, reads[i], m));
+        _sam.write(pipelineSamRecord(_engine->contigs(), reads[i], m));
         // One record is exactly one line: take the staged text
         // (newline included) as this read's response.
         out.samLines.push_back(_stage.str());
@@ -126,11 +67,7 @@ AlignService::alignBatch(const std::vector<FastqRecord> &reads)
 void
 AlignService::finish()
 {
-    if (_finished)
-        return;
-    _finished = true;
-    if (_system)
-        _system->streamEnd();
+    _engine->end();
 }
 
 } // namespace genax

@@ -3,24 +3,25 @@
  * Load-once alignment service: the daemon-resident engine the
  * batcher drives.
  *
- * Construction does everything an offline `genax_align --index` run
- * does once per invocation — parse/concatenate the reference, run
- * the PR 7 snapshot attach policy (zero-copy mmap when the snapshot
+ * AlignService is the SAM header, one AlignEngine (genax/pipeline.hh)
+ * and record formatting. Creating it does everything an offline
+ * `genax_align --index` run does once per invocation — the reference
+ * check, the snapshot attach policy (zero-copy mmap when the snapshot
  * is healthy, rebuild-from-FASTA degradation when it is corrupt or
- * missing, hard FailedPrecondition on a reference mismatch), build
- * the engine and open the stream (`streamBegin`) — so every request
- * after that pays only alignment, never startup.
+ * missing, hard FailedPrecondition on a reference mismatch), the
+ * degrade-to-software decision and engine construction — through the
+ * same engine, so every request after that pays only alignment,
+ * never startup.
  *
  * Byte-identity contract: per-read mappings are a pure function of
  * (read, reference, config) — batch composition and the stream's
  * base read index only key fault injection and perf accounting — and
- * SAM text is produced by the exact pipelineSamRecord /
- * pipelineUnmappedRecord formatting the offline pipeline uses, with
- * the same SamWriter header. A client that writes headerText() plus
- * its returned lines therefore reproduces, byte for byte, the SAM an
- * offline `genax_align --index` run over its reads would have
- * written (tests/test_determinism.cc pins this at multiple
- * clients × batch sizes × thread counts).
+ * SAM text is produced by the exact pipelineSamRecord formatting the
+ * offline pipeline uses, under the same SamWriter header. A client
+ * that writes headerText() plus its returned lines therefore
+ * reproduces, byte for byte, the SAM an offline `genax_align --index`
+ * run over its reads would have written (tests/test_determinism.cc
+ * pins this at multiple clients × batch sizes × thread counts).
  *
  * Not thread-safe: exactly one caller (the batcher's worker thread)
  * may touch alignBatch()/finish() — the engine's stream state is
@@ -32,7 +33,6 @@
 #define GENAX_SERVE_SERVICE_HH
 
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,22 +40,12 @@
 #include "genax/pipeline.hh"
 #include "io/fasta.hh"
 #include "io/fastq.hh"
-#include "swbase/bwamem_like.hh"
 
 namespace genax {
 
-/** Engine/config knobs for one daemon lifetime. */
-struct ServiceConfig
-{
-    PipelineOptions::Engine engine = PipelineOptions::Engine::GenAx;
-    u32 k = 12;
-    u32 band = 40;
-    u64 segments = 8;
-    u64 segmentOverlap = 256;
-    unsigned threads = 1;
-    /** Optional index snapshot path (PR 7 attach semantics). */
-    std::string indexSnapshot;
-};
+/** Engine settings for one daemon lifetime — the offline
+ *  pipeline's, so the same flags build the same engine. */
+using ServiceConfig = EngineOptions;
 
 /** One batch's results: SAM lines plus per-read outcomes. */
 struct BatchOutcome
@@ -79,10 +69,10 @@ struct BatchOutcome
 class AlignService
 {
   public:
-    /** Parse nothing — the reference is already in memory. Runs the
-     *  snapshot policy, constructs the engine, opens the stream. */
+    /** Parse nothing — the reference is already in memory. Creates
+     *  the engine and opens its stream. */
     static StatusOr<std::unique_ptr<AlignService>>
-    create(std::vector<FastaRecord> ref, const ServiceConfig &cfg);
+    create(const std::vector<FastaRecord> &ref, const ServiceConfig &cfg);
 
     ~AlignService();
     AlignService(const AlignService &) = delete;
@@ -99,31 +89,28 @@ class AlignService
     void finish();
 
     /** Snapshot disposition for startup logs / stats. */
-    const IndexAttachment &indexAttachment() const { return _attach; }
+    const IndexAttachment &
+    indexAttachment() const
+    {
+        return _engine->indexAttachment();
+    }
 
     /** Whole service degraded to the software engine (band beyond
      *  the SillaX bound). */
-    bool softwareFallback() const { return _softwareFallback; }
+    bool softwareFallback() const { return _engine->softwareFallback(); }
 
-    u64 readsServed() const { return _base; }
+    u64 readsServed() const { return _engine->readsAligned(); }
 
   private:
-    AlignService() = default;
+    explicit AlignService(std::unique_ptr<AlignEngine> engine);
 
-    std::vector<FastaRecord> _ref;
-    std::optional<ContigMap> _contigs;
-    IndexAttachment _attach;
-    bool _softwareFallback = false;
-    std::optional<GenAxSystem> _system;  //!< GenAx engine
-    std::optional<BwaMemLike> _aligner;  //!< software engine
-    bool _finished = false;
-    u64 _base = 0; //!< admitted reads before the current batch
+    std::unique_ptr<AlignEngine> _engine;
 
     /** Persistent SAM formatting stage: the writer emits its header
      *  once at construction (captured into _header), then each
      *  batch's records are staged here and split back per read. */
     std::ostringstream _stage;
-    std::optional<SamWriter> _sam;
+    SamWriter _sam;
     std::string _header;
 };
 

@@ -1,12 +1,15 @@
 /**
  * @file
  * Integration tests for the file-to-file pipeline: multi-contig
- * coordinate mapping, SAM emission, both engines, and a real
- * FASTA/FASTQ/SAM round trip through the filesystem.
+ * coordinate mapping, SAM emission, both engines, a real
+ * FASTA/FASTQ/SAM round trip through the filesystem, and the engine's
+ * set-up policy as each front end (offline, streaming, served) sees
+ * it.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +19,8 @@
 #include "io/sam.hh"
 #include "readsim/readsim.hh"
 #include "readsim/refgen.hh"
+#include "seed/index_snapshot.hh"
+#include "serve/service.hh"
 #include "silla/silla.hh"
 
 namespace genax {
@@ -279,31 +284,6 @@ TEST(Pipeline, MateCountMismatchIsInvalidInput)
     EXPECT_EQ(res.status().code(), StatusCode::InvalidInput);
 }
 
-TEST(Pipeline, OversizedBandDegradesToSoftwareEngine)
-{
-    const auto ref = twoContigReference(30000, 20000, 55);
-    ContigMap map(ref);
-    ReadSimConfig rs;
-    rs.numReads = 12;
-    rs.seed = 21;
-    const auto sim = simulateReads(map.sequence(), rs);
-    std::vector<FastqRecord> reads;
-    for (const auto &r : sim)
-        reads.push_back({r.name, r.seq, r.qual});
-
-    PipelineOptions opts;
-    opts.k = 11;
-    opts.band = kMaxSillaK + 1; // beyond what a SillaX lane supports
-    std::ostringstream sam;
-    const auto res = alignToSam(ref, reads, sam, opts);
-    ASSERT_TRUE(res.ok());
-    EXPECT_TRUE(res->softwareFallback);
-    EXPECT_TRUE(res->ledgerBalanced());
-    // Every mapped read is accounted as degraded, not mapped.
-    EXPECT_EQ(res->mapped, 0u);
-    EXPECT_GT(res->degraded, reads.size() * 9 / 10);
-}
-
 TEST(Pipeline, MalformedReadsAreSkippedAndLedgered)
 {
     namespace fs = std::filesystem;
@@ -385,6 +365,278 @@ TEST(Pipeline, ReverseReadsQualityIsReversed)
         EXPECT_EQ(f[9], decode(frag));
         EXPECT_EQ(f[10].front(), static_cast<char>((100 % 40) + 33));
     }
+}
+
+// ------------------------------------------------------------------
+// Front-end policy: the engine's set-up decisions — degrade to
+// software, snapshot attach — reach every way into it alike.
+
+/** The three ways into the alignment engine. */
+enum class FrontEnd
+{
+    AlignToSam, //!< in-memory reads, one batch
+    Stream,     //!< alignStreamToSam at batch 7 x threads 2
+    Service,    //!< the serving daemon's AlignService
+};
+
+/** Names the ctest entry of each parametrized instance. */
+void
+PrintTo(FrontEnd fe, std::ostream *os)
+{
+    *os << (fe == FrontEnd::AlignToSam ? "AlignToSam"
+            : fe == FrontEnd::Stream   ? "StreamBatch7Threads2"
+                                       : "Service");
+}
+
+/** A front end's outcome in common terms. */
+struct FrontEndRun
+{
+    Status status = okStatus();
+    std::string sam;
+    bool softwareFallback = false;
+    std::string indexNote;
+    u64 mapped = 0;
+    u64 degraded = 0;
+    bool ledgerBalanced = false;
+};
+
+FrontEndRun
+runFrontEnd(FrontEnd fe, const std::vector<FastaRecord> &ref,
+            const std::vector<FastqRecord> &reads, PipelineOptions opts)
+{
+    FrontEndRun run;
+    if (fe == FrontEnd::Service) {
+        auto svc = AlignService::create(ref, opts);
+        if (!svc.ok()) {
+            run.status = svc.status();
+            return run;
+        }
+        const BatchOutcome out = (*svc)->alignBatch(reads);
+        run.sam = (*svc)->headerText();
+        for (const auto &line : out.samLines)
+            run.sam += line;
+        for (const u8 o : out.outcomes) {
+            run.mapped += o == BatchOutcome::kMapped;
+            run.degraded += o == BatchOutcome::kDegraded;
+        }
+        run.ledgerBalanced =
+            out.mapped + out.unmapped + out.degraded == reads.size();
+        run.softwareFallback = (*svc)->softwareFallback();
+        run.indexNote = (*svc)->indexAttachment().note;
+        (*svc)->finish();
+        return run;
+    }
+    std::ostringstream sam;
+    std::ostringstream fastq;
+    EXPECT_TRUE(writeFastq(fastq, reads).ok());
+    std::istringstream in(fastq.str());
+    FastqReader reader(in);
+    if (fe == FrontEnd::Stream) {
+        opts.batchReads = 7;
+        opts.threads = 2;
+    }
+    const auto res = fe == FrontEnd::Stream
+                         ? alignStreamToSam(ref, reader, sam, opts)
+                         : alignToSam(ref, reads, sam, opts);
+    run.sam = sam.str();
+    if (!res.ok()) {
+        run.status = res.status();
+        return run;
+    }
+    run.softwareFallback = res->softwareFallback;
+    run.indexNote = res->indexNote;
+    run.mapped = res->mapped;
+    run.degraded = res->degraded;
+    run.ledgerBalanced = res->ledgerBalanced();
+    return run;
+}
+
+struct PolicyWorkload
+{
+    std::vector<FastaRecord> ref;
+    std::vector<FastqRecord> reads;
+};
+
+PolicyWorkload
+policyWorkload()
+{
+    PolicyWorkload w;
+    w.ref = twoContigReference(30000, 20000, 55);
+    ContigMap map(w.ref);
+    ReadSimConfig rs;
+    rs.numReads = 12;
+    rs.seed = 21;
+    for (const auto &r : simulateReads(map.sequence(), rs))
+        w.reads.push_back({r.name, r.seq, r.qual});
+    return w;
+}
+
+/** Engine settings matching buildSnapshot()'s layout. */
+PipelineOptions
+policyOptions()
+{
+    PipelineOptions opts;
+    opts.k = 11;
+    opts.segments = 4;
+    opts.segmentOverlap = 256;
+    return opts;
+}
+
+/** A scratch directory of this test's own: ctest runs each
+ *  parametrized instance as its own process, concurrently. */
+std::filesystem::path
+testScratchDir()
+{
+    const auto *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string(info->test_suite_name()) + "." +
+                       info->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    const auto dir =
+        std::filesystem::temp_directory_path() / ("genax_" + name);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+/** Build a flat index snapshot of `ref` with policyOptions()'s
+ *  layout. */
+void
+buildSnapshot(const std::string &path,
+              const std::vector<FastaRecord> &ref)
+{
+    const ContigMap map(ref);
+    std::vector<SnapshotContig> contigs;
+    contigs.reserve(map.contigs().size());
+    for (const auto &c : map.contigs())
+        contigs.push_back({c.name, c.start, c.length});
+    SegmentConfig cfg;
+    cfg.k = 11;
+    cfg.segmentCount = 4;
+    cfg.overlap = 256;
+    ASSERT_TRUE(
+        IndexSnapshot::build(path, map.sequence(), contigs, cfg).ok());
+}
+
+class FrontEndPolicy : public ::testing::TestWithParam<FrontEnd>
+{
+};
+
+TEST_P(FrontEndPolicy, OversizedBandDegradesToSoftwareEngine)
+{
+    const PolicyWorkload w = policyWorkload();
+    PipelineOptions opts = policyOptions();
+    opts.band = kMaxSillaK + 1; // beyond what a SillaX lane supports
+    const FrontEndRun run = runFrontEnd(GetParam(), w.ref, w.reads, opts);
+    ASSERT_TRUE(run.status.ok()) << run.status.str();
+    EXPECT_TRUE(run.softwareFallback);
+    EXPECT_TRUE(run.ledgerBalanced);
+    // Every mapped read is accounted as degraded, not mapped.
+    EXPECT_EQ(run.mapped, 0u);
+    EXPECT_GT(run.degraded, w.reads.size() * 9 / 10);
+
+    // The software engine's SAM, so the same SAM on every front end.
+    PipelineOptions sw = opts;
+    sw.engine = PipelineOptions::Engine::Software;
+    EXPECT_EQ(run.sam,
+              runFrontEnd(FrontEnd::AlignToSam, w.ref, w.reads, sw).sam);
+}
+
+TEST_P(FrontEndPolicy, SnapshotOfAnotherReferenceIsFailedPrecondition)
+{
+    const PolicyWorkload w = policyWorkload();
+    const auto dir = testScratchDir();
+    const std::string snap = (dir / "other.gxs").string();
+    buildSnapshot(snap, twoContigReference(30000, 20000, 56));
+
+    PipelineOptions opts = policyOptions();
+    opts.indexSnapshot = snap;
+    const FrontEndRun run = runFrontEnd(GetParam(), w.ref, w.reads, opts);
+    EXPECT_EQ(run.status.code(), StatusCode::FailedPrecondition)
+        << run.status.str();
+    EXPECT_EQ(run.sam, "");
+    std::filesystem::remove_all(dir);
+}
+
+TEST_P(FrontEndPolicy, CorruptSnapshotRebuildsWithIdenticalSam)
+{
+    const PolicyWorkload w = policyWorkload();
+    const auto dir = testScratchDir();
+    const std::string snap = (dir / "corrupt.gxs").string();
+    buildSnapshot(snap, w.ref);
+    {
+        // Flip a bit in the middle of the file, past the header.
+        std::fstream f(snap, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        f.seekg(0, std::ios::end);
+        const auto mid = f.tellg() / 2;
+        f.seekg(mid);
+        const char c = static_cast<char>(f.get() ^ 0x20);
+        f.seekp(mid);
+        f.put(c);
+    }
+
+    PipelineOptions opts = policyOptions();
+    opts.indexSnapshot = snap;
+    const FrontEndRun run = runFrontEnd(GetParam(), w.ref, w.reads, opts);
+    ASSERT_TRUE(run.status.ok()) << run.status.str();
+    EXPECT_NE(run.indexNote.find("rebuilding from FASTA"),
+              std::string::npos)
+        << run.indexNote;
+    EXPECT_EQ(run.sam, runFrontEnd(FrontEnd::AlignToSam, w.ref, w.reads,
+                                   policyOptions())
+                           .sam);
+    std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(FrontEnds, FrontEndPolicy,
+                         ::testing::Values(FrontEnd::AlignToSam,
+                                           FrontEnd::Stream,
+                                           FrontEnd::Service));
+
+TEST(Pipeline, ReaderFailureOnTheFirstBatchWritesNoSam)
+{
+    // One batch (batch 0) is the load-all contract: a reader failure
+    // is the Status of parsing the whole file, FASTQ path included,
+    // and comes before the output file is even created. The first
+    // batch of a bounded stream fails the same way.
+    const auto dir = testScratchDir();
+    const std::string ref_path = (dir / "ref.fa").string();
+    const std::string reads_path = (dir / "reads.fq").string();
+    const std::string sam_path = (dir / "out.sam").string();
+    const PolicyWorkload w = policyWorkload();
+    {
+        std::ofstream out(ref_path);
+        ASSERT_TRUE(writeFasta(out, w.ref).ok());
+    }
+    {
+        std::ofstream out(reads_path);
+        ASSERT_TRUE(writeFastq(out, {w.reads[0], w.reads[1]}).ok());
+        // Two quality-length mismatches exhaust a budget of one.
+        out << "@bad1\nACGTACGT\n+\nIII\n";
+        out << "@bad2\nACGTACGT\n+\nIII\n";
+        ASSERT_TRUE(writeFastq(out, {w.reads[2]}).ok());
+    }
+    ReaderOptions ropts;
+    ropts.maxMalformed = 1;
+    const auto load_all = readFastqFile(reads_path, ropts);
+    ASSERT_FALSE(load_all.ok());
+
+    for (const u64 batch : {u64{0}, u64{7}}) {
+        for (const unsigned threads : {1u, 2u}) {
+            PipelineOptions opts = policyOptions();
+            opts.maxMalformed = 1;
+            opts.batchReads = batch;
+            opts.threads = threads;
+            const auto res =
+                alignFiles(ref_path, reads_path, sam_path, opts);
+            ASSERT_FALSE(res.ok());
+            EXPECT_EQ(res.status().code(), load_all.status().code());
+            EXPECT_EQ(res.status().str(), load_all.status().str());
+            EXPECT_FALSE(std::filesystem::exists(sam_path))
+                << "batch " << batch << " threads " << threads;
+        }
+    }
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -188,6 +188,13 @@ TEST(ServeProtocol, AlignRequestRoundTrip)
     }
 }
 
+/** A u32 record count of 0xFFFFFFFF followed by a few bytes. */
+std::string
+hugeCountPayload()
+{
+    return std::string(4, '\xff') + "abcdef";
+}
+
 TEST(ServeProtocol, AlignRequestRejectsDamage)
 {
     auto reads = someReads();
@@ -204,6 +211,12 @@ TEST(ServeProtocol, AlignRequestRejectsDamage)
             std::string_view(payload.data(), payload.size() - 3))
             .ok());
     EXPECT_FALSE(decodeAlignRequest("").ok());
+
+    // A count the payload cannot hold is rejected before anything is
+    // allocated for it.
+    const auto huge = decodeAlignRequest(hugeCountPayload());
+    ASSERT_FALSE(huge.ok());
+    EXPECT_EQ(huge.status().code(), StatusCode::InvalidInput);
 }
 
 TEST(ServeProtocol, AlignResponseAndErrorRoundTrip)
@@ -213,6 +226,10 @@ TEST(ServeProtocol, AlignResponseAndErrorRoundTrip)
     const auto back = decodeAlignResponse(encodeAlignResponse(lines));
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, lines);
+
+    const auto huge = decodeAlignResponse(hugeCountPayload());
+    ASSERT_FALSE(huge.ok());
+    EXPECT_EQ(huge.status().code(), StatusCode::InvalidInput);
 
     const Status s = invalidInputError("bad batch");
     Status carried;

@@ -66,7 +66,7 @@ printHelp(const char *prog, std::FILE *to)
         "  --batch-reads N    stream reads through the engine in\n"
         "                     batches of N, overlapping parse, align\n"
         "                     and SAM emission with O(batch) memory\n"
-        "                     (default 0 = load all reads first);\n"
+        "                     (default 0 = all reads as one batch);\n"
         "                     output is identical at any batch size;\n"
         "                     single-end mode only\n"
         "  --index FILE       prebuilt index snapshot from\n"

@@ -203,17 +203,14 @@ main(int argc, char **argv)
     }
 
     // Load once: everything below this point is paid exactly one
-    // time per daemon lifetime, never per request.
+    // time per daemon lifetime, never per request. The parsed FASTA
+    // lives only until the engine holds its concatenated copy.
     ReaderOptions ropts;
     ropts.maxMalformed = max_malformed;
-    auto parsed = readFastaFile(ref, ropts);
-    if (!parsed.ok()) {
-        std::fprintf(stderr, "genax_serve: %s\n",
-                     parsed.status().str().c_str());
-        return kExitError;
-    }
-    auto service =
-        AlignService::create(std::move(parsed).value(), cfg);
+    auto service = [&]() -> StatusOr<std::unique_ptr<AlignService>> {
+        GENAX_TRY_ASSIGN(const auto contigs, readFastaFile(ref, ropts));
+        return AlignService::create(contigs, cfg);
+    }();
     if (!service.ok()) {
         std::fprintf(stderr, "genax_serve: %s\n",
                      service.status().str().c_str());
