@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+
 #include "readsim/readsim.hh"
 #include "readsim/refgen.hh"
 #include "seed/fm_seeder.hh"
@@ -124,17 +126,39 @@ BM_IndexLookupFlat(benchmark::State &state)
 }
 BENCHMARK(BM_IndexLookupFlat);
 
+/** A reference of `len` bases (same generator settings as
+ *  benchRef()), made once per size. */
+const Seq &
+sizedRef(u64 len)
+{
+    static std::map<u64, Seq> refs;
+    auto it = refs.find(len);
+    if (it == refs.end()) {
+        RefGenConfig cfg;
+        cfg.length = len;
+        cfg.seed = 55;
+        it = refs.emplace(len, generateReference(cfg)).first;
+    }
+    return it->second;
+}
+
+/** The k = 12 build across segment-, 1 Mbp- and paper-short-sized
+ *  references at build widths 1, 2, 4 and 0 (all hardware threads). */
 void
 BM_FlatIndexBuild(benchmark::State &state)
 {
-    const u32 k = static_cast<u32>(state.range(0));
+    const Seq &ref = sizedRef(static_cast<u64>(state.range(0)));
+    const auto width = static_cast<unsigned>(state.range(1));
     for (auto _ : state) {
-        FlatKmerIndex index(benchRef(), k);
+        FlatKmerIndex index(ref, 12, width);
         benchmark::DoNotOptimize(index.maxHitListSize());
     }
-    state.SetBytesProcessed(state.iterations() * benchRef().size());
+    state.SetBytesProcessed(state.iterations() * ref.size());
 }
-BENCHMARK(BM_FlatIndexBuild)->Arg(10)->Arg(12);
+BENCHMARK(BM_FlatIndexBuild)
+    ->ArgNames({"bases", "width"})
+    ->ArgsProduct({{12'000, 1 << 20, 8'000'000}, {1, 2, 4, 0}})
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_SmemSeedPerRead(benchmark::State &state)

@@ -51,8 +51,10 @@ ThreadPool::resolveWidth(unsigned requested)
     // request would spawn runners that only contend on the chunk
     // cursor, and a clamped width of 1 lets parallelFor short-circuit
     // to the serial path with no region setup at all. Results are
-    // width-invariant, so clamping cannot change output.
-    const unsigned hw =
+    // width-invariant, so clamping cannot change output. The count
+    // is read once: each query costs microseconds of /sys reads,
+    // which small index builds would otherwise pay per call.
+    static const unsigned hw =
         std::max(1u, std::thread::hardware_concurrency());
     if (requested == 0)
         return hw;

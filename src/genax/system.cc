@@ -342,21 +342,15 @@ GenAxSystem::streamBatchCandidates(const std::vector<Seq> &reads,
 
     // The segment loop stays serial; reads within a segment are
     // sharded across the pool. Without a snapshot the index is
-    // rebuilt per batch (the price of O(batch) resident memory —
-    // caching every segment's index would cost tens of bytes per
-    // reference base); with one, the segment's tables are a
-    // zero-copy view over the snapshot file.
+    // rebuilt per batch at the engine width (the price of O(batch)
+    // resident memory — caching every segment's index would cost
+    // tens of bytes per reference base); with one, the segment's
+    // tables are a zero-copy view over the snapshot file.
     for (u64 seg = 0; seg < _segments.count(); ++seg) {
-#if defined(GENAX_KMER_INDEX_ORACLE)
-        // The oracle's SeedIndex is the dense layout; snapshots hold
-        // flat tables, so the oracle always rebuilds (the SeedIndex
-        // equivalence keeps the output identical).
-        const SeedIndex index = _segments.buildSeedIndex(seg);
-#else
         const SeedIndex index =
-            _cfg.snapshot != nullptr ? _cfg.snapshot->segmentView(seg)
-                                     : _segments.buildSeedIndex(seg);
-#endif
+            _cfg.snapshot != nullptr
+                ? _cfg.snapshot->segmentView(seg)
+                : _segments.buildSeedIndex(seg, _cfg.threads);
 
         Cycle lane_cycles_before = 0;
         for (auto &ws : st.shards) {

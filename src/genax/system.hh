@@ -62,7 +62,8 @@ struct GenAxConfig
     bool simulateSeedingLanes = false;
     u32 seedingSramBanks = 32;
     /**
-     * Host worker threads for the per-segment read loop (0 = all
+     * Host worker threads for the per-segment read loop and, without
+     * a snapshot, the per-batch segment index builds (0 = all
      * hardware threads). Purely a host-execution knob: lanes and
      * stats are sharded per worker and reduced as order-invariant
      * sums, so mappings, the perf report and the fault-injection

@@ -21,6 +21,12 @@
  * line so batched offset loops (SmemEngine's exact-match path) can
  * overlap the dependent loads of consecutive lookups.
  *
+ * The build inserts every k-mer in reference order on the calling
+ * thread (that order fixes the slot layout snapshots store), then
+ * orders the keys by a linear-time bucket pass and fills the postings
+ * by key range, both on up to `threads` pool runners. The table and
+ * postings are byte-identical at every width.
+ *
  * All hardware footprint reporting (indexTableBytes,
  * positionTableBytes) still models the paper's dense SRAM tables —
  * the DRAM streaming model and Table II must not change because the
@@ -57,10 +63,13 @@ class FlatKmerIndex
     /**
      * Build the table for a reference segment.
      *
-     * @param ref the segment's bases
-     * @param k   k-mer length (1..13; the paper uses 12)
+     * @param ref     the segment's bases (at most 2^31 of them)
+     * @param k       k-mer length (1..13; the paper uses 12)
+     * @param threads build width on ThreadPool::global(); 0 means all
+     *                hardware threads. Call from a caller thread,
+     *                never from inside a pool region.
      */
-    FlatKmerIndex(const Seq &ref, u32 k);
+    FlatKmerIndex(const Seq &ref, u32 k, unsigned threads = 1);
 
     /** One occupied table slot: a key's postings extent. The layout
      *  is serialized verbatim into index snapshots — POD, 16 bytes,
@@ -251,6 +260,7 @@ class FlatKmerIndex
 
   private:
     friend class FlatKmerIndexMapping;
+    struct Builder; //!< the building constructor's phases
     FlatKmerIndex() = default; //!< storage bound by view()
 
     /** Point the lookup pointers at the owning vectors (after a

@@ -1,20 +1,12 @@
 /**
  * @file
- * Build-time selection of the seeding lookup structure.
+ * The seeding lookup structure every consumer (SmemEngine, BwaMemLike,
+ * GenomeSegments::buildSeedIndex) compiles against: the
+ * cache-conscious FlatKmerIndex.
  *
- * SeedIndex is the index type every consumer (SmemEngine, BwaMemLike,
- * GenomeSegments::buildSeedIndex) compiles against. The default is
- * the cache-conscious FlatKmerIndex; configuring with
- * -DGENAX_KMER_INDEX_ORACLE=ON substitutes the dense CSR KmerIndex so
- * the whole test suite re-runs against the original layout — the
- * equivalence oracle for the flat table. Both types expose the same
- * lookup interface (lookup / lookupCount / lookupPrefetch / packKmer
- * / maxHitListSize / footprints) and report identical hit lists, so
- * the choice changes host speed and memory only, never output.
- *
- * The dense KmerIndex remains a first-class type regardless of the
- * toggle: genax_index files keep its on-disk format, and the
- * equivalence tests compare both layouts directly.
+ * The dense CSR KmerIndex stays a first-class type: it models the
+ * paper's hardware tables, genax_index files keep its on-disk format,
+ * and the equivalence tests diff both layouts at run time.
  */
 
 #ifndef GENAX_SEED_SEED_INDEX_HH
@@ -25,11 +17,7 @@
 
 namespace genax {
 
-#if defined(GENAX_KMER_INDEX_ORACLE)
-using SeedIndex = KmerIndex;
-#else
 using SeedIndex = FlatKmerIndex;
-#endif
 
 } // namespace genax
 

@@ -40,9 +40,9 @@ GenomeSegments::buildIndex(u64 i) const
 }
 
 SeedIndex
-GenomeSegments::buildSeedIndex(u64 i) const
+GenomeSegments::buildSeedIndex(u64 i, unsigned threads) const
 {
-    return SeedIndex(bases(i), _cfg.k);
+    return SeedIndex(bases(i), _cfg.k, threads);
 }
 
 } // namespace genax

@@ -50,9 +50,9 @@ class GenomeSegments
      *  SRAM streaming; also the oracle layout). */
     KmerIndex buildIndex(u64 i) const;
 
-    /** Build the segment's seeding index in the configured layout
-     *  (SeedIndex — flat by default, dense under the oracle). */
-    SeedIndex buildSeedIndex(u64 i) const;
+    /** Build the segment's seeding index (see FlatKmerIndex for the
+     *  build width; 0 means all hardware threads). */
+    SeedIndex buildSeedIndex(u64 i, unsigned threads = 1) const;
 
     /** Convert a segment-local position to a global one. */
     u64 toGlobal(u64 seg, u64 local) const { return _starts[seg] + local; }

@@ -185,7 +185,7 @@ selectAndFinish(const std::vector<ScoredCandidate> &cands,
 
 BwaMemLike::BwaMemLike(const Seq &ref, const AlignerConfig &cfg)
     : _ref(ref), _cfg(cfg),
-      _index(std::make_unique<SeedIndex>(ref, cfg.k))
+      _index(std::make_unique<SeedIndex>(ref, cfg.k, cfg.threads))
 {
 }
 

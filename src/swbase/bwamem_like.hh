@@ -31,8 +31,8 @@ struct AlignerConfig
     AnchorConfig anchors;
     Scoring scoring;
     u32 band = 16;         //!< extension band (the edit bound K)
-    /** alignAll() worker threads; 0 = all hardware threads.
-     *  Results are identical at any width. */
+    /** Worker threads for the index build and alignAll(); 0 = all
+     *  hardware threads. Results are identical at any width. */
     unsigned threads = 1;
 };
 

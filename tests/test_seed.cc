@@ -7,17 +7,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
-#include <sstream>
-
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/faultinject.hh"
 #include "common/rng.hh"
+#include "io/store.hh"
 #include "readsim/refgen.hh"
 #include "seed/cam.hh"
 #include "seed/flat_kmer_index.hh"
+#include "seed/index_snapshot.hh"
 #include "seed/kmer_index.hh"
 #include "seed/segment.hh"
 #include "seed/smem_engine.hh"
@@ -288,7 +293,7 @@ TEST(KmerIndexFile, LoadRejectsOnDiskTruncationAndBadMagic)
 // The open-addressing layout must be observationally identical to the
 // dense CSR layout: same hit lists (contents and order) for every key,
 // same CAM-sizing and footprint metadata. These diffs are what lets
-// the rest of the system switch layouts behind the SeedIndex alias.
+// the dense layout serve as the run-time oracle for the flat table.
 
 class FlatKmerIndexTest : public ::testing::TestWithParam<u32>
 {};
@@ -299,27 +304,136 @@ TEST_P(FlatKmerIndexTest, ExhaustivelyMatchesDenseLayout)
     Rng rng(750 + k);
     const Seq ref = randomSeq(rng, 4000);
     const KmerIndex dense(ref, k);
-    const FlatKmerIndex flat(ref, k);
+    // Width 0 (every hardware thread) checks the parallel build too.
+    for (const unsigned width : {1u, 0u}) {
+        const FlatKmerIndex flat(ref, k, width);
+        EXPECT_EQ(flat.k(), dense.k());
+        EXPECT_EQ(flat.segmentLength(), dense.segmentLength());
+        EXPECT_EQ(flat.maxHitListSize(), dense.maxHitListSize());
 
-    EXPECT_EQ(flat.k(), dense.k());
-    EXPECT_EQ(flat.segmentLength(), dense.segmentLength());
-    EXPECT_EQ(flat.maxHitListSize(), dense.maxHitListSize());
-
-    u64 distinct = 0;
-    for (u64 key = 0; key < (u64{1} << (2 * k)); ++key) {
-        const auto d = dense.lookup(key);
-        const auto f = flat.lookup(key);
-        ASSERT_EQ(f.size(), d.size()) << "key=" << key << " k=" << k;
-        ASSERT_TRUE(std::equal(f.begin(), f.end(), d.begin()))
-            << "key=" << key << " k=" << k;
-        ASSERT_EQ(flat.lookupCount(key), d.size()) << "key=" << key;
-        distinct += d.empty() ? 0 : 1;
+        u64 distinct = 0;
+        for (u64 key = 0; key < (u64{1} << (2 * k)); ++key) {
+            const auto d = dense.lookup(key);
+            const auto f = flat.lookup(key);
+            ASSERT_EQ(f.size(), d.size())
+                << "key=" << key << " k=" << k << " width=" << width;
+            ASSERT_TRUE(std::equal(f.begin(), f.end(), d.begin()))
+                << "key=" << key << " k=" << k << " width=" << width;
+            ASSERT_EQ(flat.lookupCount(key), d.size()) << "key=" << key;
+            distinct += d.empty() ? 0 : 1;
+        }
+        EXPECT_EQ(flat.distinctKmers(), distinct);
     }
-    EXPECT_EQ(flat.distinctKmers(), distinct);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ks, FlatKmerIndexTest,
                          ::testing::Values(3u, 5u, 7u));
+
+/** A readsim reference with 30% repeat copies (200 kbp). */
+const Seq &
+repeatRichReference()
+{
+    static const Seq ref = [] {
+        RefGenConfig cfg;
+        cfg.length = 200'000;
+        cfg.seed = 15;
+        cfg.repeatFraction = 0.30;
+        return generateReference(cfg);
+    }();
+    return ref;
+}
+
+class FlatKmerIndexWidthTest : public ::testing::TestWithParam<u32>
+{};
+
+TEST_P(FlatKmerIndexWidthTest, BuildIsByteIdenticalAtEveryWidth)
+{
+    const u32 k = GetParam();
+    Rng rng(770 + k);
+    const std::vector<std::pair<std::string, Seq>> refs = {
+        {"random 4 kbp", randomSeq(rng, 4000)},
+        {"readsim 200 kbp, 30% repeats", repeatRichReference()},
+        {"poly-A", Seq(3000, kBaseA)},
+        {"length k", randomSeq(rng, k)},
+        {"shorter than k", randomSeq(rng, k - 1)},
+    };
+    for (const auto &[name, ref] : refs) {
+        const FlatKmerIndex serial(ref, k, 1);
+        const auto table = serial.tableSpan();
+        const auto positions = serial.positionsSpan();
+        for (const unsigned width : {2u, 3u, 0u}) {
+            const FlatKmerIndex wide(ref, k, width);
+            const auto t = wide.tableSpan();
+            const auto p = wide.positionsSpan();
+            ASSERT_EQ(t.size(), table.size()) << name << " width " << width;
+            EXPECT_EQ(std::memcmp(t.data(), table.data(), t.size_bytes()), 0)
+                << name << " width " << width;
+            EXPECT_TRUE(std::equal(p.begin(), p.end(), positions.begin(),
+                                   positions.end()))
+                << name << " width " << width;
+            EXPECT_EQ(wide.maxHitListSize(), serial.maxHitListSize())
+                << name << " width " << width;
+            EXPECT_EQ(wide.distinctKmers(), serial.distinctKmers())
+                << name << " width " << width;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ks, FlatKmerIndexWidthTest,
+                         ::testing::Values(1u, 3u, 7u, 12u, 13u));
+
+TEST(FlatKmerIndex, PolyAKeyHoldsEveryPosition)
+{
+    const Seq ref(3000, kBaseA);
+    const FlatKmerIndex flat(ref, 12, 0);
+    const auto hits = flat.lookup(0);
+    ASSERT_EQ(hits.size(), ref.size() - 11);
+    for (u32 i = 0; i < hits.size(); ++i)
+        ASSERT_EQ(hits[i], i);
+    EXPECT_EQ(flat.maxHitListSize(), ref.size() - 11);
+    EXPECT_EQ(flat.distinctKmers(), 1u);
+}
+
+// Every GXSNAP file on disk depends on these bytes: the slot layout,
+// the key-ordered extents and the postings. The checksums were
+// recorded with the original single-threaded comparison-sort build.
+TEST(FlatKmerIndex, GoldenBytesOfTheRecordedLayout)
+{
+    const Seq &ref = repeatRichReference();
+    for (const unsigned width : {1u, 2u, 0u}) {
+        const FlatKmerIndex flat(ref, 12, width);
+        const auto t = flat.tableSpan();
+        const auto p = flat.positionsSpan();
+        EXPECT_EQ(storeChecksum(t.data(), t.size_bytes()),
+                  0xe541ccaface7c6dfULL)
+            << "width " << width;
+        EXPECT_EQ(storeChecksum(p.data(), p.size_bytes()),
+                  0x3957a8ecae60b875ULL)
+            << "width " << width;
+        EXPECT_EQ(flat.maxHitListSize(), 9u);
+        EXPECT_EQ(flat.distinctKmers(), 146488u);
+    }
+
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() / "genax_flat_index_golden";
+    fs::create_directories(dir);
+    const std::string path = (dir / "ref.gxsnap").string();
+    SegmentConfig cfg;
+    cfg.k = 12;
+    cfg.segmentCount = 8;
+    cfg.overlap = 256;
+    ASSERT_TRUE(
+        IndexSnapshot::build(path, ref, {{"chr1", 0, ref.size()}}, cfg)
+            .ok());
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes.size(), 9396792u);
+    EXPECT_EQ(storeChecksum(bytes.data(), bytes.size()),
+              0xeecdb43f16fc3b5cULL);
+    fs::remove_all(dir);
+}
 
 TEST(FlatKmerIndex, SampledMatchAtPaperK)
 {

@@ -644,10 +644,8 @@ TEST(IndexSnapshotPipeline, SamIdenticalAtAnyBatchAndThreads)
             const RunOut got = runAligned(w, snap, batch);
             EXPECT_EQ(got.sam, want.sam)
                 << "threads " << threads << " batch " << batch;
-#if !defined(GENAX_KMER_INDEX_ORACLE)
             EXPECT_TRUE(got.res.indexFromSnapshot);
             EXPECT_FALSE(got.res.indexFallback);
-#endif
             EXPECT_EQ(got.res.mapped, want.res.mapped);
             EXPECT_EQ(got.res.failed, want.res.failed);
             EXPECT_EQ(got.res.perf.totalSeconds,

@@ -60,9 +60,10 @@ printHelp(const char *prog, std::FILE *to)
         "                     beyond the SillaX maximum the run degrades\n"
         "                     to the software engine\n"
         "  --segments N       GenAx genome segments (default 8)\n"
-        "  --threads N        worker threads for either engine\n"
-        "                     (default 1; 0 = all hardware threads);\n"
-        "                     output is identical at any width\n"
+        "  --threads N        worker threads for either engine and\n"
+        "                     its index builds (default 1; 0 = all\n"
+        "                     hardware threads); output is identical\n"
+        "                     at any width\n"
         "  --batch-reads N    stream reads through the engine in\n"
         "                     batches of N, overlapping parse, align\n"
         "                     and SAM emission with O(batch) memory\n"
