@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hh"
+#include "tests/extension_jobs.hh"
 #include "silla/silla_edit.hh"
 #include "silla/silla_score.hh"
 #include "silla/silla_traceback.hh"
@@ -16,6 +17,19 @@
 
 namespace genax {
 namespace {
+
+/** Every result field: score, ends, CIGAR and all five stats. */
+bool
+sameAlignment(const SillaAlignment &a, const SillaAlignment &b)
+{
+    return a.score == b.score && a.refEnd == b.refEnd &&
+           a.qryEnd == b.qryEnd && a.cigar.str() == b.cigar.str() &&
+           a.stats.streamCycles == b.stats.streamCycles &&
+           a.stats.reduceCycles == b.stats.reduceCycles &&
+           a.stats.collectCycles == b.stats.collectCycles &&
+           a.stats.reruns == b.stats.reruns &&
+           a.stats.rerunCycles == b.stats.rerunCycles;
+}
 
 struct Pair
 {
@@ -122,10 +136,8 @@ BM_SillaTracebackEvent(benchmark::State &state)
     const auto p = makePair(14, 101,
                             static_cast<unsigned>(state.range(1)));
     SillaTraceback machine(static_cast<u32>(state.range(0)), Scoring{});
-    const auto naive = machine.alignNaive(p.ref, p.qry);
-    const auto event = machine.alignEvent(p.ref, p.qry);
-    if (naive.score != event.score ||
-        naive.stats.total() != event.stats.total()) {
+    if (!sameAlignment(machine.alignNaive(p.ref, p.qry),
+                       machine.alignEvent(p.ref, p.qry))) {
         state.SkipWithError("event path disagrees with naive oracle");
         return;
     }
@@ -137,6 +149,50 @@ BENCHMARK(BM_SillaTracebackEvent)
     ->Args({16, 3})
     ->Args({40, 3})
     ->Args({40, 12});
+
+// The same two paths over extension jobs built the way GenAxSystem
+// builds them (tests/extension_jobs.hh), at the system's K = 40.
+// Args are {workload: 0 paper-short, 1 divergent-repeats; leg: 0
+// naive, 1 event}; per_job is the wall time of one job.
+
+void
+BM_SillaTracebackJobs(benchmark::State &state)
+{
+    const auto workload = state.range(0) == 0
+                              ? testing::JobWorkload::PaperShort
+                              : testing::JobWorkload::DivergentRepeats;
+    const bool event = state.range(1) != 0;
+    const auto jobs = testing::makeExtensionJobs(workload, 5, 400);
+    SillaTraceback machine(GenAxConfig{}.editBound, Scoring{});
+    if (event) {
+        for (const auto &job : jobs) {
+            if (!sameAlignment(machine.alignNaive(job.ref, job.qry),
+                               machine.alignEvent(job.ref, job.qry))) {
+                state.SkipWithError(
+                    "event path disagrees with naive oracle");
+                return;
+            }
+        }
+    }
+    for (auto _ : state) {
+        for (const auto &job : jobs)
+            benchmark::DoNotOptimize(
+                event ? machine.alignEvent(job.ref, job.qry)
+                      : machine.alignNaive(job.ref, job.qry));
+    }
+    const auto done = static_cast<double>(state.iterations()) *
+                      static_cast<double>(jobs.size());
+    state.SetItemsProcessed(static_cast<i64>(done));
+    state.counters["per_job"] = benchmark::Counter(
+        done, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SillaTracebackJobs)
+    ->ArgNames({"workload", "event"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_EditMachineNaive(benchmark::State &state)

@@ -67,6 +67,7 @@ inline constexpr const char *kStoreMmapFail = "io.store.mmap_fail";
 inline constexpr const char *kServeAcceptFail = "serve.accept.fail";
 inline constexpr const char *kServeReadShort = "serve.read.short";
 inline constexpr const char *kServeWriteEio = "serve.write.eio";
+inline constexpr const char *kServeSpawnFail = "serve.spawn.fail";
 
 } // namespace fault
 

@@ -1,9 +1,12 @@
 #include "serve/server.hh"
 
+#include <memory>
+#include <system_error>
 #include <utility>
 
 #include <sys/socket.h>
 
+#include "common/faultinject.hh"
 #include "common/logging.hh"
 
 namespace genax {
@@ -67,14 +70,53 @@ Server::acceptLoop()
         }
         if (!accepted->has_value())
             continue; // timeout or transient accept failure
-        Socket sock = std::move(**accepted);
-        const MutexLock lk(_mu);
-        const size_t slot = _threads.size();
-        _fds.push_back(sock.fd());
-        _threads.emplace_back(
-            [this, s = std::move(sock), slot]() mutable {
-                handleConnection(std::move(s), slot);
+        // Shared with the handler so that a failed spawn, which
+        // destroys the handler's copy, still leaves it to answer.
+        const auto sock =
+            std::make_shared<Socket>(std::move(**accepted));
+        size_t slot = 0;
+        std::thread finished;
+        {
+            const MutexLock lk(_mu);
+            if (_finished.empty()) {
+                slot = _threads.size();
+                _threads.emplace_back();
+                _fds.push_back(-1);
+            } else {
+                slot = _finished.back();
+                _finished.pop_back();
+                finished = std::move(_threads[slot]);
+            }
+            _fds[slot] = sock->fd();
+        }
+        // Marking its slot was the handler's last act under the lock,
+        // so this join only waits for the thread to unwind.
+        if (finished.joinable())
+            finished.join();
+        try {
+            if (faultFires(fault::kServeSpawnFail)) [[unlikely]]
+                throw std::system_error(
+                    std::make_error_code(
+                        std::errc::resource_unavailable_try_again),
+                    "injected fault at serve.spawn.fail");
+            std::thread handler([this, sock, slot] {
+                handleConnection(std::move(*sock), slot);
             });
+            const MutexLock lk(_mu);
+            _threads[slot] = std::move(handler);
+        } catch (const std::system_error &e) {
+            GENAX_WARN("cannot start a connection handler: ", e.what());
+            (void)sock->sendFrame(
+                FrameType::Error,
+                encodeError(resourceExhaustedError(
+                    std::string("daemon cannot serve a connection "
+                                "now: ") +
+                    e.what())));
+            sock->close();
+            const MutexLock lk(_mu);
+            _fds[slot] = -1;
+            _finished.push_back(slot);
+        }
     }
 }
 
@@ -156,6 +198,7 @@ Server::handleConnection(Socket sock, size_t slot)
     _connectionsServed.fetch_add(1, std::memory_order_relaxed);
     const MutexLock lk(_mu);
     _fds[slot] = -1;
+    _finished.push_back(slot);
 }
 
 } // namespace genax

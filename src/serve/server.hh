@@ -1,7 +1,13 @@
 /**
  * @file
  * Connection front end of the daemon: a poll-driven accept loop plus
- * one handler thread per connection, all feeding the shared Batcher.
+ * one handler thread per live connection, all feeding the shared
+ * Batcher. A new connection joins a finished handler and takes over
+ * its slot, so threads, stacks and slots track the peak number of
+ * concurrent connections, not the number ever served. When no thread
+ * can be started the connection gets a ResourceExhausted Error frame
+ * and the daemon carries on; fault site serve.spawn.fail takes that
+ * path as if thread creation had failed.
  *
  * Per-connection conversation (protocol.hh): Hello → HelloAck (the
  * daemon's SAM header text), then any number of AlignRequests — each
@@ -79,11 +85,14 @@ class Server
     std::thread _acceptThread;
 
     Mutex _mu;
-    /** One slot per connection ever accepted: its handler thread and
-     *  its fd (-1 once the handler finished). Slots are appended
-     *  only; stop() shuts down every live fd, then joins. */
+    /** Connection slots: a handler thread and its fd (-1 once the
+     *  handler finished). stop() shuts down every live fd, then
+     *  joins. */
     std::vector<std::thread> _threads GENAX_GUARDED_BY(_mu);
     std::vector<int> _fds GENAX_GUARDED_BY(_mu);
+    /** Slots whose handler finished: the next connection joins the
+     *  thread and reuses the slot. */
+    std::vector<size_t> _finished GENAX_GUARDED_BY(_mu);
 };
 
 } // namespace genax

@@ -1,6 +1,7 @@
 #include "silla/silla_traceback.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "align/simd/dispatch.hh"
 #include "common/check.hh"
@@ -11,12 +12,6 @@ namespace genax {
 namespace {
 
 constexpr i32 kNegInf = INT32_MIN / 4;
-
-/** Initial subgrid bound of the event path. Typical short-read
- *  extension jobs carry only a handful of edits, so a small square
- *  almost always survives the outside-score cap on the first try;
- *  a miss escalates directly to a bound that provably succeeds. */
-constexpr u32 kEventBound0 = 8;
 
 } // namespace
 
@@ -41,80 +36,118 @@ SillaTraceback::SillaTraceback(u32 k, const Scoring &sc)
     _eRunNext.assign(n, 0);
     _fRunCur.assign(n, 0);
     _fRunNext.assign(n, 0);
-    _recs.resize(n);
-}
-
-SillaAlignment
-SillaTraceback::align(const Seq &r, const Seq &q)
-{
-#if defined(GENAX_MODEL_ORACLE)
-    return alignNaive(r, q);
-#else
-    return alignEvent(r, q);
-#endif
+    _dEnd.reserve(k + 1);
+    _rowOff.reserve(k + 1);
 }
 
 SillaAlignment
 SillaTraceback::alignNaive(const Seq &r, const Seq &q)
 {
-    return collect(r, q, _k, streamPhase(r, q, _k));
+    // Every PE's cap clears the lowest score: the whole array.
+    buildRegion(r.size(), q.size(), std::numeric_limits<i64>::min());
+    return collect(r, q, streamPhase(r, q));
 }
 
 SillaAlignment
 SillaTraceback::alignEvent(const Seq &r, const Seq &q)
 {
-    const u64 mn = std::min<u64>(r.size(), q.size());
-    const i64 open_ext = i64{_sc.gapOpen} + _sc.gapExtend;
-    u32 bound = std::min(_k, kEventBound0);
-    for (;;) {
-        const StreamBest best = streamPhase(r, q, bound);
-        if (bound == _k)
-            return collect(r, q, bound, best); // exact by definition
-        // Any PE outside the subgrid spends more than `bound`
-        // insertion or deletion characters, paying at least one gap
-        // open plus `bound` extensions against at most min(n, m)
-        // matches — so its H can never exceed this cap. A subgrid
-        // best strictly above the cap also wins every tie-break
-        // (ties require equal scores), making the sweep exact.
-        const i64 cap =
-            i64{_sc.match} * static_cast<i64>(mn) -
-            (open_ext + i64{bound} * _sc.gapExtend);
-        if (best.score > cap)
-            return collect(r, q, bound, best);
-        // Escalate to the smallest bound whose cap falls strictly
-        // below the score already in hand; a larger subgrid can only
-        // raise the best score, so the next sweep is final unless it
-        // clamps to the (exact) full array.
-        const i64 deficit = i64{_sc.match} * static_cast<i64>(mn) -
-                            open_ext - best.score;
-        const i64 need = deficit / _sc.gapExtend + 1;
-        bound = static_cast<u32>(std::min<i64>(
-            _k, std::max<i64>(i64{bound} + 1, need)));
+    buildRegion(r.size(), q.size(), lowerBound(r, q));
+    return collect(r, q, streamPhase(r, q));
+}
+
+i64
+SillaTraceback::scoreCap(u64 n, u64 m, u32 i, u32 d) const
+{
+    return i64{_sc.match} * std::min(static_cast<i64>(n) - d,
+                                     static_cast<i64>(m) - i) +
+           _sc.gapCost(static_cast<i32>(i)) +
+           _sc.gapCost(static_cast<i32>(d));
+}
+
+i64
+SillaTraceback::lowerBound(const Seq &r, const Seq &q)
+{
+    const u64 n = r.size(), m = q.size(), mn = std::min(n, m);
+    // PE (0,0)'s ungapped path: its best prefix score (cycle 0 scores
+    // 0, so LB >= 0).
+    _prefix.resize(mn + 1);
+    _prefix[0] = 0;
+    i64 lb = 0;
+    for (u64 c = 0; c < mn; ++c) {
+        _prefix[c + 1] = _prefix[c] + _sc.sub(r[c], q[c]);
+        lb = std::max(lb, _prefix[c + 1]);
     }
+    // One-gap paths, which the array scores too: follow that diagonal
+    // for t1 steps, take one run of s insertions (deletions), then
+    // compare a[t] with b[t] on the shifted diagonal up to step t2.
+    // Only runs the ungapped LB's region admits can raise LB.
+    const auto one_gap = [&](const Base *a, const Base *b, u64 len) {
+        i64 shifted = 0, lead = 0, best = 0;
+        for (u64 t = 0; t < len; ++t) {
+            shifted += _sc.sub(a[t], b[t]);
+            // lead: max over t1 <= t + 1 of P0(t1) − Ps(t1).
+            lead = std::max(lead, _prefix[t + 1] - shifted);
+            best = std::max(best, lead + shifted);
+        }
+        return best;
+    };
+    u32 ins_max = 0, del_max = 0;
+    while (ins_max < _k && scoreCap(n, m, ins_max + 1, 0) >= lb)
+        ++ins_max;
+    while (del_max < _k && scoreCap(n, m, 0, del_max + 1) >= lb)
+        ++del_max;
+    // A cap >= LB >= 0 at (s, 0) forces m > s (at (0, s), n > s).
+    for (u32 s = 1; s <= ins_max; ++s)
+        lb = std::max(lb, one_gap(r.data(), q.data() + s,
+                                  std::min(n, m - s)) +
+                              _sc.gapCost(static_cast<i32>(s)));
+    for (u32 s = 1; s <= del_max; ++s)
+        lb = std::max(lb, one_gap(r.data() + s, q.data(),
+                                  std::min(n - s, m)) +
+                              _sc.gapCost(static_cast<i32>(s)));
+    return lb;
+}
+
+void
+SillaTraceback::buildRegion(u64 n, u64 m, i64 lb)
+{
+    _dEnd.clear();
+    _rowOff.clear();
+    _cells = 0;
+    _lastCycle = 0;
+    // The cap falls in both i and d, so each row's last d never
+    // exceeds the row above's and one staircase walk finds them all.
+    i64 d = _k;
+    for (u32 i = 0; i <= _k; ++i) {
+        while (d >= 0 && scoreCap(n, m, i, static_cast<u32>(d)) < lb)
+            --d;
+        if (d < 0)
+            break;
+        _rowOff.push_back(static_cast<u32>(_cells));
+        _dEnd.push_back(static_cast<u32>(d));
+        _cells += static_cast<size_t>(d) + 1;
+        // PE (i, d) is live over cycles [i + d, min(n + i, m + d)];
+        // the row's last live cycle is its widest PE's.
+        _lastCycle = std::max<Cycle>(
+            _lastCycle, std::min(n + i, m + static_cast<u64>(d)));
+    }
+    // PE (0,0) always qualifies: its cap match·min(n, m) >= LB.
+    GENAX_DCHECK(!_dEnd.empty(), "empty traceback region");
 }
 
 SillaTraceback::StreamBest
-SillaTraceback::streamPhase(const Seq &r, const Seq &q, u32 bound)
+SillaTraceback::streamPhase(const Seq &r, const Seq &q)
 {
     const u64 n = r.size(), m = q.size();
-    const u64 max_cycle = std::min(n, m) + bound;
-    const u32 stride = bound + 1;
-    const auto at = [stride](u32 i, u32 d) {
-        return static_cast<size_t>(i) * stride + d;
-    };
-
-    const size_t cells = static_cast<size_t>(stride) * stride;
-    std::fill(_hCur.begin(), _hCur.begin() + cells, kNegInf);
-    std::fill(_eCur.begin(), _eCur.begin() + cells, kNegInf);
-    std::fill(_fCur.begin(), _fCur.begin() + cells, kNegInf);
-    // Run counters and records are reused across calls; stale run
-    // values are never read because a run is only consulted when the
-    // corresponding E/F lane is live, and the lanes start at -inf.
-    // Only the subgrid prefix is touched by this sweep (collection
-    // never leaves the winner's componentwise-≤ rectangle), so only
-    // that prefix needs clearing.
-    for (size_t pe = 0; pe < cells; ++pe)
-        _recs[pe].clear();
+    const u32 rows = static_cast<u32>(_dEnd.size());
+    const size_t cells = _cells;
+    if (_plane.size() < (_lastCycle + 1) * cells)
+        _plane.resize((_lastCycle + 1) * cells);
+    // No lane needs clearing: every cell a cycle reads is one the
+    // previous cycle wrote (its E/F sources and its own diagonal are
+    // live one cycle earlier), except the diagonal self-read on the
+    // fresh anti-diagonal i + d == c, which the frontier fill below
+    // resets. Run counters ride the same rule.
 
     StreamBest best;
     u64 best_rq = 0, best_r = 0;
@@ -150,41 +183,31 @@ SillaTraceback::streamPhase(const Seq &r, const Seq &q, u32 bound)
 #endif
 
     // --------------------------------------------- Phase 1: streaming
-    for (u64 c = 0; c <= max_cycle; ++c) {
+    for (u64 c = 0; c <= _lastCycle; ++c) {
         // Live-cell window. Scores spread from PE (0,0) one
         // neighbour hop per cycle, so cells with i + d > c are still
-        // at -inf (their sources at cycle c-1 have index sums
-        // >= i + d - 1 > c - 1); cells with i < c - n or d < c - m
-        // have run off a sequence end. Both kinds would compute and
-        // store -inf with no adoption and no consider() call —
-        // exactly what the fill already left there — so the clamped
-        // loops visit precisely the cells the dense sweep did
-        // anything observable for, in the same (i asc, d asc) order.
-        const u32 i_lo =
-            c > n ? static_cast<u32>(std::min<u64>(c - n, stride))
-                  : 0;
-        const u32 i_hi = static_cast<u32>(std::min<u64>(bound, c));
-        const u32 d_lo =
-            c > m ? static_cast<u32>(std::min<u64>(c - m, stride))
-                  : 0;
+        // at -inf; cells with i < c - n or d < c - m have run off a
+        // sequence end. The dense sweep stores -inf with no adoption
+        // and no consider() call there, and collect() never reads a
+        // PE's plane outside its live cycles, so the clamped loops
+        // visit precisely the cells the dense sweep did anything
+        // observable for, in the same (i asc, d asc) order.
+        const u64 i_lo = c > n ? c - n : 0;
+        const u64 i_hi = std::min<u64>(rows - 1, c);
+        if (i_lo > i_hi)
+            break; // every row ran off the reference end
+        const u64 d_lo = c > m ? c - m : 0;
+        u16 *const plane = _plane.data() + c * cells;
 
-        // Incremental frontier fill in place of whole-array resets.
-        // Every cell of the cycle-c window is stored unconditionally,
-        // and cycle c+1 reads only cells the cycle-c sweep wrote —
-        // except the diagonal self-reads on the fresh anti-diagonal
-        // i + d == c, which must see the exact -inf a dark PE holds.
-        // (The E/F lanes of those cells are never read before being
-        // written, so only H needs the reset.) Everything outside is
-        // two-generation-stale garbage that provably stays unread.
-        {
-            const u32 fi_lo = std::max(
-                i_lo, c > bound ? static_cast<u32>(c - bound) : 0);
-            for (u32 i = fi_lo; i <= i_hi; ++i) {
-                const u32 d = static_cast<u32>(c - i);
-                if (d < d_lo)
-                    break; // d only shrinks as i grows
-                _hCur[at(i, d)] = kNegInf;
-            }
+        // Frontier fill: the fresh anti-diagonal's diagonal
+        // self-reads must see the exact -inf a dark PE holds.
+        for (u64 i = i_lo; i <= i_hi; ++i) {
+            const u64 d = c - i;
+            if (d < d_lo)
+                break; // d only shrinks as i grows
+            if (d <= _dEnd[i])
+                _hCur[at(static_cast<u32>(i), static_cast<u32>(d))] =
+                    kNegInf;
         }
 
         // Guarded cell body for boundary PEs (i == 0, cell_r == 0,
@@ -215,7 +238,7 @@ SillaTraceback::streamPhase(const Seq &r, const Seq &q, u32 bound)
             i32 f = kNegInf;
             u32 f_run = 0;
             if (d >= 1 && cell_r >= 1) {
-                const size_t src = at(i, d - 1);
+                const size_t src = self - 1;
                 i32 open = kNegInf, ext = kNegInf;
                 if (_hCur[src] != kNegInf)
                     open = _hCur[src] - open_ext;
@@ -236,30 +259,24 @@ SillaTraceback::streamPhase(const Seq &r, const Seq &q, u32 bound)
                        _sc.sub(r[cell_r - 1], q[cell_q - 1]);
 
             i32 h;
+            u16 code = 0;
             if (c == 0 && i == 0 && d == 0) {
                 h = 0;
-                _recs[self].push_back({c, AdoptSrc::Anchor, 0});
+                code = detail::kSillaAdoptAnchor;
             } else {
                 // Precedence on ties: diagonal continuation, then
                 // insertion, then deletion (one adoption max).
                 h = diag;
-                AdoptSrc src = AdoptSrc::Anchor;
-                u32 run = 0;
-                bool adopted = false;
                 if (e > h) {
                     h = e;
-                    src = AdoptSrc::Ins;
-                    run = e_run;
-                    adopted = true;
+                    code = static_cast<u16>(detail::kSillaAdoptIns |
+                                            e_run);
                 }
                 if (f > h) {
                     h = f;
-                    src = AdoptSrc::Del;
-                    run = f_run;
-                    adopted = true;
+                    code = static_cast<u16>(detail::kSillaAdoptDel |
+                                            f_run);
                 }
-                if (adopted)
-                    _recs[self].push_back({c, src, run});
             }
 
             _eNext[self] = e;
@@ -267,6 +284,7 @@ SillaTraceback::streamPhase(const Seq &r, const Seq &q, u32 bound)
             _eRunNext[self] = static_cast<u16>(e_run);
             _fRunNext[self] = static_cast<u16>(f_run);
             _hNext[self] = h;
+            plane[self] = code;
             if (h != kNegInf)
                 consider(h, i, d, cell_r, cell_q, c);
         };
@@ -277,54 +295,38 @@ SillaTraceback::streamPhase(const Seq &r, const Seq &q, u32 bound)
         // per-row call), after all guarded boundary cells have run.
         // Hoisting the guarded cells ahead of the lean sweep cannot
         // change any output: within one cycle the best-cell update is
-        // order-independent (see silla_stream_row.hh), and adoptions
-        // land in disjoint per-PE record vectors, at most one per
-        // cycle, so record order inside each vector stays by-cycle.
+        // order-independent (see silla_stream_row.hh), and each cell
+        // owns its plane entry.
         if (use_avx2) {
-            for (u32 i = i_lo; i <= i_hi; ++i) {
-                const u32 d_hi =
-                    static_cast<u32>(std::min<u64>(bound, c - i));
+            for (u64 i = i_lo; i <= i_hi; ++i) {
+                const u64 d_hi = std::min<u64>(_dEnd[i], c - i);
                 if (i == 0 || c == i) {
-                    for (u32 d = d_lo; d <= d_hi; ++d)
-                        cell(i, d);
+                    for (u64 d = d_lo; d <= d_hi; ++d)
+                        cell(static_cast<u32>(i), static_cast<u32>(d));
                 } else if (d_lo == 0) {
-                    cell(i, 0); // a lean row's guarded d == 0 cell
+                    cell(static_cast<u32>(i), 0); // a lean row's d == 0
                 }
             }
-            const u32 lean_lo = std::max(i_lo, 1u);
-            if (c >= 1 && lean_lo <= i_hi) {
-                const u32 lean_hi = static_cast<u32>(
-                    std::min<u64>(i_hi, c - 1));
-                const u32 lean_d = std::max(d_lo, 1u);
-                if (lean_lo <= lean_hi) {
-                    const detail::SillaCycleCtx ctx{
-                        _hCur.data(),    _eCur.data(),
-                        _fCur.data(),    _hNext.data(),
-                        _eNext.data(),   _fNext.data(),
-                        _eRunCur.data(), _eRunNext.data(),
-                        _fRunCur.data(), _fRunNext.data(),
-                        r.data(),        q.data(),
-                        c,               bound,
-                        open_ext,        gap_ext,
-                        _sc.match,       _sc.mismatch,
-                        best.score};
-                    _rowEvents.clear();
-                    detail::sillaStreamCycleAvx2(
-                        ctx, lean_lo, lean_hi, lean_d, _rowEvents);
-                    for (const auto &ev : _rowEvents) {
-                        const size_t self = at(ev.i, ev.d);
-                        if (ev.flags & detail::kSillaRowAdopt)
-                            _recs[self].push_back(
-                                {c,
-                                 (ev.flags & detail::kSillaRowDel)
-                                     ? AdoptSrc::Del
-                                     : AdoptSrc::Ins,
-                                 ev.run});
-                        if (ev.flags & detail::kSillaRowConsider)
-                            consider(_hNext[self], ev.i, ev.d,
-                                     c - ev.i, c - ev.d, c);
-                    }
-                }
+            const u64 lean_lo = std::max<u64>(i_lo, 1);
+            const u64 lean_hi = std::min<u64>(i_hi, c - 1);
+            if (c >= 1 && lean_lo <= lean_hi) {
+                const detail::SillaCycleCtx ctx{
+                    _hCur.data(),    _eCur.data(),     _fCur.data(),
+                    _hNext.data(),   _eNext.data(),    _fNext.data(),
+                    _eRunCur.data(), _eRunNext.data(), _fRunCur.data(),
+                    _fRunNext.data(), plane,           _rowOff.data(),
+                    _dEnd.data(),    r.data(),         q.data(),
+                    c,               open_ext,         gap_ext,
+                    _sc.match,       _sc.mismatch,     best.score};
+                _rowEvents.clear();
+                detail::sillaStreamCycleAvx2(
+                    ctx, static_cast<u32>(lean_lo),
+                    static_cast<u32>(lean_hi),
+                    static_cast<u32>(std::max<u64>(d_lo, 1)),
+                    _rowEvents);
+                for (const auto &ev : _rowEvents)
+                    consider(_hNext[at(ev.i, ev.d)], ev.i, ev.d,
+                             c - ev.i, c - ev.d, c);
             }
             std::swap(_hCur, _hNext);
             std::swap(_eCur, _eNext);
@@ -334,18 +336,19 @@ SillaTraceback::streamPhase(const Seq &r, const Seq &q, u32 bound)
             continue;
         }
 #endif
-        for (u32 i = i_lo; i <= i_hi; ++i) {
+        for (u64 i = i_lo; i <= i_hi; ++i) {
             const u64 cell_r = c - i;
-            const u32 d_hi =
-                static_cast<u32>(std::min<u64>(bound, c - i));
+            const u64 d_hi = std::min<u64>(_dEnd[i], cell_r);
+            if (d_hi < d_lo)
+                break; // spans only shrink as i grows
             if (i == 0 || cell_r == 0) {
-                for (u32 d = d_lo; d <= d_hi; ++d)
-                    cell(i, d);
+                for (u64 d = d_lo; d <= d_hi; ++d)
+                    cell(static_cast<u32>(i), static_cast<u32>(d));
                 continue;
             }
-            u32 d = d_lo;
-            if (d == 0 && d <= d_hi) {
-                cell(i, 0);
+            u64 d = d_lo;
+            if (d == 0) {
+                cell(static_cast<u32>(i), 0);
                 d = 1;
             }
             // Lean interior: i >= 1 and d >= 1 with cell_r >= 1 and
@@ -358,10 +361,11 @@ SillaTraceback::streamPhase(const Seq &r, const Seq &q, u32 bound)
             // unguarded max/compare chain picks the same winners,
             // latches the same adoptions and stores the same (real)
             // values as the guarded body.
-            const size_t row = static_cast<size_t>(i) * stride;
+            const size_t row = _rowOff[i];
+            const size_t above = _rowOff[i - 1];
             for (; d <= d_hi; ++d) {
                 const size_t self = row + d;
-                const size_t srcE = self - stride;
+                const size_t srcE = above + d;
                 const size_t srcF = self - 1;
 
                 const i32 openE = _hCur[srcE] - open_ext;
@@ -394,30 +398,26 @@ SillaTraceback::streamPhase(const Seq &r, const Seq &q, u32 bound)
                                           q[cell_q - 1]);
 
                 i32 h = diag;
-                AdoptSrc src = AdoptSrc::Anchor;
-                u32 run = 0;
-                bool adopted = false;
+                u16 code = 0;
                 if (e > h) {
                     h = e;
-                    src = AdoptSrc::Ins;
-                    run = e_run;
-                    adopted = true;
+                    code = static_cast<u16>(detail::kSillaAdoptIns |
+                                            e_run);
                 }
                 if (f > h) {
                     h = f;
-                    src = AdoptSrc::Del;
-                    run = f_run;
-                    adopted = true;
+                    code = static_cast<u16>(detail::kSillaAdoptDel |
+                                            f_run);
                 }
-                if (adopted)
-                    _recs[self].push_back({c, src, run});
 
                 _eNext[self] = e;
                 _fNext[self] = f;
                 _eRunNext[self] = static_cast<u16>(e_run);
                 _fRunNext[self] = static_cast<u16>(f_run);
                 _hNext[self] = h;
-                consider(h, i, d, cell_r, cell_q, c);
+                plane[self] = code;
+                consider(h, static_cast<u32>(i), static_cast<u32>(d),
+                         cell_r, cell_q, c);
             }
         }
         std::swap(_hCur, _hNext);
@@ -430,21 +430,17 @@ SillaTraceback::streamPhase(const Seq &r, const Seq &q, u32 bound)
 }
 
 SillaAlignment
-SillaTraceback::collect(const Seq &r, const Seq &q, u32 bound,
+SillaTraceback::collect(const Seq &r, const Seq &q,
                         const StreamBest &best)
 {
     const u64 n = r.size(), m = q.size();
-    const u32 stride = bound + 1;
-    const auto at = [stride](u32 i, u32 d) {
-        return static_cast<size_t>(i) * stride + d;
-    };
 
     SillaAlignment res;
     res.score = best.score;
     res.refEnd = best.refEnd;
     res.qryEnd = best.qryEnd;
     // Stats describe the K-deep hardware array regardless of how
-    // small a subgrid sufficed to compute its outputs: the machine
+    // small a region sufficed to compute its outputs: the machine
     // streams min(n, m) + K + 1 cycles whether or not the far PEs
     // ever hold a live score.
     const Cycle full_cycle = std::min(n, m) + _k;
@@ -477,39 +473,49 @@ SillaTraceback::collect(const Seq &r, const Seq &q, u32 bound,
         machine_time = t;
     };
 
-    // Last adoption of the PE at cycle <= t (the register view after
-    // any necessary re-run).
-    auto record_at = [&](size_t pe, Cycle t) -> const Adoption & {
-        const auto &v = _recs[pe];
-        GENAX_CHECK(!v.empty(), "traceback into PE with no records");
-        auto it = std::upper_bound(
-            v.begin(), v.end(), t,
-            [](Cycle c, const Adoption &a) { return c < a.cycle; });
-        GENAX_CHECK(it != v.begin(), "no adoption at or before cycle ", t);
-        return *(it - 1);
+    // Plane reads stay inside a PE's live cycles
+    // [i + d, min(n + i, m + d)]: the sweep wrote every one of those
+    // entries this job, and a dark PE never adopts, so nothing older
+    // than this job is ever read.
+    const auto plane_at = [&](Cycle c, u32 i, u32 d) {
+        return _plane[c * _cells + at(i, d)];
     };
-    auto adopted_in = [&](size_t pe, Cycle lo_excl, Cycle hi_incl) {
-        const auto &v = _recs[pe];
-        auto it = std::upper_bound(
-            v.begin(), v.end(), lo_excl,
-            [](Cycle c, const Adoption &a) { return c < a.cycle; });
-        return it != v.end() && it->cycle <= hi_incl;
+    // Last adoption of the PE at cycle <= t (the register view after
+    // any necessary re-run), as {cycle, code}.
+    const auto record_at = [&](u32 i, u32 d, Cycle t) {
+        GENAX_DCHECK(t >= Cycle{i} + d && t <= std::min(n + i, m + d),
+                     "path visits PE (", i, ",", d, ") at dark cycle ",
+                     t);
+        for (Cycle c = t;; --c) {
+            if (const u16 code = plane_at(c, i, d))
+                return std::pair{c, code};
+            GENAX_CHECK(c > Cycle{i} + d,
+                        "no adoption at or before cycle ", t);
+        }
+    };
+    // Did the PE adopt in cycles (lo_excl, hi_incl]?
+    const auto adopted_in = [&](u32 i, u32 d, Cycle lo_excl,
+                                Cycle hi_incl) {
+        const Cycle last = std::min({hi_incl, n + i, m + d});
+        for (Cycle c = lo_excl + 1; c <= last; ++c)
+            if (plane_at(c, i, d))
+                return true;
+        return false;
     };
 
     Cigar rev; // built back-to-front
     u32 pi = best.winI, pd = best.winD;
     Cycle t = best.bestCycle;
     for (;;) {
-        const size_t pe = at(pi, pd);
-        if (!first_segment && adopted_in(pe, t, machine_time))
+        if (!first_segment && adopted_in(pi, pd, t, machine_time))
             rerun_to(t);
         first_segment = false;
         ++path_pes;
 
-        const Adoption &rec = record_at(pe, t);
+        const auto [rec_cycle, code] = record_at(pi, pd, t);
         // Diagonal (match/substitution) run back to the adoption,
         // re-expanded from the strings (match-count compression).
-        for (Cycle c = t; c > rec.cycle; --c) {
+        for (Cycle c = t; c > rec_cycle; --c) {
             const u64 cell_r = c - pi, cell_q = c - pd;
             GENAX_CHECK(cell_r >= 1 && cell_q >= 1,
                          "diagonal step at matrix edge");
@@ -517,23 +523,25 @@ SillaTraceback::collect(const Seq &r, const Seq &q, u32 bound,
                                                     : CigarOp::Mismatch);
         }
 
-        if (rec.src == AdoptSrc::Anchor) {
-            GENAX_CHECK(rec.cycle == pi && rec.cycle == pd,
+        const u16 src = code & detail::kSillaAdoptSrcMask;
+        if (src == detail::kSillaAdoptAnchor) {
+            GENAX_CHECK(rec_cycle == pi && rec_cycle == pd,
                          "anchor reached off the origin cell");
             break;
         }
-        GENAX_CHECK(rec.gapLen >= 1, "edit adoption without a gap run");
-        if (rec.src == AdoptSrc::Ins) {
-            GENAX_CHECK(pi >= rec.gapLen, "Ins run exceeds grid");
-            rev.push(CigarOp::Ins, rec.gapLen);
-            pi -= rec.gapLen;
+        const u32 gap_len = code & detail::kSillaAdoptRunMask;
+        GENAX_CHECK(gap_len >= 1, "edit adoption without a gap run");
+        if (src == detail::kSillaAdoptIns) {
+            GENAX_CHECK(pi >= gap_len, "Ins run exceeds grid");
+            rev.push(CigarOp::Ins, gap_len);
+            pi -= gap_len;
         } else {
-            GENAX_CHECK(pd >= rec.gapLen, "Del run exceeds grid");
-            rev.push(CigarOp::Del, rec.gapLen);
-            pd -= rec.gapLen;
+            GENAX_CHECK(pd >= gap_len, "Del run exceeds grid");
+            rev.push(CigarOp::Del, gap_len);
+            pd -= gap_len;
         }
-        GENAX_CHECK(rec.cycle >= rec.gapLen, "gap run precedes cycle 0");
-        t = rec.cycle - rec.gapLen;
+        GENAX_CHECK(rec_cycle >= gap_len, "gap run precedes cycle 0");
+        t = rec_cycle - gap_len;
     }
 
     rev.reverse();

@@ -18,10 +18,10 @@
  * winning path left it. The machine then re-executes the streaming
  * phase truncated to the cycle the winning path left that PE and
  * resumes collection (Section IV-C). This model replays that
- * protocol — walking the path off per-PE adoption records while
- * tracking the machine-time the hardware registers would reflect —
- * and reports the re-execution counts and cycle costs that Figure 13
- * plots.
+ * protocol — walking the path off a plane of every PE's per-cycle
+ * adoptions while tracking the machine-time the hardware registers
+ * would reflect — and reports the re-execution counts and cycle
+ * costs that Figure 13 plots.
  */
 
 #ifndef GENAX_SILLA_SILLA_TRACEBACK_HH
@@ -70,66 +70,44 @@ class SillaTraceback
 
     /**
      * Align query q against reference r (both anchored at 0) and
-     * recover the winning path.
-     *
-     * Two implementations produce bit-identical results (scores,
-     * CIGARs, stats — including rerun accounting):
-     *
-     *  - the naive oracle sweeps the full (K+1)² grid every cycle,
-     *    exactly as the hardware array would;
-     *  - the event path sweeps only a dependency-closed (B+1)²
-     *    subgrid (PE (i,d) reads only (i-1,d), (i,d-1) and itself,
-     *    so the rectangle [0..B]² is closed under dependencies) and
-     *    accepts the result when the subgrid's best score strictly
-     *    beats the provable cap on any outside PE — a cell spending
-     *    more than B insertion or deletion characters pays at least
-     *    one gap open plus B extensions, so its score is at most
-     *    match·min(n,m) − (gapOpen + gapExtend + B·gapExtend).
-     *    On a miss it escalates B to the smallest bound whose cap
-     *    falls below the score already in hand (at most one more
-     *    sweep; B = K degenerates to the oracle).
-     *
-     * `-DGENAX_MODEL_ORACLE=ON` pins the naive oracle, mirroring the
-     * seeding model's simulateNaive() switch.
+     * recover the winning path. This is alignEvent(); SillaXLane and
+     * every modelled number run on it.
      */
-    SillaAlignment align(const Seq &r, const Seq &q);
+    SillaAlignment align(const Seq &r, const Seq &q)
+    {
+        return alignEvent(r, q);
+    }
 
-    /** The full-grid lock-step oracle (always available to tests). */
+    /**
+     * The full-array oracle: streams every PE of the (K+1)² grid
+     * each cycle, exactly as the hardware array does.
+     */
     SillaAlignment alignNaive(const Seq &r, const Seq &q);
-    /** The escalating-subgrid event path (always available). */
+
+    /**
+     * Bit-identical to alignNaive() (score, CIGAR and every stats
+     * field, reruns included) while streaming only the PEs that can
+     * hold the winner. PE (i, d) only holds paths with exactly i
+     * inserted and d deleted characters, so its H never exceeds
+     *
+     *   ub(i, d) = match·min(n − d, m − i) − g(i) − g(d),
+     *   g(0) = 0, g(x) = gapOpen + x·gapExtend.
+     *
+     * LB >= 0 is the best score of PE (0,0)'s ungapped path and of
+     * the paths that leave it with one gap run. The array reaches
+     * that score, so every PE with ub < LB scores strictly below the
+     * winner and can neither win nor tie. ub falls in both i and d,
+     * so the region {ub >= LB} is closed under the array's
+     * dependencies ((i-1,d), (i,d-1) and itself) and its PEs compute
+     * exactly what the full array computes. One sweep of it is
+     * final.
+     */
     SillaAlignment alignEvent(const Seq &r, const Seq &q);
 
     u32 k() const { return _k; }
     u64 peCount() const { return static_cast<u64>(_k + 1) * (_k + 1); }
 
   private:
-    /** How the closed (H) path entered a PE. */
-    enum class AdoptSrc : u8
-    {
-        Anchor,
-        Ins,
-        Del,
-    };
-
-    /**
-     * One pointer-trail record: latched by a PE whenever its closed
-     * path changes identity (an E/F value beats the diagonal
-     * continuation).
-     *
-     * Hardware realization: the 2-bit traceback pointer plus the gap
-     * run-length counter that rides along the E/F lanes (log2(K)
-     * bits), latched together — so a multi-character gap is traced
-     * in one hop without consulting the volatile gap lanes at
-     * collection time. This mirrors the paper's match-count
-     * compression applied to gap runs.
-     */
-    struct Adoption
-    {
-        Cycle cycle;
-        AdoptSrc src;
-        u32 gapLen; // characters in the adopted gap run (0 = anchor)
-    };
-
     /** Winning cell of one streaming sweep, before collection. */
     struct StreamBest
     {
@@ -140,33 +118,54 @@ class SillaTraceback
         bool haveBest = false;
     };
 
-    /**
-     * Phase 1 over the dependency-closed subgrid [0..bound]²
-     * (bound == _k is the full array). Leaves the per-PE adoption
-     * records addressed with stride bound + 1.
-     */
-    StreamBest streamPhase(const Seq &r, const Seq &q, u32 bound);
+    /** ub(i, d): the highest score PE (i, d) can hold on an n × m
+     *  job. */
+    i64 scoreCap(u64 n, u64 m, u32 i, u32 d) const;
+    /** LB: a score the array provably reaches on (r, q). */
+    i64 lowerBound(const Seq &r, const Seq &q);
+    /** Make the swept region {(i, d) <= K : ub(i, d) >= lb}. */
+    void buildRegion(u64 n, u64 m, i64 lb);
 
-    /** Phases 2-5 off the records of the last streamPhase(bound). */
-    SillaAlignment collect(const Seq &r, const Seq &q, u32 bound,
+    /**
+     * Phase 1 over the current region: rows 0.._dEnd.size()-1, row i
+     * holding d in [0, _dEnd[i]] (extents never grow with i), packed
+     * row after row. Every live cell visited at cycle c writes its
+     * adoption code into plane row c (detail::kSillaAdopt*), so the
+     * plane rows [0, _lastCycle] are this job's pointer trail.
+     */
+    StreamBest streamPhase(const Seq &r, const Seq &q);
+
+    /** Phases 2-5 off the plane of the last streamPhase(). */
+    SillaAlignment collect(const Seq &r, const Seq &q,
                            const StreamBest &best);
 
-    size_t idx(u32 i, u32 d) const { return i * (_k + 1) + d; }
+    /** Packed index of PE (i, d) in the current region. */
+    size_t at(u32 i, u32 d) const { return _rowOff[i] + d; }
 
     u32 _k;
     Scoring _sc;
+
+    /** PE (0,0)'s ungapped prefix scores, for lowerBound(). */
+    std::vector<i64> _prefix;
+    /** The swept region: per-row last d and packed row offsets. */
+    std::vector<u32> _dEnd, _rowOff;
+    size_t _cells = 0;     //!< PEs in the region
+    Cycle _lastCycle = 0;  //!< last cycle any region PE is live
 
     std::vector<i32> _hCur, _hNext, _eCur, _eNext, _fCur, _fNext;
     /** Gap run-length counters riding along the E/F lanes (the run
      *  is bounded by K <= kMaxSillaK, so u16 suffices). Reused
      *  across align() calls. */
     std::vector<u16> _eRunCur, _eRunNext, _fRunCur, _fRunNext;
-    /** Pointer-trail records per PE, in adoption (cycle) order.
-     *  Reused across align() calls so the per-PE vectors keep their
-     *  capacity instead of reallocating every extension. */
-    std::vector<std::vector<Adoption>> _recs;
-    /** Event staging for the vector row kernel, reused across
-     *  sweeps. */
+    /**
+     * Adoption plane: one code per (cycle, region PE) at
+     * c * _cells + at(i, d). It is never cleared: collect() reads a
+     * PE only over its live cycles [i + d, min(n + i, m + d)], and
+     * the sweep writes every one of those entries.
+     */
+    std::vector<u16> _plane;
+    /** Cells the vector row kernel flags for consider(), reused
+     *  across sweeps. */
     std::vector<detail::SillaRowEvent> _rowEvents;
 };
 

@@ -6,10 +6,10 @@
  * Eight d-adjacent PEs per vector, all lean rows of one cycle per
  * call so the broadcast constants are set up once. All five lanes
  * (H, E, F and the two gap-run counters) are updated with the same
- * i32 arithmetic and tie-breaks as the scalar lean path; the rare
- * per-cell outcomes — pointer-trail adoptions and cells reaching the
- * caller's best score — are extracted through movemasks and appended
- * to the event list, so the fast path is branch-free.
+ * i32 arithmetic and tie-breaks as the scalar lean path, and the
+ * eight adoption codes land in the plane with one packed store. Only
+ * the rare cells reaching the caller's best score are extracted,
+ * through a movemask, so the fast path is branch-free.
  */
 
 #include "silla/silla_stream_row.hh"
@@ -25,7 +25,6 @@ void
 sillaStreamCycleAvx2(const SillaCycleCtx &x, u32 iBegin, u32 iEnd,
                      u32 dBegin, std::vector<SillaRowEvent> &events)
 {
-    const u32 stride = x.k + 1;
     const __m256i v_open_ext = _mm256_set1_epi32(x.openExt);
     const __m256i v_gap_ext = _mm256_set1_epi32(x.gapExt);
     const __m256i v_one = _mm256_set1_epi32(1);
@@ -34,21 +33,26 @@ sillaStreamCycleAvx2(const SillaCycleCtx &x, u32 iBegin, u32 iEnd,
     // threshold >= 0, so threshold - 1 cannot underflow; h > t-1 is
     // exactly h >= threshold.
     const __m256i v_thr = _mm256_set1_epi32(x.threshold - 1);
+    const __m256i v_ins = _mm256_set1_epi32(kSillaAdoptIns);
+    const __m256i v_del = _mm256_set1_epi32(kSillaAdoptDel);
 
     for (u32 i = iBegin; i <= iEnd; ++i) {
         const u64 cell_r = x.c - i;
         const u32 d_end = static_cast<u32>(
-            std::min<u64>(x.k, x.c - i));
+            std::min<u64>(x.dEnd[i], x.c - i));
         if (d_end < dBegin)
             break; // spans only shrink as i grows
-        const size_t row = static_cast<size_t>(i) * stride;
+        const size_t row = x.rowOff[i];
+        // The row above is at least as wide (region rows never grow),
+        // so every E source (i-1, d) of this span is inside it.
+        const size_t above = x.rowOff[i - 1];
         const u8 r_char = x.r[cell_r - 1];
         const __m256i v_r = _mm256_set1_epi32(r_char);
 
         u32 d = dBegin;
         for (; d + 7 <= d_end; d += 8) {
             const size_t self = row + d;
-            const size_t src_e = self - stride;
+            const size_t src_e = above + d;
             const size_t src_f = self - 1;
 
             // E lane: vertical sources, d-contiguous in the row
@@ -124,48 +128,31 @@ sillaStreamCycleAvx2(const SillaCycleCtx &x, u32 iBegin, u32 iEnd,
                     _mm256_castsi256_si128(f_run),
                     _mm256_extracti128_si256(f_run, 1)));
 
-            const u32 am = static_cast<u32>(
-                _mm256_movemask_ps(_mm256_castsi256_ps(
-                    _mm256_or_si256(adopt_e, adopt_f))));
-            const u32 cm = static_cast<u32>(
+            // Adoption codes: Del beats Ins (it beat the larger of
+            // diagonal and E), and either carries its run. Codes stay
+            // below 0x9000, far from the packus saturation point.
+            const __m256i code = _mm256_blendv_epi8(
+                _mm256_and_si256(adopt_e,
+                                 _mm256_or_si256(e_run, v_ins)),
+                _mm256_or_si256(f_run, v_del), adopt_f);
+            _mm_storeu_si128(
+                reinterpret_cast<__m128i *>(x.plane + self),
+                _mm_packus_epi32(_mm256_castsi256_si128(code),
+                                 _mm256_extracti128_si256(code, 1)));
+
+            u32 cm = static_cast<u32>(
                 _mm256_movemask_ps(_mm256_castsi256_ps(
                     _mm256_cmpgt_epi32(h, v_thr))));
-            const u32 bits = am | cm;
-            if (bits) {
-                alignas(32) i32 run_e[8], run_f[8], del[8];
-                _mm256_store_si256(
-                    reinterpret_cast<__m256i *>(run_e), e_run);
-                _mm256_store_si256(
-                    reinterpret_cast<__m256i *>(run_f), f_run);
-                _mm256_store_si256(
-                    reinterpret_cast<__m256i *>(del), adopt_f);
-                for (u32 j = 0; j < 8; ++j) {
-                    const u32 bit = 1u << j;
-                    if (!(bits & bit))
-                        continue;
-                    u8 flags = 0;
-                    u16 run = 0;
-                    if (am & bit) {
-                        flags |= kSillaRowAdopt;
-                        if (del[j]) {
-                            flags |= kSillaRowDel;
-                            run = static_cast<u16>(run_f[j]);
-                        } else {
-                            run = static_cast<u16>(run_e[j]);
-                        }
-                    }
-                    if (cm & bit)
-                        flags |= kSillaRowConsider;
-                    events.push_back({i, d + j, run, flags});
-                }
-            }
+            for (; cm != 0; cm &= cm - 1)
+                events.push_back(
+                    {i, d + static_cast<u32>(__builtin_ctz(cm))});
         }
 
         // Scalar tail for the last (d_end - d + 1) < 8 lanes — the
         // same arithmetic, lane by lane.
         for (; d <= d_end; ++d) {
             const size_t self = row + d;
-            const size_t src_e = self - stride;
+            const size_t src_e = above + d;
             const size_t src_f = self - 1;
 
             const i32 open_e = x.hCur[src_e] - x.openExt;
@@ -198,17 +185,14 @@ sillaStreamCycleAvx2(const SillaCycleCtx &x, u32 iBegin, u32 iEnd,
                 (x.q[cell_q - 1] == r_char ? x.match : -x.mismatch);
 
             i32 h = diag;
-            u8 flags = 0;
-            u16 run = 0;
+            u16 code = 0;
             if (e > h) {
                 h = e;
-                flags = kSillaRowAdopt;
-                run = static_cast<u16>(e_run);
+                code = static_cast<u16>(kSillaAdoptIns | e_run);
             }
             if (f > h) {
                 h = f;
-                flags = kSillaRowAdopt | kSillaRowDel;
-                run = static_cast<u16>(f_run);
+                code = static_cast<u16>(kSillaAdoptDel | f_run);
             }
 
             x.eNext[self] = e;
@@ -216,10 +200,9 @@ sillaStreamCycleAvx2(const SillaCycleCtx &x, u32 iBegin, u32 iEnd,
             x.eRunNext[self] = static_cast<u16>(e_run);
             x.fRunNext[self] = static_cast<u16>(f_run);
             x.hNext[self] = h;
+            x.plane[self] = code;
             if (h >= x.threshold)
-                flags |= kSillaRowConsider;
-            if (flags)
-                events.push_back({i, d, run, flags});
+                events.push_back({i, d});
         }
     }
 }

@@ -4,10 +4,13 @@
  * optimized closed-form / event-driven implementations must be
  * bit-identical to their lock-step oracles, and the end-to-end
  * modelled numbers must be invariant to every host-execution knob
- * (threads, batch size). These tests are what lets the
- * GENAX_MODEL_ORACLE CI leg mean something: the oracle and the
- * production path are both always compiled, and this file diffs them
- * directly regardless of which one simulate() dispatches to.
+ * (threads, batch size). The oracle and the production path are both
+ * always compiled, and this file diffs them directly. For the
+ * seeding, edit and scoring machines that is what lets the
+ * GENAX_MODEL_ORACLE CI leg mean something, whichever path that leg
+ * dispatches to. The traceback machine has no such switch: the
+ * golden pin, the GenAx-job and scheme sweeps here, at both kernel
+ * tiers, are its whole oracle coverage.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +23,7 @@
 #include "common/check.hh"
 #include "common/faultinject.hh"
 #include "common/rng.hh"
+#include "extension_jobs.hh"
 #include "genax/pipeline.hh"
 #include "genax/seeding_sim.hh"
 #include "genax/system.hh"
@@ -220,11 +224,8 @@ mutate(Rng &rng, Seq &qry, unsigned edits)
 
 void
 expectSameAlignment(const SillaAlignment &a, const SillaAlignment &b,
-                    u32 k, size_t len, unsigned edits)
+                    const std::string &what)
 {
-    const std::string what = "k=" + std::to_string(k) +
-                             " len=" + std::to_string(len) +
-                             " edits=" + std::to_string(edits);
     EXPECT_EQ(a.score, b.score) << what;
     EXPECT_EQ(a.refEnd, b.refEnd) << what;
     EXPECT_EQ(a.qryEnd, b.qryEnd) << what;
@@ -238,11 +239,11 @@ expectSameAlignment(const SillaAlignment &a, const SillaAlignment &b,
 
 TEST(ModelEquiv, TracebackEventMatchesNaiveAcrossJobs)
 {
-    // The escalating-subgrid event path must reproduce the full-grid
-    // oracle bit-for-bit — scores, CIGARs and the modelled cycle /
-    // rerun accounting — across edit bounds and job sizes, including
-    // clean reads (B stays at the smallest bound) and heavily edited
-    // ones (escalation up to B = K).
+    // The region sweep must reproduce the full-grid oracle
+    // bit-for-bit — scores, CIGARs and the modelled cycle / rerun
+    // accounting — across edit bounds and job sizes, including clean
+    // reads (a small region) and heavily edited ones (a region up to
+    // the whole array).
     Rng rng(2468);
     for (const u32 k : {8u, 16u, 40u}) {
         SillaTraceback naive_m(k, Scoring{}), event_m(k, Scoring{});
@@ -252,13 +253,239 @@ TEST(ModelEquiv, TracebackEventMatchesNaiveAcrossJobs)
                     const Seq ref = randomSeq(rng, len);
                     Seq qry = ref;
                     mutate(rng, qry, edits);
-                    expectSameAlignment(naive_m.alignNaive(ref, qry),
-                                        event_m.alignEvent(ref, qry),
-                                        k, len, edits);
+                    expectSameAlignment(
+                        naive_m.alignNaive(ref, qry),
+                        event_m.alignEvent(ref, qry),
+                        "k=" + std::to_string(k) +
+                            " len=" + std::to_string(len) +
+                            " edits=" + std::to_string(edits));
                 }
             }
         }
     }
+}
+
+/** RerunStatisticsAreBounded's (test_silla) mutation mix: equal odds
+ *  of substitution, insertion and deletion. Its 101 bp pairs at up to
+ *  four edits are the rerun-heavy set. */
+Seq
+mutateEvenly(Rng &rng, const Seq &s, unsigned edits)
+{
+    Seq out = s;
+    for (unsigned e = 0; e < edits && !out.empty(); ++e) {
+        const u64 pos = rng.below(out.size());
+        switch (rng.below(3)) {
+          case 0:
+            out[pos] = static_cast<Base>((out[pos] + 1 + rng.below(3)) & 3);
+            break;
+          case 1:
+            out.insert(out.begin() + static_cast<i64>(pos),
+                       static_cast<Base>(rng.below(4)));
+            break;
+          default:
+            out.erase(out.begin() + static_cast<i64>(pos));
+            break;
+        }
+    }
+    return out;
+}
+
+/** FNV-1a over every result field of an alignment: score, both ends,
+ *  the CIGAR string and all five SillaTraceStats fields. */
+void
+hashAlignment(u64 &h, const SillaAlignment &a)
+{
+    const auto byte = [&h](u8 b) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    };
+    const auto word = [&byte](u64 v) {
+        for (int b = 0; b < 8; ++b)
+            byte(static_cast<u8>(v >> (8 * b)));
+    };
+    word(static_cast<u64>(static_cast<i64>(a.score)));
+    word(a.refEnd);
+    word(a.qryEnd);
+    const std::string cigar = a.cigar.str();
+    word(cigar.size());
+    for (const char ch : cigar)
+        byte(static_cast<u8>(ch));
+    word(a.stats.streamCycles);
+    word(a.stats.reduceCycles);
+    word(a.stats.collectCycles);
+    word(a.stats.reruns);
+    word(a.stats.rerunCycles);
+}
+
+TEST(ModelEquiv, TracebackGoldenResults)
+{
+    // alignNaive and alignEvent share their sweep and collection
+    // code, so diffing one against the other cannot catch a bug they
+    // both carry. This pins both against results recorded with the
+    // per-PE adoption vectors and the escalating square subgrid. The
+    // heavily edited pairs and the two schemes whose mismatch costs
+    // more than an insertion plus a deletion make both gap lanes beat
+    // the diagonal at once, so the Ins/Del precedence of the recorded
+    // pointer is on the winning path.
+    std::vector<std::pair<Seq, Seq>> jobs;
+    Rng rng(1357911);
+    for (const size_t len : {size_t{24}, size_t{101}, size_t{150}}) {
+        for (const unsigned edits : {0u, 1u, 3u, 9u}) {
+            for (int t = 0; t < 2; ++t) {
+                Seq ref = randomSeq(rng, len);
+                Seq qry = ref;
+                mutate(rng, qry, edits);
+                jobs.emplace_back(std::move(ref), std::move(qry));
+            }
+        }
+    }
+    Rng rerun_rng(502);
+    for (int t = 0; t < 48; ++t) {
+        Seq ref = randomSeq(rerun_rng, 101);
+        Seq qry = mutateEvenly(rerun_rng, ref,
+                               static_cast<unsigned>(rerun_rng.below(5)));
+        jobs.emplace_back(std::move(ref), std::move(qry));
+    }
+    Rng heavy_rng(97);
+    for (int t = 0; t < 96; ++t) {
+        Seq ref = randomSeq(heavy_rng, 60 + heavy_rng.below(100));
+        Seq qry = mutateEvenly(heavy_rng, ref,
+                               static_cast<unsigned>(heavy_rng.below(28)));
+        jobs.emplace_back(std::move(ref), std::move(qry));
+    }
+    for (auto &job : testing::makeExtensionJobs(
+             testing::JobWorkload::DivergentRepeats, 5, 48))
+        jobs.emplace_back(std::move(job.ref), std::move(job.qry));
+
+    u64 naive_hash = 0xcbf29ce484222325ULL;
+    u64 event_hash = naive_hash;
+    u64 with_rerun = 0;
+    for (const Scoring &sc : {Scoring{}, Scoring{2, 3, 5, 2},
+                              Scoring{1, 19, 1, 1}, Scoring{1, 9, 2, 1}}) {
+        for (const u32 k : {8u, 16u, 40u}) {
+            SillaTraceback m(k, sc);
+            for (const auto &[ref, qry] : jobs) {
+                const SillaAlignment naive = m.alignNaive(ref, qry);
+                hashAlignment(naive_hash, naive);
+                hashAlignment(event_hash, m.alignEvent(ref, qry));
+                with_rerun += naive.stats.reruns > 0;
+            }
+        }
+    }
+    EXPECT_GT(with_rerun, 0u) << "the golden set must exercise reruns";
+    EXPECT_EQ(naive_hash, 0x9cce3656494e4656ULL) << std::hex << naive_hash;
+    EXPECT_EQ(event_hash, 0x9cce3656494e4656ULL) << std::hex << event_hash;
+}
+
+/** Runs fn(tier name) once per kernel tier of the traceback row sweep
+ *  the host can execute (scalar always, AVX2 when compiled and
+ *  present), with that tier forced. */
+template <typename Fn>
+void
+forEachTracebackTier(Fn &&fn)
+{
+    namespace simd = genax::simd;
+    struct TierGuard
+    {
+        ~TierGuard() { simd::clearKernelTierOverride(); }
+    } guard;
+    for (const auto tier : {simd::KernelTier::Scalar,
+                            simd::KernelTier::Avx2}) {
+        if (!simd::kernelTierSupported(tier))
+            continue;
+        GENAX_CHECK(simd::setKernelTier(tier).ok(),
+                    "forcing tier must succeed");
+        fn(std::string(simd::kernelTierName(tier)));
+    }
+}
+
+TEST(ModelEquiv, TracebackEventMatchesNaiveOnGenAxJobs)
+{
+    // Jobs as GenAxSystem issues them on the divergent-repeats model:
+    // clean and gapped extensions, hopeless ones (best score <= 0,
+    // the empty extension wins) and jobs whose provable region
+    // reaches the array edge K.
+    const auto jobs = testing::makeExtensionJobs(
+        testing::JobWorkload::DivergentRepeats, 6, 300);
+    ASSERT_EQ(jobs.size(), 300u);
+    const Scoring sc;
+    const u32 k = GenAxConfig{}.editBound;
+
+    u64 hopeless = 0, reaches_k = 0;
+    forEachTracebackTier([&](const std::string &tier) {
+        SillaTraceback naive_m(k, sc), event_m(k, sc);
+        for (size_t j = 0; j < jobs.size(); ++j) {
+            const auto &[ref, qry] = jobs[j];
+            const SillaAlignment naive = naive_m.alignNaive(ref, qry);
+            expectSameAlignment(naive, event_m.alignEvent(ref, qry),
+                                tier + " job " + std::to_string(j));
+            if (naive.score != 0)
+                continue;
+            // A best score <= 0 pins the lower bound at 0, so the
+            // region reaches K where a PE at i = K or d = K can still
+            // score 0.
+            ++hopeless;
+            const i64 n = static_cast<i64>(ref.size());
+            const i64 m = static_cast<i64>(qry.size());
+            const i64 gap_k = sc.gapOpen + i64{k} * sc.gapExtend;
+            reaches_k += sc.match * std::min(n - k, m) >= gap_k ||
+                         sc.match * std::min(n, m - k) >= gap_k;
+        }
+    });
+    EXPECT_GT(hopeless, 0u) << "no job with best score <= 0";
+    EXPECT_GT(reaches_k, 0u) << "no job whose region reaches K";
+}
+
+TEST(ModelEquiv, TracebackEventMatchesNaiveAcrossSchemes)
+{
+    // The region alignEvent sweeps depends on the scoring scheme and
+    // on both lengths, so the pin crosses schemes with edit bounds
+    // over the degenerate shapes: empty sides, jobs shorter than K,
+    // queries longer than their reference, and reference windows
+    // longer than the query by more than K.
+    Rng rng(86420);
+    std::vector<std::pair<Seq, Seq>> jobs = {
+        {{}, {}}, {randomSeq(rng, 5), {}}, {{}, randomSeq(rng, 5)}};
+    for (const size_t len : {size_t{1}, size_t{3}, size_t{7},
+                             size_t{24}, size_t{101}}) {
+        for (const unsigned edits : {0u, 2u, 5u, 12u}) {
+            const Seq ref = randomSeq(rng, len);
+            Seq qry = ref;
+            mutate(rng, qry, edits);
+            jobs.emplace_back(ref, qry);
+            jobs.emplace_back(Seq(ref.begin(), ref.begin() +
+                                                   static_cast<i64>(
+                                                       len / 2)),
+                              qry);
+            Seq window = ref;
+            const Seq tail = randomSeq(rng, 1 + rng.below(50));
+            window.insert(window.end(), tail.begin(), tail.end());
+            jobs.emplace_back(std::move(window), std::move(qry));
+        }
+    }
+
+    const Scoring schemes[] = {Scoring{}, Scoring::unitEdit(),
+                               Scoring{2, 3, 5, 2}, Scoring{0, 2, 3, 1},
+                               Scoring{1, 1, 0, 1}};
+    forEachTracebackTier([&](const std::string &tier) {
+        for (const Scoring &sc : schemes) {
+            for (const u32 k : {1u, 2u, 5u, 16u, 40u}) {
+                SillaTraceback naive_m(k, sc), event_m(k, sc);
+                for (size_t j = 0; j < jobs.size(); ++j) {
+                    const auto &[ref, qry] = jobs[j];
+                    expectSameAlignment(
+                        naive_m.alignNaive(ref, qry),
+                        event_m.alignEvent(ref, qry),
+                        tier + " scheme {" + std::to_string(sc.match) +
+                            "," + std::to_string(sc.mismatch) + "," +
+                            std::to_string(sc.gapOpen) + "," +
+                            std::to_string(sc.gapExtend) +
+                            "} k=" + std::to_string(k) + " job " +
+                            std::to_string(j));
+                }
+            }
+        }
+    });
 }
 
 TEST(ModelEquiv, EditMachineEventMatchesNaive)
@@ -363,8 +590,8 @@ TEST(ModelEquiv, KernelTierSweepAvx2MatchesScalar)
         EXPECT_EQ(sa.refEnd, sb.refEnd) << "job " << j;
         EXPECT_EQ(sa.qryEnd, sb.qryEnd) << "job " << j;
         expectSameAlignment(std::get<1>(scalar)[j],
-                            std::get<1>(avx2)[j], 40,
-                            jobs[j].first.size(), 0);
+                            std::get<1>(avx2)[j],
+                            "job " + std::to_string(j));
         EXPECT_EQ(std::get<2>(scalar)[j], std::get<2>(avx2)[j])
             << "job " << j;
     }

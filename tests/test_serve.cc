@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -613,6 +614,86 @@ TEST(ServeEndToEnd, ReadShortFaultTearsTheHandshakeCleanly)
                                      "torn", 2.0);
     fi.reset();
     EXPECT_FALSE(conn.ok());
+}
+
+/** This process's thread count, from /proc/self/status. */
+u64
+threadCount()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("Threads:", 0) == 0)
+            return std::stoull(line.substr(8));
+    }
+    ADD_FAILURE() << "no Threads line in /proc/self/status";
+    return 0;
+}
+
+/** This process's memory mappings, from /proc/self/maps. */
+u64
+mappingCount()
+{
+    std::ifstream in("/proc/self/maps");
+    u64 lines = 0;
+    for (std::string line; std::getline(in, line);)
+        ++lines;
+    return lines;
+}
+
+TEST(ServeEndToEnd, SequentialClientsDoNotGrowThreadsOrMappings)
+{
+    // A handler's stack (two mappings with its guard page) stays
+    // mapped until its thread is joined. A daemon that joined only at
+    // shutdown grew by a stack per connection ever served and aborted
+    // once thread creation failed.
+    const Workload w = makeWorkload();
+    Stack s = startStack(w);
+    const Endpoint ep = s.server->boundEndpoint();
+    const auto client = [&] {
+        auto conn = ServeClient::connect(ep, "sequential", 5.0);
+        ASSERT_TRUE(conn.ok()) << conn.status().str();
+        ASSERT_TRUE(conn->stats().ok());
+        conn.value().close();
+    };
+    for (int c = 0; c < 20; ++c)
+        client();
+    const u64 threads = threadCount();
+    const u64 mappings = mappingCount();
+    for (int c = 0; c < 300; ++c)
+        client();
+    // A closed client's handler may still be unwinding when the next
+    // one arrives, and an overlapping thread may get its own malloc
+    // arena, so allow a few threads' worth of slack.
+    EXPECT_LE(threadCount(), threads + 4);
+    EXPECT_LE(mappingCount(), mappings + 32);
+}
+
+TEST(ServeEndToEnd, FailedHandlerSpawnGetsResourceExhausted)
+{
+    const Workload w = makeWorkload();
+    Stack s = startStack(w);
+    const Endpoint ep = s.server->boundEndpoint();
+    FaultInjector &fi = FaultInjector::instance();
+    fi.reset();
+    fi.arm(fault::kServeSpawnFail, {.fireOnNth = 1});
+
+    // No thread for this connection: a clean Error frame in place of
+    // the handshake, not an abort.
+    auto refused = ServeClient::connect(ep, "refused", 2.0);
+    fi.reset();
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::ResourceExhausted)
+        << refused.status().str();
+
+    // The daemon survived and serves the next client normally.
+    auto conn = ServeClient::connect(ep, "fine", 5.0);
+    ASSERT_TRUE(conn.ok()) << conn.status().str();
+    auto lines = conn->align(std::vector<FastqRecord>(
+        w.reads.begin(), w.reads.begin() + 3));
+    ASSERT_TRUE(lines.ok()) << lines.status().str();
+    EXPECT_EQ(lines->size(), 3u);
+    conn.value().close();
 }
 
 } // namespace
