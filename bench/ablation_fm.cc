@@ -18,7 +18,6 @@
 #include "bench_util.hh"
 #include "seed/fm_seeder.hh"
 #include "seed/kmer_index.hh"
-#include "seed/minimizer.hh"
 #include "seed/smem_engine.hh"
 
 using namespace genax;
@@ -72,32 +71,6 @@ main()
         "x", "the Section V/IX locality argument");
     row("ablation.fm", "software_time.fm", "per run", t_fm, "s");
     row("ablation.fm", "software_time.hash", "per run", t_hash, "s");
-
-    // ---------------- sparse minimizer sketch for contrast
-    header("ablation.minimizer", "sparse minimizer sketch vs dense "
-                                 "tables (k=13, w=10)");
-    MinimizerIndex mindex(w.ref, 13, 10);
-    u64 min_seeds = 0, min_hits = 0;
-    const double t_min = timeSeconds([&]() {
-        for (const auto &r : w.reads) {
-            for (const auto &s : mindex.seed(r.seq)) {
-                ++min_seeds;
-                min_hits += s.positions.size();
-            }
-        }
-    });
-    row("ablation.minimizer", "density", "-", mindex.density(),
-        "fraction", "~2/(w+1)");
-    row("ablation.minimizer", "footprint", "-",
-        static_cast<double>(mindex.footprintBytes()) / 1e6, "MB");
-    row("ablation.minimizer", "seeds", "per read",
-        static_cast<double>(min_seeds) / n, "seeds");
-    row("ablation.minimizer", "hits", "per read",
-        static_cast<double>(min_hits) / n, "hits");
-    row("ablation.minimizer", "software_time", "per run", t_min, "s");
-    note("sketches shrink the index but give fixed-length, non-"
-         "maximal seeds; GenAx's dense segmented tables keep the "
-         "SMEM guarantee the paper requires for BWA-MEM parity");
 
     header("ablation.fm", "memory footprint (this 1 Mbp genome)");
     row("ablation.fm", "fm.footprint", "-",

@@ -15,7 +15,6 @@
 #include "align/simd/dispatch.hh"
 #include "align/simd/myers_batch.hh"
 #include "align/simd/striped.hh"
-#include "align/wavefront.hh"
 #include "align/wfa.hh"
 #include "common/rng.hh"
 
@@ -104,16 +103,6 @@ BM_MyersBitVector(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MyersBitVector)->Arg(101)->Arg(400);
-
-void
-BM_WavefrontEditDistance(benchmark::State &state)
-{
-    const auto p = makePair(7, state.range(0), 3);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(wavefrontEditDistance(p.ref, p.qry));
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_WavefrontEditDistance)->Arg(101)->Arg(400)->Arg(4000);
 
 void
 BM_WfaGlobalScore(benchmark::State &state)

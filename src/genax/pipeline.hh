@@ -131,7 +131,7 @@ struct EngineOptions
     unsigned threads = 1;
     /**
      * Optional path to a pre-built index snapshot (genax_index
-     * --format flat). When set, the GenAx engine serves each
+     * writes one). When set, the GenAx engine serves each
      * segment's seeding index zero-copy from the snapshot instead of
      * rebuilding it per batch, and the snapshot's k / segment count /
      * overlap override the fields above so the output matches the

@@ -21,16 +21,6 @@ SeedingLaneSim::checkConfig() const
 }
 
 SeedingSimResult
-SeedingLaneSim::simulate(const std::vector<LaneWork> &work) const
-{
-#if defined(GENAX_MODEL_ORACLE)
-    return simulateNaive(work);
-#else
-    return simulateEvent(work);
-#endif
-}
-
-SeedingSimResult
 SeedingLaneSim::simulateNaive(const std::vector<LaneWork> &work) const
 {
     checkConfig();

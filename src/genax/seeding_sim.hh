@@ -25,9 +25,9 @@
  *    attempts, in rotating lane order, so the draw sequence — and
  *    with it cycles / grants / bankConflicts — replays exactly.
  *
- * simulate() dispatches to the event path, or to the naive path when
- * built with -DGENAX_MODEL_ORACLE=ON (mirroring the kmer-index
- * oracle). tests/test_model_equiv.cc pins the equivalence.
+ * simulate() is the event path. tests/test_model_equiv.cc pins the
+ * equivalence, and tests/test_seeding_sim.cc runs each of its
+ * assertions on both paths.
  */
 
 #ifndef GENAX_GENAX_SEEDING_SIM_HH
@@ -82,10 +82,14 @@ class SeedingLaneSim
 
     /**
      * Simulate the lane array draining `work` (items are dealt to
-     * lanes round-robin) and return the cycle count. Dispatches to
-     * simulateEvent(), or simulateNaive() under GENAX_MODEL_ORACLE.
+     * lanes round-robin) and return the cycle count. This is
+     * simulateEvent().
      */
-    SeedingSimResult simulate(const std::vector<LaneWork> &work) const;
+    SeedingSimResult
+    simulate(const std::vector<LaneWork> &work) const
+    {
+        return simulateEvent(work);
+    }
 
     /** Lock-step reference implementation (the oracle). */
     SeedingSimResult

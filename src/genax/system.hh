@@ -77,10 +77,7 @@ struct GenAxConfig
      * a per-batch rebuild — a host-speed knob only: mappings, SAM
      * bytes and the modelled perf report are identical either way.
      * The snapshot's fingerprint and segmentation must match this
-     * config and reference exactly (checked at construction). Under
-     * the dense-index oracle build the snapshot is ignored and
-     * indexes are rebuilt — output is identical by the SeedIndex
-     * equivalence.
+     * config and reference exactly (checked at construction).
      */
     const IndexSnapshot *snapshot = nullptr;
 };

@@ -11,8 +11,8 @@
  *
  *  - "GXSNAP": a whole-reference snapshot — the concatenated
  *    reference bases, the contig map, the segmentation geometry and
- *    one FlatKmerIndex per segment. genax_index --format flat writes
- *    one; genax_align --index mmaps it and aligns without rebuilding
+ *    one FlatKmerIndex per segment. genax_index writes one;
+ *    genax_align --index mmaps it and aligns without rebuilding
  *    any per-segment index.
  *
  * Every snapshot embeds an IndexFingerprint (k, slot-hash seed,

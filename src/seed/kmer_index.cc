@@ -1,13 +1,8 @@
 #include "seed/kmer_index.hh"
 
 #include <algorithm>
-#include <fstream>
-#include <istream>
-#include <ostream>
-#include <sstream>
 
 #include "common/check.hh"
-#include "io/store.hh"
 
 namespace genax {
 
@@ -56,100 +51,6 @@ KmerIndex::KmerIndex(const Seq &ref, u32 k)
 
     for (u64 e = 0; e < entries; ++e)
         _maxHits = std::max(_maxHits, _offsets[e + 1] - _offsets[e]);
-}
-
-namespace {
-
-constexpr char kIndexMagic[8] = {'G', 'X', 'I', 'D', 'X', '0', '0', '1'};
-
-template <typename T>
-void
-writePod(std::ostream &out, const T &v)
-{
-    out.write(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-template <typename T>
-void
-readPod(std::istream &in, T &v)
-{
-    in.read(reinterpret_cast<char *>(&v), sizeof(T));
-}
-
-} // namespace
-
-Status
-KmerIndex::save(std::ostream &out) const
-{
-    out.write(kIndexMagic, sizeof(kIndexMagic));
-    writePod(out, _k);
-    writePod(out, _segLen);
-    writePod(out, _maxHits);
-    const u64 offsets = _offsets.size();
-    const u64 positions = _positions.size();
-    writePod(out, offsets);
-    writePod(out, positions);
-    out.write(reinterpret_cast<const char *>(_offsets.data()),
-              static_cast<std::streamsize>(offsets * sizeof(u32)));
-    out.write(reinterpret_cast<const char *>(_positions.data()),
-              static_cast<std::streamsize>(positions * sizeof(u32)));
-    if (!out)
-        return ioError("k-mer index serialization failed");
-    return okStatus();
-}
-
-StatusOr<KmerIndex>
-KmerIndex::load(std::istream &in)
-{
-    char magic[sizeof(kIndexMagic)];
-    in.read(magic, sizeof(magic));
-    if (!in || !std::equal(magic, magic + sizeof(magic), kIndexMagic))
-        return invalidInputError("not a GenAx k-mer index file");
-    KmerIndex idx;
-    readPod(in, idx._k);
-    readPod(in, idx._segLen);
-    readPod(in, idx._maxHits);
-    u64 offsets = 0, positions = 0;
-    readPod(in, offsets);
-    readPod(in, positions);
-    if (!in || idx._k < 1 || idx._k > 13 ||
-        offsets != (u64{1} << (2 * idx._k)) + 1) {
-        return invalidInputError("corrupt k-mer index header");
-    }
-    idx._offsets.resize(offsets);
-    idx._positions.resize(positions);
-    in.read(reinterpret_cast<char *>(idx._offsets.data()),
-            static_cast<std::streamsize>(offsets * sizeof(u32)));
-    in.read(reinterpret_cast<char *>(idx._positions.data()),
-            static_cast<std::streamsize>(positions * sizeof(u32)));
-    if (!in)
-        return ioError("truncated k-mer index file");
-    return idx;
-}
-
-Status
-KmerIndex::saveFile(const std::string &path) const
-{
-    // Serialize into memory, then land the bytes through the atomic
-    // writer: a crash or full disk mid-save leaves the previous index
-    // intact (or no file), never a truncated one that load() would
-    // have to diagnose.
-    std::ostringstream buf(std::ios::binary);
-    GENAX_TRY(save(buf).withContext("k-mer index '" + path + "'"));
-    const std::string bytes = std::move(buf).str();
-    GENAX_TRY_ASSIGN(AtomicFileWriter writer,
-                     AtomicFileWriter::create(path));
-    GENAX_TRY(writer.append(bytes.data(), bytes.size()));
-    return writer.commit().withContext("k-mer index '" + path + "'");
-}
-
-StatusOr<KmerIndex>
-KmerIndex::loadFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return ioErrorFromErrno("cannot open k-mer index", path);
-    return load(in).withContext("k-mer index '" + path + "'");
 }
 
 u64

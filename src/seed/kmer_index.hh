@@ -12,12 +12,10 @@
 #ifndef GENAX_SEED_KMER_INDEX_HH
 #define GENAX_SEED_KMER_INDEX_HH
 
-#include <iosfwd>
 #include <span>
 #include <vector>
 
 #include "common/dna.hh"
-#include "common/status.hh"
 #include "common/types.hh"
 
 namespace genax {
@@ -102,27 +100,7 @@ class KmerIndex
                _positions.size() * sizeof(u32);
     }
 
-    /**
-     * Serialize the tables (the paper builds them offline per
-     * segment and streams them in at run time). IoError when the
-     * stream fails.
-     */
-    Status save(std::ostream &out) const;
-
-    /**
-     * Deserialize tables written by save(). Bad magic or a mangled
-     * header is InvalidInput; a short read is IoError.
-     */
-    static StatusOr<KmerIndex> load(std::istream &in);
-
-    /** File-path convenience wrappers (errno-annotated on open
-     *  failure). */
-    Status saveFile(const std::string &path) const;
-    static StatusOr<KmerIndex> loadFile(const std::string &path);
-
   private:
-    KmerIndex() : _k(0), _segLen(0) {}
-
     u32 _k;
     u64 _segLen;
     u32 _maxHits = 0;

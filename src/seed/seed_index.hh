@@ -5,8 +5,8 @@
  * cache-conscious FlatKmerIndex.
  *
  * The dense CSR KmerIndex stays a first-class type: it models the
- * paper's hardware tables, genax_index files keep its on-disk format,
- * and the equivalence tests diff both layouts at run time.
+ * paper's hardware tables, and the equivalence tests diff both
+ * layouts at run time.
  */
 
 #ifndef GENAX_SEED_SEED_INDEX_HH

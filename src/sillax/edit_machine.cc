@@ -21,16 +21,6 @@ StructuralEditMachine::StructuralEditMachine(u32 k)
 }
 
 std::optional<u32>
-StructuralEditMachine::distance(const Seq &r, const Seq &q)
-{
-#if defined(GENAX_MODEL_ORACLE)
-    return distanceNaive(r, q);
-#else
-    return distanceEvent(r, q);
-#endif
-}
-
-std::optional<u32>
 StructuralEditMachine::distanceNaive(const Seq &r, const Seq &q)
 {
     _cmps.reset();

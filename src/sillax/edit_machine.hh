@@ -36,10 +36,13 @@ class StructuralEditMachine
      * event path exploits the latched-datapath identity
      * cmp(i,d)@c == R[c-i] == Q[c-d] (pads never match) to read the
      * comparisons straight off the strings, skipping the O(K²)
-     * per-cycle latch shuffle. `-DGENAX_MODEL_ORACLE=ON` pins the
-     * naive oracle.
+     * per-cycle latch shuffle. This is distanceEvent().
      */
-    std::optional<u32> distance(const Seq &r, const Seq &q);
+    std::optional<u32>
+    distance(const Seq &r, const Seq &q)
+    {
+        return distanceEvent(r, q);
+    }
 
     /** The systolic-array oracle (always available, e.g. to the
      *  equivalence tests and benches). */

@@ -28,16 +28,6 @@ StructuralScoringMachine::StructuralScoringMachine(u32 k,
 }
 
 SillaScoreResult
-StructuralScoringMachine::run(const Seq &r, const Seq &q)
-{
-#if defined(GENAX_MODEL_ORACLE)
-    return runNaive(r, q);
-#else
-    return runEvent(r, q);
-#endif
-}
-
-SillaScoreResult
 StructuralScoringMachine::runNaive(const Seq &r, const Seq &q)
 {
     const u64 n = r.size(), m = q.size();
@@ -386,9 +376,6 @@ StructuralScoringMachine::runEvent(const Seq &r, const Seq &q)
 std::pair<i32, Cycle>
 StructuralScoringMachine::backPropagateBest()
 {
-#if defined(GENAX_MODEL_ORACLE)
-    return backPropagateBestNaive();
-#else
     GENAX_CHECK(!_bestSeen.empty(),
                  "backPropagateBest requires a prior run()");
     // Local-only reduction: every cycle a PE folds in its upstream
@@ -439,7 +426,6 @@ StructuralScoringMachine::backPropagateBest()
         }
     }
     return {qmax[idx(0, 0)], max_dist + 1};
-#endif
 }
 
 std::pair<i32, Cycle>

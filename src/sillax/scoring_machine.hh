@@ -37,10 +37,14 @@ class StructuralScoringMachine
      * hardware would; the event path reads comparisons straight off
      * the strings (latched-datapath identity), resets only the fresh
      * anti-diagonal frontier, and sweeps lean interior rows through
-     * the AVX2 row kernel when the dispatch tier allows.
-     * `-DGENAX_MODEL_ORACLE=ON` pins the naive oracle.
+     * the AVX2 row kernel when the dispatch tier allows. This is
+     * runEvent().
      */
-    SillaScoreResult run(const Seq &r, const Seq &q);
+    SillaScoreResult
+    run(const Seq &r, const Seq &q)
+    {
+        return runEvent(r, q);
+    }
 
     /** The systolic/dense oracle (always available to tests). */
     SillaScoreResult runNaive(const Seq &r, const Seq &q);
@@ -58,8 +62,7 @@ class StructuralScoringMachine
      *
      * Computed in closed form (one reverse sweep over the grid — the
      * pass count is 1 + the largest Chebyshev distance from a PE to
-     * the nearest maximiser of its upper-right quadrant); dispatches
-     * to the lock-step reference under GENAX_MODEL_ORACLE.
+     * the nearest maximiser of its upper-right quadrant).
      */
     std::pair<i32, Cycle> backPropagateBest();
 

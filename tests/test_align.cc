@@ -15,7 +15,6 @@
 #include "align/lev_automaton.hh"
 #include "align/myers.hh"
 #include "align/ula.hh"
-#include "align/wavefront.hh"
 #include "align/wfa.hh"
 #include "common/rng.hh"
 
@@ -482,76 +481,6 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, LevAutomatonRandomTest,
     ::testing::Combine(::testing::Values<size_t>(4, 16, 63, 64, 65, 100),
                        ::testing::Values<u32>(0, 1, 2, 4, 8)));
-
-// ---------------------------------------------------------- wavefront
-
-TEST(Wavefront, HandCases)
-{
-    EXPECT_EQ(wavefrontEditDistance(encode(""), encode("")), 0u);
-    EXPECT_EQ(wavefrontEditDistance(encode(""), encode("AC")), 2u);
-    EXPECT_EQ(wavefrontEditDistance(encode("ACG"), encode("")), 3u);
-    EXPECT_EQ(wavefrontEditDistance(encode("ACGT"), encode("ACGT")), 0u);
-    EXPECT_EQ(wavefrontEditDistance(encode("ACGT"), encode("AGGT")), 1u);
-    EXPECT_EQ(wavefrontEditDistance(encode("ATGCG"), encode("TAGCG")),
-              2u);
-}
-
-class WavefrontRandomTest
-    : public ::testing::TestWithParam<std::tuple<size_t, size_t>>
-{};
-
-TEST_P(WavefrontRandomTest, MatchesDp)
-{
-    const auto [la, lb] = GetParam();
-    Rng rng(4000 + la * 31 + lb);
-    for (int t = 0; t < 25; ++t) {
-        const Seq a = randomSeq(rng, la);
-        const Seq b = t % 2 == 0
-                          ? randomSeq(rng, lb)
-                          : mutateSeq(rng, a, static_cast<unsigned>(
-                                                  rng.below(8)));
-        EXPECT_EQ(wavefrontEditDistance(a, b), editDistance(a, b))
-            << decode(a) << " vs " << decode(b);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Lengths, WavefrontRandomTest,
-    ::testing::Values(std::make_tuple(1, 1), std::make_tuple(7, 11),
-                      std::make_tuple(40, 40), std::make_tuple(101, 101),
-                      std::make_tuple(150, 80),
-                      std::make_tuple(300, 305)));
-
-TEST(Wavefront, BoundedSemantics)
-{
-    Rng rng(4100);
-    for (int t = 0; t < 40; ++t) {
-        const Seq a = randomSeq(rng, 30 + rng.below(50));
-        const Seq b = mutateSeq(rng, a, static_cast<unsigned>(rng.below(10)));
-        const u64 d = editDistance(a, b);
-        for (u64 k : {u64{0}, u64{3}, u64{7}, u64{12}}) {
-            const auto r = wavefrontEditDistanceBounded(a, b, k);
-            if (d <= k) {
-                ASSERT_TRUE(r.has_value());
-                EXPECT_EQ(*r, d);
-            } else {
-                EXPECT_FALSE(r.has_value());
-            }
-        }
-    }
-}
-
-TEST(Wavefront, AgreesWithSillaPhilosophy)
-{
-    // The wavefront's greedy diagonal slide is the software dual of
-    // Silla's match self-loop: both only branch on mismatches.
-    Rng rng(4200);
-    const Seq a = randomSeq(rng, 5000);
-    const Seq b = mutateSeq(rng, a, 10);
-    const u64 d = wavefrontEditDistance(a, b);
-    EXPECT_LE(d, 10u);
-    EXPECT_EQ(d, myersEditDistance(a, b));
-}
 
 // -------------------------------------------------- gap-affine WFA
 

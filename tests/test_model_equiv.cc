@@ -5,16 +5,15 @@
  * bit-identical to their lock-step oracles, and the end-to-end
  * modelled numbers must be invariant to every host-execution knob
  * (threads, batch size). The oracle and the production path are both
- * always compiled, and this file diffs them directly. For the
- * seeding, edit and scoring machines that is what lets the
- * GENAX_MODEL_ORACLE CI leg mean something, whichever path that leg
- * dispatches to. The traceback machine has no such switch: the
- * golden pin, the GenAx-job and scheme sweeps here, at both kernel
- * tiers, are its whole oracle coverage.
+ * always compiled, and this file diffs them directly; the golden pins
+ * hold results recorded from the oracles, so a later bug that both
+ * paths share still fails. The per-machine suites (test_seeding_sim,
+ * test_sillax, test_fuzz) run each of their assertions on both paths.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -173,8 +172,9 @@ TEST(ModelEquiv, BackPropagateClosedFormMatchesNaive)
     const Scoring sc;
     Rng rng(1331);
     for (const u32 k : {4u, 8u, 16u}) {
-        // Two machines fed identically, so neither reduction can
-        // disturb the other's register state.
+        // One machine per path, so neither reduction can disturb the
+        // other's register state: the event run feeds the closed
+        // form, the lock-step run feeds the reference.
         StructuralScoringMachine closed(k, sc), naive(k, sc);
         for (int t = 0; t < 20; ++t) {
             const Seq ref = randomSeq(rng, 40 + rng.below(80));
@@ -182,8 +182,8 @@ TEST(ModelEquiv, BackPropagateClosedFormMatchesNaive)
             for (u64 e = rng.below(8); e > 0 && !qry.empty(); --e)
                 qry[rng.below(qry.size())] =
                     static_cast<Base>(rng.below(4));
-            const auto a = closed.run(ref, qry);
-            const auto b = naive.run(ref, qry);
+            const auto a = closed.runEvent(ref, qry);
+            const auto b = naive.runNaive(ref, qry);
             ASSERT_EQ(a.best, b.best);
 
             const auto [cv, cc] = closed.backPropagateBest();
@@ -777,6 +777,52 @@ TEST(ModelEquiv, SimulatedSeedingLanesInvariantToThreads)
             EXPECT_EQ(maps[i].pos, base_maps[i].pos) << what;
             EXPECT_EQ(maps[i].score, base_maps[i].score) << what;
         }
+    }
+}
+
+TEST(ModelEquiv, SimulatedSeedingLanesGolden)
+{
+    // perf().seedingSeconds is the only place the simulated lane
+    // cycles surface. These bits were recorded with simulate() on the
+    // lock-step oracle and on the event path, which agreed, so they
+    // pin the model's specification rather than either path.
+    struct Run
+    {
+        u64 length;
+        double repeatFraction;
+        u64 segments, k, editBound, overlap, reads;
+        u64 seedingBits;
+    };
+    const Run runs[] = {
+        {150000, 0.05, 4, 10, 16, 160, 120, 0x3ee45f29fe788dd3ULL},
+        {u64{1} << 20, 0.30, 8, 12, 40, 256, 200, 0x3efbe30a7bd9eb18ULL},
+        {u64{1} << 20, 0.05, 512, 12, 40, 256, 200, 0x3f47610dbf8ed455ULL},
+    };
+    for (const Run &run : runs) {
+        RefGenConfig rcfg;
+        rcfg.length = run.length;
+        rcfg.repeatFraction = run.repeatFraction;
+        const Seq ref = generateReference(rcfg);
+        ReadSimConfig rs;
+        rs.numReads = run.reads;
+        std::vector<Seq> reads;
+        for (const auto &r : simulateReads(ref, rs))
+            reads.push_back(r.seq);
+
+        GenAxConfig cfg;
+        cfg.k = static_cast<u32>(run.k);
+        cfg.editBound = static_cast<u32>(run.editBound);
+        cfg.segmentCount = run.segments;
+        cfg.segmentOverlap = run.overlap;
+        cfg.simulateSeedingLanes = true;
+        GenAxSystem sys(ref, cfg);
+        sys.alignAll(reads);
+        const double seconds = sys.perf().seedingSeconds;
+        u64 bits = 0;
+        std::memcpy(&bits, &seconds, sizeof(bits));
+        EXPECT_EQ(bits, run.seedingBits)
+            << "length=" << run.length << " segments=" << run.segments
+            << " got " << std::hex << bits;
     }
 }
 

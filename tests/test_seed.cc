@@ -12,11 +12,9 @@
 #include <fstream>
 #include <iterator>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 
-#include "common/faultinject.hh"
 #include "common/rng.hh"
 #include "io/store.hh"
 #include "readsim/refgen.hh"
@@ -133,159 +131,6 @@ TEST(KmerIndex, TableFootprints)
     KmerIndex index(ref, 10);
     EXPECT_EQ(index.indexTableBytes(), (u64{1} << 20) * 3);
     EXPECT_EQ(index.positionTableBytes(), (10000u - 10 + 1) * 3);
-}
-
-TEST(KmerIndex, SerializationRoundTrip)
-{
-    Rng rng(703);
-    const Seq ref = randomSeq(rng, 20000);
-    KmerIndex index(ref, 9);
-
-    std::stringstream buf;
-    ASSERT_TRUE(index.save(buf).ok());
-    const auto loaded = KmerIndex::load(buf);
-    ASSERT_TRUE(loaded.ok());
-    const KmerIndex &back = *loaded;
-
-    EXPECT_EQ(back.k(), index.k());
-    EXPECT_EQ(back.segmentLength(), index.segmentLength());
-    EXPECT_EQ(back.maxHitListSize(), index.maxHitListSize());
-    // Spot-check lookups across the key space.
-    for (u64 key = 0; key < (u64{1} << 18); key += 4097) {
-        const auto a = index.lookup(key);
-        const auto b = back.lookup(key);
-        ASSERT_EQ(a.size(), b.size()) << key;
-        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-    }
-}
-
-TEST(KmerIndex, LoadRejectsGarbageRecoverably)
-{
-    std::stringstream buf("definitely not an index file");
-    const auto loaded = KmerIndex::load(buf);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::InvalidInput);
-    EXPECT_NE(loaded.status().message().find("not a GenAx k-mer index"),
-              std::string::npos);
-}
-
-TEST(KmerIndex, LoadRejectsTruncatedFile)
-{
-    Rng rng(704);
-    const Seq ref = randomSeq(rng, 4000);
-    KmerIndex index(ref, 8);
-    std::stringstream buf;
-    ASSERT_TRUE(index.save(buf).ok());
-    const std::string whole = buf.str();
-    std::stringstream cut(whole.substr(0, whole.size() / 2));
-    const auto loaded = KmerIndex::load(cut);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::IoError);
-}
-
-
-// ------------------------------------------- KmerIndex file chaos
-//
-// saveFile lands through the atomic store writer: any failure leaves
-// the destination either absent or the previous intact version, and
-// on-disk corruption of a saved index comes back from loadFile as a
-// typed recoverable Status, never a crash.
-
-TEST(KmerIndexFile, SaveFailureLeavesPreviousFileIntact)
-{
-    namespace fs = std::filesystem;
-    const fs::path dir =
-        fs::temp_directory_path() / "genax_kmer_chaos";
-    fs::create_directories(dir);
-    const std::string path = (dir / "index.gxi").string();
-
-    Rng rng(811);
-    const KmerIndex first(randomSeq(rng, 3000), 8);
-    ASSERT_TRUE(first.saveFile(path).ok());
-    std::error_code ec;
-    const auto old_size = fs::file_size(path, ec);
-    ASSERT_FALSE(ec);
-
-    const KmerIndex second(randomSeq(rng, 5000), 8);
-    {
-        ScopedFaultPlan plan(
-            {{fault::kStoreEnospc, {.fireOnNth = 1}}});
-        const Status st = second.saveFile(path);
-        ASSERT_FALSE(st.ok());
-        EXPECT_EQ(st.code(), StatusCode::IoError);
-    }
-    // The first index is still there, byte-for-byte loadable.
-    EXPECT_EQ(fs::file_size(path, ec), old_size);
-    const auto loaded = KmerIndex::loadFile(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().str();
-    EXPECT_EQ(loaded->segmentLength(), first.segmentLength());
-
-    // An injected device error at commit (fsync) behaves the same.
-    {
-        ScopedFaultPlan plan({{fault::kStoreEio, {.fireOnNth = 1}}});
-        ASSERT_FALSE(second.saveFile(path).ok());
-    }
-    EXPECT_TRUE(KmerIndex::loadFile(path).ok());
-    // No abandoned temp files remain next to the destination.
-    size_t stray = 0;
-    for (const auto &e : fs::directory_iterator(dir))
-        if (e.path().filename().string().find(".tmp.") !=
-            std::string::npos)
-            ++stray;
-    EXPECT_EQ(stray, 0u);
-    fs::remove_all(dir);
-}
-
-TEST(KmerIndexFile, LoadRejectsOnDiskTruncationAndBadMagic)
-{
-    namespace fs = std::filesystem;
-    const fs::path dir =
-        fs::temp_directory_path() / "genax_kmer_load_chaos";
-    fs::create_directories(dir);
-    const std::string path = (dir / "index.gxi").string();
-
-    Rng rng(812);
-    const KmerIndex index(randomSeq(rng, 4000), 8);
-    ASSERT_TRUE(index.saveFile(path).ok());
-    std::string whole;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::stringstream buf;
-        buf << in.rdbuf();
-        whole = buf.str();
-    }
-
-    // Truncation at several depths: inside the magic, inside the
-    // header, inside the tables. All must fail recoverably.
-    for (const size_t keep :
-         {size_t{0}, size_t{4}, size_t{20}, whole.size() / 2,
-          whole.size() - 1}) {
-        {
-            std::ofstream out(path, std::ios::binary |
-                                        std::ios::trunc);
-            out.write(whole.data(),
-                      static_cast<std::streamsize>(keep));
-        }
-        const auto loaded = KmerIndex::loadFile(path);
-        ASSERT_FALSE(loaded.ok()) << "kept " << keep;
-        EXPECT_TRUE(loaded.status().code() == StatusCode::IoError ||
-                    loaded.status().code() ==
-                        StatusCode::InvalidInput)
-            << "kept " << keep << ": " << loaded.status().str();
-    }
-
-    // Bad magic: flip one byte of the tag.
-    {
-        std::string bad = whole;
-        bad[0] ^= 0x40;
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bad.data(),
-                  static_cast<std::streamsize>(bad.size()));
-    }
-    const auto loaded = KmerIndex::loadFile(path);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::InvalidInput);
-    fs::remove_all(dir);
 }
 
 // ------------------------------------------------------ FlatKmerIndex

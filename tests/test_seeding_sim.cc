@@ -3,7 +3,8 @@
  * Tests for the banked-SRAM seeding-lane simulator: closed-form
  * agreement in the contention-free extremes, serialization under a
  * single bank, monotone scaling with banks/lanes, and integration
- * with the GenAx system model.
+ * with the GenAx system model. Every direct simulation runs on both
+ * the lock-step oracle and the event path simulate() uses.
  */
 
 #include <gtest/gtest.h>
@@ -16,12 +17,27 @@
 namespace genax {
 namespace {
 
+struct SimPath
+{
+    const char *name;
+    SeedingSimResult (SeedingLaneSim::*run)(
+        const std::vector<LaneWork> &) const;
+};
+
+constexpr SimPath kSimPaths[] = {
+    {"naive", &SeedingLaneSim::simulateNaive},
+    {"event", &SeedingLaneSim::simulateEvent},
+};
+
 TEST(SeedingSim, EmptyWorkIsFree)
 {
     SeedingLaneSim sim(SeedingSimConfig{});
-    const auto r = sim.simulate({});
-    EXPECT_EQ(r.cycles, 0u);
-    EXPECT_EQ(r.grants, 0u);
+    for (const SimPath &path : kSimPaths) {
+        SCOPED_TRACE(path.name);
+        const auto r = (sim.*path.run)({});
+        EXPECT_EQ(r.cycles, 0u);
+        EXPECT_EQ(r.grants, 0u);
+    }
 }
 
 TEST(SeedingSim, SingleLaneNoContentionMatchesClosedForm)
@@ -34,12 +50,15 @@ TEST(SeedingSim, SingleLaneNoContentionMatchesClosedForm)
     SeedingLaneSim sim(cfg);
 
     const u64 lookups = 100, cam = 40;
-    const auto r = sim.simulate({{lookups, cam}});
-    EXPECT_EQ(r.grants, lookups);
-    // One issue per cycle, then drain latency, then CAM ops.
-    const Cycle expect = lookups + cfg.sramLatency + cam;
-    EXPECT_NEAR(static_cast<double>(r.cycles),
-                static_cast<double>(expect), 4.0);
+    for (const SimPath &path : kSimPaths) {
+        SCOPED_TRACE(path.name);
+        const auto r = (sim.*path.run)({{lookups, cam}});
+        EXPECT_EQ(r.grants, lookups);
+        // One issue per cycle, then drain latency, then CAM ops.
+        const Cycle expect = lookups + cfg.sramLatency + cam;
+        EXPECT_NEAR(static_cast<double>(r.cycles),
+                    static_cast<double>(expect), 4.0);
+    }
 }
 
 TEST(SeedingSim, SingleBankSerializesAllLanes)
@@ -50,38 +69,48 @@ TEST(SeedingSim, SingleBankSerializesAllLanes)
     SeedingLaneSim sim(cfg);
 
     std::vector<LaneWork> work(64, {50, 0});
-    const auto r = sim.simulate(work);
-    // 64 * 50 lookups through one port: at least that many cycles.
-    EXPECT_GE(r.cycles, 64u * 50u);
-    EXPECT_GT(r.bankConflicts, 0u);
-    EXPECT_NEAR(r.bankUtilization(1), 1.0, 0.05);
+    for (const SimPath &path : kSimPaths) {
+        SCOPED_TRACE(path.name);
+        const auto r = (sim.*path.run)(work);
+        // 64 * 50 lookups through one port: at least that many
+        // cycles.
+        EXPECT_GE(r.cycles, 64u * 50u);
+        EXPECT_GT(r.bankConflicts, 0u);
+        EXPECT_NEAR(r.bankUtilization(1), 1.0, 0.05);
+    }
 }
 
 TEST(SeedingSim, MoreBanksNeverSlower)
 {
     std::vector<LaneWork> work(256, {30, 10});
-    Cycle prev = ~Cycle{0};
-    for (u32 banks : {1u, 4u, 16u, 64u}) {
-        SeedingSimConfig cfg;
-        cfg.lanes = 32;
-        cfg.banks = banks;
-        const auto r = SeedingLaneSim(cfg).simulate(work);
-        EXPECT_LE(r.cycles, prev) << "banks=" << banks;
-        prev = r.cycles;
+    for (const SimPath &path : kSimPaths) {
+        SCOPED_TRACE(path.name);
+        Cycle prev = ~Cycle{0};
+        for (u32 banks : {1u, 4u, 16u, 64u}) {
+            SeedingSimConfig cfg;
+            cfg.lanes = 32;
+            cfg.banks = banks;
+            const auto r = (SeedingLaneSim(cfg).*path.run)(work);
+            EXPECT_LE(r.cycles, prev) << "banks=" << banks;
+            prev = r.cycles;
+        }
     }
 }
 
 TEST(SeedingSim, MoreLanesNeverSlower)
 {
     std::vector<LaneWork> work(256, {30, 10});
-    Cycle prev = ~Cycle{0};
-    for (u32 lanes : {1u, 8u, 64u, 128u}) {
-        SeedingSimConfig cfg;
-        cfg.lanes = lanes;
-        cfg.banks = 64;
-        const auto r = SeedingLaneSim(cfg).simulate(work);
-        EXPECT_LE(r.cycles, prev) << "lanes=" << lanes;
-        prev = r.cycles;
+    for (const SimPath &path : kSimPaths) {
+        SCOPED_TRACE(path.name);
+        Cycle prev = ~Cycle{0};
+        for (u32 lanes : {1u, 8u, 64u, 128u}) {
+            SeedingSimConfig cfg;
+            cfg.lanes = lanes;
+            cfg.banks = 64;
+            const auto r = (SeedingLaneSim(cfg).*path.run)(work);
+            EXPECT_LE(r.cycles, prev) << "lanes=" << lanes;
+            prev = r.cycles;
+        }
     }
 }
 
@@ -98,8 +127,10 @@ TEST(SeedingSim, GrantsConserveWork)
     SeedingSimConfig cfg;
     cfg.lanes = 8;
     cfg.banks = 4;
-    const auto r = SeedingLaneSim(cfg).simulate(work);
-    EXPECT_EQ(r.grants, total);
+    for (const SimPath &path : kSimPaths) {
+        SCOPED_TRACE(path.name);
+        EXPECT_EQ((SeedingLaneSim(cfg).*path.run)(work).grants, total);
+    }
 }
 
 TEST(SeedingSim, GenAxIntegrationStaysClose)

@@ -7,10 +7,11 @@
 #
 # Usage: tools/chaos_smoke.sh path/to/genax_align [path/to/genax_index]
 #        [path/to/genax_serve path/to/genax_client]
-# The snapshot-corruption leg runs only when genax_index is given; the
-# daemon-kill leg (SIGKILL mid-batch: clean client error, no partial
-# SAM, restart serves the same snapshot byte-identically) runs only
-# when genax_serve and genax_client are given too.
+# The snapshot-corruption leg and genax_index's bad-flag cases run
+# only when genax_index is given; the daemon-kill leg (SIGKILL
+# mid-batch: clean client error, no partial SAM, restart serves the
+# same snapshot byte-identically) runs only when genax_serve and
+# genax_client are given too.
 set -u
 
 bin="${1:?usage: chaos_smoke.sh path/to/genax_align [genax_index] [genax_serve genax_client]}"
@@ -132,7 +133,34 @@ grep -q 'absent.fa' "$tmp/miss.log" ||
 status=$(run "$tmp/help.log" --help)
 ((status == 0)) || err "--help: exit $status, want 0"
 
-# 5. Snapshot-corruption leg: build a flat index snapshot, corrupt
+# 5. Strict numeric flags: every bad value is a usage error (exit 2,
+#    never an abort) whose message names the flag, and no output file
+#    is written.
+bad_value() { # bad_value "<flag value ...>" <tool> <args...>
+    local -a bad
+    read -ra bad <<<"$1"
+    local what="${2##*/} $1"
+    shift
+    rm -f "$tmp/bad.out"
+    "$@" --out "$tmp/bad.out" "${bad[@]}" >/dev/null 2>"$tmp/bad.log"
+    local status=$?
+    ((status == 2)) || err "$what: exit $status, want 2"
+    head -n 1 "$tmp/bad.log" | grep -q -- "${bad[-2]}" ||
+        err "$what: usage message does not name ${bad[-2]}"
+    [[ ! -e "$tmp/bad.out" ]] || err "$what: wrote an output file"
+}
+for v in "--segments -1" "--segments 0" "--segments 200000" "--k 0" \
+    "--k 20" "--k 12x" "--engine sw --k 0" "--band 0"; do
+    bad_value "$v" "$bin" --ref "$tmp/ref.fa" --reads "$tmp/reads.fq"
+done
+if [[ -x "$index_bin" ]]; then
+    for v in "--segments -1" "--segments 0" "--segments 200000" \
+        "--k 0" "--k 20" "--k 12x" "--overlap -1" "--overlap 2147483649"; do
+        bad_value "$v" "$index_bin" --ref "$tmp/ref.fa"
+    done
+fi
+
+# 6. Snapshot-corruption leg: build an index snapshot, corrupt
 #    it, and check both CLIs honour the contract — genax_index
 #    --verify exits 3 naming the damage, and genax_align --index
 #    degrades to rebuild-from-FASTA with byte-identical SAM and
@@ -141,8 +169,8 @@ if [[ -n "$index_bin" ]]; then
     if [[ ! -x "$index_bin" ]]; then
         err "$index_bin not executable"
     else
-        "$index_bin" --ref "$tmp/ref.fa" --out "$tmp/snap.gxs"             --format flat --segments 4 --k 11             >/dev/null 2>"$tmp/index.log"
-        [[ $? -eq 0 ]] || err "flat snapshot build failed"
+        "$index_bin" --ref "$tmp/ref.fa" --out "$tmp/snap.gxs"             --segments 4 --k 11             >/dev/null 2>"$tmp/index.log"
+        [[ $? -eq 0 ]] || err "snapshot build failed"
         "$index_bin" --verify "$tmp/snap.gxs" >/dev/null 2>&1 ||
             err "verify of the fresh snapshot failed"
 
@@ -174,7 +202,7 @@ if [[ -n "$index_bin" ]]; then
     fi
 fi
 
-# 6. Daemon-kill leg: SIGKILL genax_serve while a client's request is
+# 7. Daemon-kill leg: SIGKILL genax_serve while a client's request is
 #    parked in the batcher. The client must fail cleanly (exit 3, no
 #    partial SAM, no hang — the checksummed framing means a torn
 #    stream is never *accepted*), and a restarted daemon on the same

@@ -19,6 +19,8 @@
  * 2 on a usage error, 3 on an unrecoverable error.
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +28,7 @@
 
 #include "align/simd/dispatch.hh"
 #include "common/faultinject.hh"
+#include "flags.hh"
 #include "genax/pipeline.hh"
 
 using namespace genax;
@@ -55,11 +58,12 @@ printHelp(const char *prog, std::FILE *to)
         "  --out FILE         output SAM (required)\n"
         "  --engine genax|sw  accelerator model or software baseline\n"
         "                     (default genax)\n"
-        "  --k K              seeding k-mer length (default 12)\n"
-        "  --band K           edit bound / extension band (default 40);\n"
-        "                     beyond the SillaX maximum the run degrades\n"
-        "                     to the software engine\n"
-        "  --segments N       GenAx genome segments (default 8)\n"
+        "  --k K              seeding k-mer length, 1..13 (default 12)\n"
+        "  --band K           edit bound / extension band, >= 1\n"
+        "                     (default 40); beyond the SillaX maximum\n"
+        "                     the run degrades to the software engine\n"
+        "  --segments N       GenAx genome segments, 1..100000\n"
+        "                     (default 8)\n"
         "  --threads N        worker threads for either engine and\n"
         "                     its index builds (default 1; 0 = all\n"
         "                     hardware threads); output is identical\n"
@@ -70,14 +74,14 @@ printHelp(const char *prog, std::FILE *to)
         "                     (default 0 = all reads as one batch);\n"
         "                     output is identical at any batch size;\n"
         "                     single-end mode only\n"
-        "  --index FILE       prebuilt index snapshot from\n"
-        "                     'genax_index --format flat'; mmapped\n"
-        "                     zero-copy, skipping the per-run index\n"
-        "                     build. The snapshot's k/segments/overlap\n"
-        "                     override the flags above. A corrupt\n"
-        "                     snapshot degrades to rebuild-from-FASTA\n"
-        "                     (exit 1); one built from a different\n"
-        "                     reference is a hard error (exit 3)\n"
+        "  --index FILE       prebuilt index snapshot from genax_index;\n"
+        "                     mmapped zero-copy, skipping the per-run\n"
+        "                     index build. The snapshot's k/segments/\n"
+        "                     overlap override the flags above. A\n"
+        "                     corrupt snapshot degrades to rebuild-\n"
+        "                     from-FASTA (exit 1); one built from a\n"
+        "                     different reference is a hard error\n"
+        "                     (exit 3)\n"
         "  --kernel TIER      force the alignment-kernel dispatch\n"
         "                     tier: auto (default), scalar, sse41 or\n"
         "                     avx2; all tiers produce identical\n"
@@ -140,6 +144,12 @@ main(int argc, char **argv)
                            ("missing value for " + arg).c_str());
             return argv[++i];
         };
+        auto number = [&](u64 lo, u64 hi) {
+            const auto v = parseFlagValue<u64>(arg, next(), lo, hi);
+            if (!v.ok())
+                usageError(argv[0], v.status().message().c_str());
+            return *v;
+        };
         if (arg == "--ref") {
             ref = next();
         } else if (arg == "--reads") {
@@ -158,15 +168,15 @@ main(int argc, char **argv)
                 usageError(argv[0], "--engine must be genax or sw");
             }
         } else if (arg == "--k") {
-            opts.k = static_cast<u32>(std::atoi(next()));
+            opts.k = static_cast<u32>(number(1, kMaxFlagK));
         } else if (arg == "--band") {
-            opts.band = static_cast<u32>(std::atoi(next()));
+            opts.band = static_cast<u32>(number(1, UINT32_MAX));
         } else if (arg == "--segments") {
-            opts.segments = static_cast<u64>(std::atoll(next()));
+            opts.segments = number(1, kMaxFlagSegments);
         } else if (arg == "--threads") {
-            opts.threads = static_cast<unsigned>(std::atoi(next()));
+            opts.threads = static_cast<unsigned>(number(0, UINT_MAX));
         } else if (arg == "--batch-reads") {
-            opts.batchReads = static_cast<u64>(std::atoll(next()));
+            opts.batchReads = number(0, UINT64_MAX);
         } else if (arg == "--index") {
             opts.indexSnapshot = next();
         } else if (arg == "--kernel") {
@@ -177,7 +187,7 @@ main(int argc, char **argv)
                            ("--kernel " + tier + ": " + st.str())
                                .c_str());
         } else if (arg == "--max-malformed") {
-            opts.maxMalformed = static_cast<u64>(std::atoll(next()));
+            opts.maxMalformed = number(0, UINT64_MAX);
         } else if (arg == "--inject") {
             inject = next();
         } else if (arg == "--help" || arg == "-h") {

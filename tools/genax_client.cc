@@ -29,6 +29,7 @@
  */
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -37,6 +38,7 @@
 #include <vector>
 
 #include "common/histogram.hh"
+#include "flags.hh"
 #include "io/fastq.hh"
 #include "io/reader.hh"
 #include "serve/client.hh"
@@ -124,6 +126,12 @@ main(int argc, char **argv)
                            ("missing value for " + arg).c_str());
             return argv[++i];
         };
+        auto number = [&](u64 lo, u64 hi) {
+            const auto v = parseFlagValue<u64>(arg, next(), lo, hi);
+            if (!v.ok())
+                usageError(argv[0], v.status().message().c_str());
+            return *v;
+        };
         if (arg == "--connect") {
             connect = next();
         } else if (arg == "--reads") {
@@ -131,18 +139,18 @@ main(int argc, char **argv)
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--reads-per-request") {
-            per_request = static_cast<u64>(std::atoll(next()));
-            if (per_request == 0)
-                usageError(argv[0],
-                           "--reads-per-request must be >= 1");
+            per_request = number(1, UINT64_MAX);
         } else if (arg == "--tenant") {
             tenant = next();
         } else if (arg == "--clients") {
-            clients = static_cast<u64>(std::atoll(next()));
+            clients = number(0, UINT64_MAX);
         } else if (arg == "--repeat") {
-            repeat = static_cast<u64>(std::atoll(next()));
+            repeat = number(0, UINT64_MAX);
         } else if (arg == "--timeout") {
-            timeout = std::atof(next());
+            const auto s = parseFlagValue<double>(arg, next(), 0.0);
+            if (!s.ok())
+                usageError(argv[0], s.status().message().c_str());
+            timeout = *s;
         } else if (arg == "--stats") {
             want_stats = true;
         } else if (arg == "--help" || arg == "-h") {

@@ -1,18 +1,16 @@
 /**
  * @file
- * genax_index — offline k-mer table construction and snapshot
- * inspection.
+ * genax_index — offline index snapshot construction and inspection.
  *
- *   genax_index --ref ref.fa --out index.gxi [--k 12]
- *               [--format dense|flat] [--segments 8] [--overlap 256]
+ *   genax_index --ref ref.fa --out index.gxs [--k 12]
+ *               [--segments 8] [--overlap 256]
  *   genax_index --verify FILE
  *
- * `--format dense` (default) builds the legacy whole-reference dense
- * k-mer table (the offline step of Section V). `--format flat` builds
- * a crash-safe "GXSNAP" store: the concatenated reference, the contig
- * map and one flat per-segment index, all checksummed and written
- * atomically — genax_align --index mmaps it and skips the per-run
- * index build entirely.
+ * Builds the per-segment k-mer tables offline (the offline step of
+ * Section V) into a crash-safe "GXSNAP" store: the concatenated
+ * reference, the contig map and one flat per-segment index, all
+ * checksummed and written atomically — genax_align --index and
+ * genax_serve --index mmap it and skip the per-run index build.
  *
  * `--verify` opens any store container, replays the full checksum
  * walk and prints a section report; it is the CI chaos harness's
@@ -28,10 +26,10 @@
 #include <string>
 #include <vector>
 
+#include "flags.hh"
 #include "genax/pipeline.hh"
 #include "io/store.hh"
 #include "seed/index_snapshot.hh"
-#include "seed/kmer_index.hh"
 
 using namespace genax;
 
@@ -47,26 +45,23 @@ printHelp(const char *prog, std::FILE *to)
 {
     std::fprintf(
         to,
-        "usage: %s --ref ref.fa --out index.gxi [--k 12]\n"
-        "          [--format dense|flat] [--segments 8] "
-        "[--overlap 256]\n"
+        "usage: %s --ref ref.fa --out index.gxs [--k 12]\n"
+        "          [--segments 8] [--overlap 256]\n"
         "       %s --verify FILE\n"
         "\n"
-        "Build and serialize k-mer index/position tables, or verify\n"
-        "an existing on-disk store.\n"
+        "Build the checksummed per-segment index snapshot that\n"
+        "genax_align --index attaches, or verify an existing on-disk\n"
+        "store.\n"
         "\n"
         "options:\n"
         "  --ref FILE       reference FASTA (required unless "
         "--verify)\n"
-        "  --out FILE       output index file (required unless "
+        "  --out FILE       output snapshot (required unless "
         "--verify)\n"
         "  --k K            k-mer length, 1..13 (default 12)\n"
-        "  --format FMT     dense: legacy whole-reference table\n"
-        "                   flat: checksummed per-segment snapshot\n"
-        "                   for genax_align --index (default dense)\n"
-        "  --segments N     genome segments in a flat snapshot\n"
-        "                   (default 8)\n"
-        "  --overlap N      segment overlap in bases (default 256)\n"
+        "  --segments N     genome segments, 1..100000 (default 8)\n"
+        "  --overlap N      segment overlap in bases, at most 2^31\n"
+        "                   (default 256)\n"
         "  --verify FILE    open FILE as a store container, replay\n"
         "                   every checksum and print a section\n"
         "                   report; exit 3 if it fails validation\n"
@@ -122,7 +117,7 @@ verifyStore(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    std::string ref_path, out_path, verify_path, format = "dense";
+    std::string ref_path, out_path, verify_path;
     u32 k = 12;
     u64 segments = 8;
     u64 overlap = 256;
@@ -134,18 +129,22 @@ main(int argc, char **argv)
                            ("missing value for " + arg).c_str());
             return argv[++i];
         };
+        auto number = [&](u64 lo, u64 hi) {
+            const auto v = parseFlagValue<u64>(arg, next(), lo, hi);
+            if (!v.ok())
+                usageError(argv[0], v.status().message().c_str());
+            return *v;
+        };
         if (arg == "--ref") {
             ref_path = next();
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--k") {
-            k = static_cast<u32>(std::atoi(next()));
-        } else if (arg == "--format") {
-            format = next();
+            k = static_cast<u32>(number(1, kMaxFlagK));
         } else if (arg == "--segments") {
-            segments = static_cast<u64>(std::atoll(next()));
+            segments = number(1, kMaxFlagSegments);
         } else if (arg == "--overlap") {
-            overlap = static_cast<u64>(std::atoll(next()));
+            overlap = number(0, u64{1} << 31);
         } else if (arg == "--verify") {
             verify_path = next();
         } else if (arg == "--help" || arg == "-h") {
@@ -159,12 +158,6 @@ main(int argc, char **argv)
         return verifyStore(verify_path);
     if (ref_path.empty() || out_path.empty())
         usageError(argv[0], "--ref and --out are required");
-    if (k < 1 || k > 13)
-        usageError(argv[0], "--k must be in 1..13");
-    if (format != "dense" && format != "flat")
-        usageError(argv[0], "--format must be dense or flat");
-    if (segments < 1)
-        usageError(argv[0], "--segments must be >= 1");
 
     ReaderStats ref_stats;
     const auto ref = readFastaFile(ref_path, {}, &ref_stats);
@@ -186,47 +179,28 @@ main(int argc, char **argv)
                      ref_stats.malformed == 1 ? "" : "s");
 
     const ContigMap contigs(*ref);
-    if (format == "flat") {
-        std::vector<SnapshotContig> snap_contigs;
-        snap_contigs.reserve(contigs.contigs().size());
-        for (const auto &c : contigs.contigs())
-            snap_contigs.push_back({c.name, c.start, c.length});
-        SegmentConfig cfg;
-        cfg.k = k;
-        cfg.segmentCount = segments;
-        cfg.overlap = overlap;
-        if (const Status st = IndexSnapshot::build(
-                out_path, contigs.sequence(), snap_contigs, cfg);
-            !st.ok()) {
-            std::fprintf(stderr, "genax_index: %s\n",
-                         st.str().c_str());
-            return kExitError;
-        }
-        std::fprintf(stderr,
-                     "snapshot: %llu bp, k=%u, %llu segment%s "
-                     "(overlap %llu) -> %s\n",
-                     static_cast<unsigned long long>(
-                         contigs.sequence().size()),
-                     k, static_cast<unsigned long long>(segments),
-                     segments == 1 ? "" : "s",
-                     static_cast<unsigned long long>(overlap),
-                     out_path.c_str());
-        return ref_stats.malformed > 0 ? kExitPartial : kExitOk;
-    }
-
-    const KmerIndex index(contigs.sequence(), k);
-    if (const Status st = index.saveFile(out_path); !st.ok()) {
+    std::vector<SnapshotContig> snap_contigs;
+    snap_contigs.reserve(contigs.contigs().size());
+    for (const auto &c : contigs.contigs())
+        snap_contigs.push_back({c.name, c.start, c.length});
+    SegmentConfig cfg;
+    cfg.k = k;
+    cfg.segmentCount = segments;
+    cfg.overlap = overlap;
+    if (const Status st = IndexSnapshot::build(
+            out_path, contigs.sequence(), snap_contigs, cfg);
+        !st.ok()) {
         std::fprintf(stderr, "genax_index: %s\n", st.str().c_str());
         return kExitError;
     }
     std::fprintf(stderr,
-                 "indexed %llu bp at k=%u -> %s (index %.1f MB, "
-                 "positions %.1f MB, max hit list %u)\n",
+                 "snapshot: %llu bp, k=%u, %llu segment%s "
+                 "(overlap %llu) -> %s\n",
                  static_cast<unsigned long long>(
                      contigs.sequence().size()),
-                 k, out_path.c_str(),
-                 static_cast<double>(index.indexTableBytes()) / 1e6,
-                 static_cast<double>(index.positionTableBytes()) / 1e6,
-                 index.maxHitListSize());
+                 k, static_cast<unsigned long long>(segments),
+                 segments == 1 ? "" : "s",
+                 static_cast<unsigned long long>(overlap),
+                 out_path.c_str());
     return ref_stats.malformed > 0 ? kExitPartial : kExitOk;
 }

@@ -30,7 +30,9 @@
  */
 
 #include <chrono>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,6 +40,7 @@
 #include <thread>
 
 #include "common/faultinject.hh"
+#include "flags.hh"
 #include "io/reader.hh"
 #include "serve/server.hh"
 
@@ -78,9 +81,11 @@ printHelp(const char *prog, std::FILE *to)
         "                      fallback, wrong reference -> error)\n"
         "  --engine genax|sw   accelerator model or software\n"
         "                      baseline (default genax)\n"
-        "  --k K               seeding k-mer length (default 12)\n"
-        "  --band K            edit bound (default 40)\n"
-        "  --segments N        GenAx genome segments (default 8)\n"
+        "  --k K               seeding k-mer length, 1..13\n"
+        "                      (default 12)\n"
+        "  --band K            edit bound, >= 1 (default 40)\n"
+        "  --segments N        GenAx genome segments, 1..100000\n"
+        "                      (default 8)\n"
         "  --threads N         engine worker threads (default 1;\n"
         "                      0 = all hardware threads)\n"
         "  --batch-reads N     flush a batch at N pending reads\n"
@@ -132,6 +137,12 @@ main(int argc, char **argv)
                            ("missing value for " + arg).c_str());
             return argv[++i];
         };
+        auto number = [&](u64 lo, u64 hi) {
+            const auto v = parseFlagValue<u64>(arg, next(), lo, hi);
+            if (!v.ok())
+                usageError(argv[0], v.status().message().c_str());
+            return *v;
+        };
         if (arg == "--ref") {
             ref = next();
         } else if (arg == "--listen") {
@@ -148,25 +159,26 @@ main(int argc, char **argv)
                 usageError(argv[0], "--engine must be genax or sw");
             }
         } else if (arg == "--k") {
-            cfg.k = static_cast<u32>(std::atoi(next()));
+            cfg.k = static_cast<u32>(number(1, kMaxFlagK));
         } else if (arg == "--band") {
-            cfg.band = static_cast<u32>(std::atoi(next()));
+            cfg.band = static_cast<u32>(number(1, UINT32_MAX));
         } else if (arg == "--segments") {
-            cfg.segments = static_cast<u64>(std::atoll(next()));
+            cfg.segments = number(1, kMaxFlagSegments);
         } else if (arg == "--threads") {
-            cfg.threads = static_cast<unsigned>(std::atoi(next()));
+            cfg.threads = static_cast<unsigned>(number(0, UINT_MAX));
         } else if (arg == "--batch-reads") {
-            bcfg.batchReads = static_cast<u64>(std::atoll(next()));
-            if (bcfg.batchReads == 0)
-                usageError(argv[0], "--batch-reads must be >= 1");
+            bcfg.batchReads = number(1, UINT64_MAX);
         } else if (arg == "--batch-wait-ms") {
-            bcfg.batchWaitSeconds = std::atof(next()) / 1e3;
+            const auto ms = parseFlagValue<double>(arg, next(), 0.0);
+            if (!ms.ok())
+                usageError(argv[0], ms.status().message().c_str());
+            bcfg.batchWaitSeconds = *ms / 1e3;
         } else if (arg == "--queue-reads") {
-            bcfg.queueReads = static_cast<u64>(std::atoll(next()));
+            bcfg.queueReads = number(0, UINT64_MAX);
         } else if (arg == "--reject-when-full") {
             bcfg.rejectWhenFull = true;
         } else if (arg == "--max-malformed") {
-            max_malformed = static_cast<u64>(std::atoll(next()));
+            max_malformed = number(0, UINT64_MAX);
         } else if (arg == "--inject") {
             inject = next();
         } else if (arg == "--help" || arg == "-h") {

@@ -51,8 +51,7 @@ done >"$tmp/reads.fq"
 index_args=()
 if [[ -n "$index_bin" ]]; then
     "$index_bin" --ref "$tmp/ref.fa" --out "$tmp/snap.gxs" \
-        --format flat --segments 4 --k 11 \
-        >/dev/null 2>"$tmp/index.log" ||
+        --segments 4 --k 11 >/dev/null 2>"$tmp/index.log" ||
         err "snapshot build failed"
     index_args=(--index "$tmp/snap.gxs")
 fi
