@@ -68,6 +68,7 @@ inline constexpr const char *kServeAcceptFail = "serve.accept.fail";
 inline constexpr const char *kServeReadShort = "serve.read.short";
 inline constexpr const char *kServeWriteEio = "serve.write.eio";
 inline constexpr const char *kServeSpawnFail = "serve.spawn.fail";
+inline constexpr const char *kServeHandlerThrow = "serve.handler.throw";
 
 } // namespace fault
 

@@ -1,14 +1,21 @@
 #include "seed/flat_kmer_index.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <type_traits>
 #include <utility>
 
 #include "common/check.hh"
 #include "common/threadpool.hh"
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 namespace genax {
 
@@ -20,31 +27,46 @@ static_assert(std::is_trivially_copyable_v<FlatKmerIndex::Entry>);
 static_assert(offsetof(FlatKmerIndex::Entry, key) == 0);
 static_assert(offsetof(FlatKmerIndex::Entry, offset) == 8);
 static_assert(offsetof(FlatKmerIndex::Entry, count) == 12);
+// The table fill CASes the key word in place.
+static_assert(alignof(FlatKmerIndex::Entry) >=
+              std::atomic_ref<u64>::required_alignment);
 
 namespace {
 
-/** Longest indexable reference: 2^31 bases keep the table (two slots
- *  per k-mer, rounded up to a power of two) within 2^32 slots, so a
- *  slot index fits the low half of a packed (key << 32 | slot) word
- *  and every postings offset fits a u32. */
+/** Longest indexable reference: 2^31 bases keep every postings offset
+ *  and position within 31 bits, so a fill word (see FillWords) holds
+ *  an offset, a 26-bit key and a first-occurrence field in 63. */
 constexpr u64 kMaxIndexedBases = u64{1} << 31;
 
-/** Pass 1 prefetches each k-mer's home slot this many k-mers ahead. */
-constexpr u64 kInsertAhead = 16;
+/** Arrays from this size up ask for transparent huge pages. */
+constexpr size_t kHugePageAdviceBytes = size_t{4} << 20;
 
-/** Pass 2 keeps this many table probes in flight per runner. */
-constexpr u64 kFillQueue = 16;
+/** Keys are bucketed by at most this many top bits, so one runner's
+ *  scatter cursors (and the lines they write) stay cache-resident. */
+constexpr u32 kMaxBucketBits = 12;
 
-/** Buckets hold at most this many keys before they are radix- rather
+/** Buckets hold at most this many words before they are radix- rather
  *  than insertion-sorted. */
-constexpr u64 kInsertionSortKeys = 32;
+constexpr u64 kInsertionSortWords = 32;
 
-/** Bucket keys by their top bits: about four k-mers per bucket, and
- *  at most 2^16 buckets so the per-range cursors stay small. */
+/** The table fill reads the reference and probes the table for this
+ *  many keys at a time, so their cache misses overlap. */
+constexpr u64 kInsertGroup = 16;
+
+/** Width of a fill word's first-occurrence field. Ties in it are
+ *  broken by reading the postings (about one comparison in 2^8), so
+ *  it only has to make them rare. It is fixed rather than as wide as
+ *  the word allows so that ties occur at every reference size, the
+ *  tests' small ones included. */
+constexpr u32 kPriorityBits = 8;
+
+/** Bucket keys by their top bits: about four k-mers per bucket, and at
+ *  most 2^kMaxBucketBits buckets. */
 u32
 bucketBits(u32 k, u64 kmers)
 {
-    return std::min<u32>(std::bit_width(kmers / 4), std::min(2 * k, 16u));
+    return std::min<u32>(std::bit_width(kmers / 4),
+                         std::min(2 * k, kMaxBucketBits));
 }
 
 /** Packed keys of a reference's k-mers in position order, in
@@ -78,6 +100,16 @@ class KmerKeys
 };
 
 void
+prefetchForRead(const void *p)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(p, 0, 1);
+#else
+    (void)p;
+#endif
+}
+
+void
 prefetchForWrite(const void *p)
 {
 #if defined(__GNUC__) || defined(__clang__)
@@ -101,14 +133,71 @@ runRegion(u64 n, unsigned width, Fn &&fn, u64 chunk = 0)
     ThreadPool::global().parallelFor(n, width, fn, chunk);
 }
 
+/**
+ * The key word a slot holds while the table fills: from the top, the
+ * key's first occurrence cut to kPriorityBits (its top bits out of the
+ * positions' range), its postings extent start, and the key. Bit 63
+ * stays clear, so every word orders before kEmptyKey. An 8-byte CAS
+ * moves a key with everything the decode pass needs, and comparing
+ * two words' top fields orders their keys by first occurrence; only
+ * equal fields read the postings.
+ */
+struct FillWords
+{
+    u32 keyBits;   //!< 2k
+    u32 extBits;   //!< bits of a postings offset or a position
+    u32 prioShift; //!< first occurrence >> prioShift is the top field
+    const u32 *positions; //!< positions[extent start] is the key's
+                          //!< first occurrence
+
+    FillWords(u32 k, u64 kmers, const u32 *postings)
+        : keyBits(2 * k),
+          extBits(static_cast<u32>(std::bit_width(kmers - 1))),
+          prioShift(extBits -
+                    std::min(extBits, std::min(kPriorityBits,
+                                               63 - keyBits - extBits))),
+          positions(postings)
+    {
+    }
+
+    u64
+    encode(u64 key, u64 ext) const
+    {
+        return u64{positions[ext] >> prioShift} << (keyBits + extBits) |
+               ext << keyBits | key;
+    }
+
+    u64 key(u64 w) const { return w & ((u64{1} << keyBits) - 1); }
+
+    u64
+    ext(u64 w) const
+    {
+        return (w >> keyBits) & ((u64{1} << extBits) - 1);
+    }
+
+    /** True when a's key first occurs before b's (b may be empty). */
+    bool
+    earlier(u64 a, u64 b) const
+    {
+        const u64 ta = a >> (keyBits + extBits);
+        const u64 tb = b >> (keyBits + extBits);
+        if (ta != tb)
+            return ta < tb;
+        return positions[ext(a)] < positions[ext(b)];
+    }
+};
+
 } // namespace
 
 /**
- * The building constructor's phases. Keys are grouped into buckets by
- * their top bits (bucket = key >> lowBits), so bucket order is key
- * order, and pass 1 counts each bucket's keys and k-mers; their
- * prefix sums place every bucket in the key list and in the postings
- * before any key is ordered.
+ * The building constructor's phases. A counting sort of every k-mer's
+ * (key << 32 | position) word by bucket (bucket = key >> lowBits, so
+ * bucket order is key order), then a sort inside each bucket, gives
+ * the postings in key order with each key's positions ascending, and
+ * a bitmap marks where each key's extent starts. The table is then
+ * filled by ordered linear probing with first occurrence as the
+ * priority, which reproduces the layout of inserting the keys in
+ * reference order (DESIGN.md §6b-bis) at any width.
  */
 struct FlatKmerIndex::Builder
 {
@@ -118,135 +207,83 @@ struct FlatKmerIndex::Builder
     unsigned width;
     u32 lowBits;
     u64 buckets;
-    /** Keys per bucket, then (after pass 1) each bucket's first
-     *  index in the key list; one extra entry closes the last. */
-    std::vector<u32> keyStart;
-    /** K-mers per bucket, then each bucket's first postings offset. */
-    std::vector<u32> postStart;
+    /** Bit j is set when postings entry j starts a key's extent. */
+    std::vector<u64> starts;
 
     Builder(FlatKmerIndex &index, const Seq &r, u64 n, unsigned threads)
         : idx(index), ref(r), kmers(n),
           width(ThreadPool::resolveWidth(threads)),
           lowBits(2 * index._k - bucketBits(index._k, n)),
           buckets(u64{1} << (2 * index._k - lowBits)),
-          keyStart(buckets + 1, 0), postStart(buckets + 1, 0)
+          starts((n + 63) / 64, 0)
     {
     }
 
-    /** Pass 1, serial: insert and count every k-mer in reference
-     *  order (the order fixes the slot layout), then turn the bucket
-     *  counts into starts. */
-    void
-    insertAll()
+    /** Every k-mer as a (key << 32 | position) word, grouped by bucket
+     *  and ascending by position inside one: a counting sort over
+     *  position ranges, rolling the keys once to count and once to
+     *  scatter. */
+    std::vector<u64, UninitAllocator<u64>>
+    wordsByBucket(std::vector<u32> &bucket_start) const
     {
-        std::vector<Entry> &table = idx._table;
-        KmerKeys ahead(ref, idx._k, std::min(kInsertAhead, kmers - 1));
-        KmerKeys keys(ref, idx._k, 0);
-        for (u64 p = 0; p < kmers; ++p, keys.advance()) {
-            prefetchForWrite(&table[idx.slotOf(ahead.key())]);
-            ahead.advance();
-            const u64 key = keys.key();
-            const u64 bucket = key >> lowBits;
-            ++postStart[bucket];
-            u64 slot = idx.slotOf(key);
-            for (;;) {
-                Entry &e = table[slot];
-                if (e.key == key) {
-                    ++e.count;
-                    break;
-                }
-                if (e.key == kEmptyKey) {
-                    e.key = key;
-                    e.count = 1;
-                    ++idx._distinct;
-                    ++keyStart[bucket];
-                    break;
-                }
-                slot = (slot + 1) & idx._mask;
-            }
-        }
-        std::exclusive_scan(keyStart.begin(), keyStart.end(),
-                            keyStart.begin(), u32{0});
-        std::exclusive_scan(postStart.begin(), postStart.end(),
-                            postStart.begin(), u32{0});
-    }
-
-    /** Every occupied slot as a (key << 32 | slot) word, grouped by
-     *  bucket: a parallel counting sort over slot ranges. */
-    std::vector<u64>
-    keysByBucket() const
-    {
-        const std::vector<Entry> &table = idx._table;
         const u64 ranges = width;
-        const u64 per_range = (table.size() + ranges - 1) / ranges;
-        auto slotsOf = [&](u64 r) {
-            return std::pair{r * per_range,
-                             std::min<u64>(table.size(),
-                                           (r + 1) * per_range)};
+        auto rangeOf = [&](u64 r) {
+            return std::pair{kmers * r / ranges, kmers * (r + 1) / ranges};
         };
-        // cursor[r * buckets + b]: where range r writes bucket b's
-        // next key. Ranges write in range order within a bucket.
-        std::vector<u32> cursor(ranges * buckets);
-        if (ranges == 1) {
-            std::copy(keyStart.begin(), keyStart.end() - 1,
-                      cursor.begin());
-        } else {
-            runRegion(ranges, width, [&](unsigned, u64 lo, u64 hi) {
-                for (u64 r = lo; r < hi; ++r) {
-                    u32 *count = &cursor[r * buckets];
-                    const auto [s0, s1] = slotsOf(r);
-                    for (u64 s = s0; s < s1; ++s)
-                        if (table[s].key != kEmptyKey)
-                            ++count[table[s].key >> lowBits];
-                }
-            }, 1);
-            for (u64 b = 0; b < buckets; ++b) {
-                u32 at = keyStart[b];
-                for (u64 r = 0; r < ranges; ++r) {
-                    const u32 n = cursor[r * buckets + b];
-                    cursor[r * buckets + b] = at;
-                    at += n;
-                }
+        // cursor[r * buckets + b]: where range r writes bucket b's next
+        // word. Ranges write in range order within a bucket.
+        std::vector<u32> cursor(ranges * buckets, 0);
+        runRegion(ranges, width, [&](unsigned, u64 lo, u64 hi) {
+            for (u64 r = lo; r < hi; ++r) {
+                u32 *count = &cursor[r * buckets];
+                const auto [p0, p1] = rangeOf(r);
+                if (p0 == p1)
+                    continue;
+                KmerKeys keys(ref, idx._k, p0);
+                for (u64 p = p0; p < p1; ++p, keys.advance())
+                    ++count[keys.key() >> lowBits];
+            }
+        }, 1);
+        u32 at = 0;
+        for (u64 b = 0; b < buckets; ++b) {
+            bucket_start[b] = at;
+            for (u64 r = 0; r < ranges; ++r) {
+                const u32 n = cursor[r * buckets + b];
+                cursor[r * buckets + b] = at;
+                at += n;
             }
         }
-        std::vector<u64> keys(idx._distinct);
+        bucket_start[buckets] = at;
+        std::vector<u64, UninitAllocator<u64>> words(kmers);
         runRegion(ranges, width, [&](unsigned, u64 lo, u64 hi) {
             for (u64 r = lo; r < hi; ++r) {
                 u32 *next = &cursor[r * buckets];
-                const auto [s0, s1] = slotsOf(r);
-                for (u64 s = s0; s < s1; ++s) {
-                    const u64 key = table[s].key;
-                    if (key != kEmptyKey)
-                        keys[next[key >> lowBits]++] = key << 32 | s;
-                }
+                const auto [p0, p1] = rangeOf(r);
+                if (p0 == p1)
+                    continue;
+                KmerKeys keys(ref, idx._k, p0);
+                for (u64 p = p0; p < p1; ++p, keys.advance())
+                    words[next[keys.key() >> lowBits]++] =
+                        keys.key() << 32 | p;
             }
         }, 1);
-        return keys;
+        return words;
     }
 
-    /** Order each bucket's keys and give them consecutive postings
-     *  extents from the bucket's start, in parallel over buckets.
-     *  Takes the key list by value so it is freed on return, before
-     *  the postings are allocated. */
+    /** Order each bucket's words by key, in place, in parallel over
+     *  buckets; a word's position breaks ties, so a key's positions
+     *  stay ascending. */
     void
-    assignExtents(std::vector<u64> keys)
+    sortBuckets(u64 *words, const std::vector<u32> &bucket_start) const
     {
+        if (lowBits == 0)
+            return; // a bucket holds one key
         std::vector<std::vector<u64>> scratch(width);
-        std::vector<u32> max_hits(width, 0);
         runRegion(buckets, width, [&](unsigned slot, u64 lo, u64 hi) {
-            u32 max_hit = max_hits[slot];
             for (u64 b = lo; b < hi; ++b) {
-                u64 *first = keys.data() + keyStart[b];
-                const u64 m = keyStart[b + 1] - keyStart[b];
-                u32 offset = postStart[b];
-                auto place = [&](u64 word) {
-                    Entry &e = idx._table[static_cast<u32>(word)];
-                    e.offset = offset;
-                    offset += e.count;
-                    max_hit = std::max(max_hit, e.count);
-                    e.count = 0; // reused as the fill cursor in pass 2
-                };
-                if (m <= kInsertionSortKeys) {
+                u64 *first = words + bucket_start[b];
+                const u64 m = bucket_start[b + 1] - bucket_start[b];
+                if (m <= kInsertionSortWords) {
                     for (u64 i = 1; i < m; ++i) {
                         const u64 w = first[i];
                         u64 j = i;
@@ -254,89 +291,172 @@ struct FlatKmerIndex::Builder
                             first[j] = first[j - 1];
                         first[j] = w;
                     }
-                } else {
-                    // LSD radix sort on the key bits below the bucket
-                    // index, a byte per pass, through runner scratch.
-                    std::vector<u64> &tmp = scratch[slot];
-                    tmp.resize(std::max<u64>(tmp.size(), m));
-                    u64 *src = first, *dst = tmp.data();
-                    for (u32 shift = 32; shift < 32 + lowBits; shift += 8) {
-                        u32 at[257] = {};
-                        for (u64 i = 0; i < m; ++i)
-                            ++at[((src[i] >> shift) & 255) + 1];
-                        std::partial_sum(at, at + 257, at);
-                        for (u64 i = 0; i < m; ++i)
-                            dst[at[(src[i] >> shift) & 255]++] = src[i];
-                        std::swap(src, dst);
-                    }
-                    first = src;
+                    continue;
                 }
-                for (u64 i = 0; i < m; ++i)
-                    place(first[i]);
+                // Stable LSD radix sort on the key bits below the
+                // bucket index, a byte per pass, through runner
+                // scratch.
+                std::vector<u64> &tmp = scratch[slot];
+                tmp.resize(std::max<u64>(tmp.size(), m));
+                u64 *src = first, *dst = tmp.data();
+                for (u32 shift = 32; shift < 32 + lowBits; shift += 8) {
+                    u32 at[257] = {};
+                    for (u64 i = 0; i < m; ++i)
+                        ++at[((src[i] >> shift) & 255) + 1];
+                    std::partial_sum(at, at + 257, at);
+                    for (u64 i = 0; i < m; ++i)
+                        dst[at[(src[i] >> shift) & 255]++] = src[i];
+                    std::swap(src, dst);
+                }
+                if (src != first)
+                    std::copy(src, src + m, first);
+            }
+        });
+    }
+
+    /** Postings and extent starts from the sorted words, in parallel
+     *  over 64-entry runs (one bitmap word each). */
+    void
+    extractPostings(const u64 *words)
+    {
+        idx._positions.resize(kmers);
+        runRegion(starts.size(), width, [&](unsigned, u64 lo, u64 hi) {
+            for (u64 w = lo; w < hi; ++w) {
+                u64 bits = 0;
+                const u64 end = std::min(kmers, 64 * w + 64);
+                for (u64 j = 64 * w; j < end; ++j) {
+                    idx._positions[j] = static_cast<u32>(words[j]);
+                    if (j == 0 || (words[j] >> 32) != (words[j - 1] >> 32))
+                        bits |= u64{1} << (j % 64);
+                }
+                starts[w] = bits;
+            }
+        });
+        idx._distinct = 0;
+        for (const u64 bits : starts)
+            idx._distinct += static_cast<u64>(std::popcount(bits));
+    }
+
+    /** Insert one fill word by ordered linear probing: the word of
+     *  the key that first occurs earlier takes the slot, and the one
+     *  it displaces moves on. A slot only ever takes an earlier key,
+     *  so concurrent inserts reach the same layout as serial ones. */
+    template <bool Concurrent>
+    void
+    insert(const FillWords &fw, u64 word, u64 slot) const
+    {
+        Entry *table = idx._table.data();
+        for (;; slot = (slot + 1) & idx._mask) {
+            u64 &cell = table[slot].key;
+            u64 cur = Concurrent ? std::atomic_ref<u64>(cell).load(
+                                       std::memory_order_relaxed)
+                                 : cell;
+            if (!fw.earlier(word, cur))
+                continue;
+            if constexpr (Concurrent) {
+                while (!std::atomic_ref<u64>(cell).compare_exchange_weak(
+                           cur, word, std::memory_order_relaxed) &&
+                       fw.earlier(word, cur)) {
+                }
+                if (!fw.earlier(word, cur))
+                    continue; // an earlier key took the slot first
+            } else {
+                cell = word;
+            }
+            if (cur == kEmptyKey)
+                return;
+            word = cur;
+        }
+    }
+
+    /** Insert the keys whose extents start in bitmap words [lo, hi).
+     *  Each group of kInsertGroup keys prefetches its reference
+     *  k-mers, then its home slots, then inserts. */
+    template <bool Concurrent>
+    void
+    fillRange(const FillWords &fw, u64 lo, u64 hi) const
+    {
+        const u32 *positions = idx._positions.data();
+        u64 ext[kInsertGroup], word[kInsertGroup], home[kInsertGroup];
+        u64 n = 0;
+        auto flush = [&] {
+            for (u64 i = 0; i < n; ++i)
+                prefetchForRead(ref.data() + positions[ext[i]]);
+            for (u64 i = 0; i < n; ++i) {
+                const u64 key = idx.packKmer(ref, positions[ext[i]]);
+                word[i] = fw.encode(key, ext[i]);
+                home[i] = idx.slotOf(key);
+                prefetchForWrite(&idx._table[home[i]]);
+            }
+            for (u64 i = 0; i < n; ++i)
+                insert<Concurrent>(fw, word[i], home[i]);
+            n = 0;
+        };
+        for (u64 w = lo; w < hi; ++w) {
+            for (u64 bits = starts[w]; bits != 0; bits &= bits - 1) {
+                ext[n++] = 64 * w + static_cast<u64>(std::countr_zero(bits));
+                if (n == kInsertGroup)
+                    flush();
+            }
+        }
+        flush();
+    }
+
+    /** Fill the table with every key's fill word, in parallel over
+     *  runs of the extent-start bitmap; width 1 skips the atomics. */
+    void
+    fillTable() const
+    {
+        const FillWords fw(idx._k, kmers, idx._positions.data());
+        if (width <= 1) {
+            fillRange<false>(fw, 0, starts.size());
+            return;
+        }
+        runRegion(starts.size(), width, [&](unsigned, u64 lo, u64 hi) {
+            fillRange<true>(fw, lo, hi);
+        });
+    }
+
+    /** First extent start at or after postings entry j (kmers when
+     *  none is left). */
+    u64
+    nextStart(u64 j) const
+    {
+        u64 w = j / 64;
+        if (w >= starts.size())
+            return kmers;
+        u64 bits = starts[w] & (~u64{0} << (j % 64));
+        while (bits == 0) {
+            if (++w == starts.size())
+                return kmers;
+            bits = starts[w];
+        }
+        return 64 * w + static_cast<u64>(std::countr_zero(bits));
+    }
+
+    /** Turn every fill word into its {key, offset, count} entry, in
+     *  parallel over slot ranges. */
+    void
+    decodeTable()
+    {
+        const FillWords fw(idx._k, kmers, idx._positions.data());
+        std::vector<u32> max_hits(width, 0);
+        runRegion(idx._table.size(), width,
+                  [&](unsigned slot, u64 lo, u64 hi) {
+            u32 max_hit = max_hits[slot];
+            for (u64 s = lo; s < hi; ++s) {
+                Entry &e = idx._table[s];
+                if (e.key == kEmptyKey)
+                    continue;
+                const u64 ext = fw.ext(e.key);
+                const auto count =
+                    static_cast<u32>(nextStart(ext + 1) - ext);
+                e = {fw.key(e.key), static_cast<u32>(ext), count};
+                max_hit = std::max(max_hit, count);
             }
             max_hits[slot] = max_hit;
         });
         idx._maxHits = *std::max_element(max_hits.begin(), max_hits.end());
-    }
-
-    /** Pass 2: each runner owns a key range cut at bucket bounds (one
-     *  contiguous run of postings, about 1/width of them), scans the
-     *  reference in position order and fills only its own keys, so
-     *  every key's postings ascend. */
-    void
-    fillPostings()
-    {
-        idx._positions.assign(kmers, 0);
-        std::vector<u64> cut(width + 1, buckets);
-        for (unsigned r = 0; r < width; ++r)
-            cut[r] = static_cast<u64>(
-                std::lower_bound(postStart.begin(), postStart.end(),
-                                 kmers * r / width) -
-                postStart.begin());
-        runRegion(width, width, [&](unsigned, u64 lo, u64 hi) {
-            for (u64 r = lo; r < hi; ++r)
-                fillRange(cut[r] << lowBits, cut[r + 1] << lowBits);
-        }, 1);
-    }
-
-    /** Fill the postings of keys in [key_lo, key_hi), keeping up to
-     *  kFillQueue prefetched probes in flight (FIFO, so each key's
-     *  positions still arrive in ascending order). */
-    void
-    fillRange(u64 key_lo, u64 key_hi)
-    {
-        struct Pending
-        {
-            u64 key;
-            u64 slot;
-            u32 pos;
-        };
-        std::vector<Entry> &table = idx._table;
-        auto fill = [&](const Pending &q) {
-            u64 slot = q.slot;
-            while (table[slot].key != q.key)
-                slot = (slot + 1) & idx._mask;
-            Entry &e = table[slot];
-            idx._positions[e.offset + e.count++] = q.pos;
-        };
-        Pending queue[kFillQueue];
-        u64 queued = 0;
-        KmerKeys keys(ref, idx._k, 0);
-        for (u64 p = 0; p < kmers; ++p, keys.advance()) {
-            const u64 key = keys.key();
-            if (key - key_lo >= key_hi - key_lo)
-                continue;
-            const u64 slot = idx.slotOf(key);
-            prefetchForWrite(&table[slot]);
-            Pending &q = queue[queued % kFillQueue];
-            if (queued >= kFillQueue)
-                fill(q);
-            q = {key, slot, static_cast<u32>(p)};
-            ++queued;
-        }
-        for (u64 i = queued > kFillQueue ? queued - kFillQueue : 0;
-             i < queued; ++i)
-            fill(queue[i % kFillQueue]);
     }
 };
 
@@ -355,22 +475,49 @@ FlatKmerIndex::FlatKmerIndex(const Seq &ref, u32 k, unsigned threads)
         return;
     }
     const u64 kmers = ref.size() - k + 1;
-
-    // <= 50% load so linear probe chains stay short; the table is
-    // sized for the worst case (every k-mer distinct) to keep the
-    // build single-pass over the upserts.
-    const u64 slots = std::bit_ceil(std::max<u64>(16, 2 * kmers));
-    _table.assign(slots, Entry{});
-    _mask = slots - 1;
-
-    // Postings extents go out in ascending key order, so the layout
-    // (and hence any iteration the tests do) is independent of the
-    // hash function and table size.
     Builder b(*this, ref, kmers, threads);
-    b.insertAll();
-    b.assignExtents(b.keysByBucket());
-    b.fillPostings();
+    {
+        // The sort buffer is freed before the table is allocated, so
+        // the two are never held at once.
+        std::vector<u32> bucket_start(b.buckets + 1);
+        auto words = b.wordsByBucket(bucket_start);
+        b.sortBuckets(words.data(), bucket_start);
+        b.extractPostings(words.data());
+    }
+
+    // <= 50% load so linear probe chains stay short, sized for the
+    // worst case (every k-mer distinct). Allocated uninitialized and
+    // first touched by the runners that fill it.
+    const u64 slots = std::bit_ceil(std::max<u64>(16, 2 * kmers));
+    _table.resize(slots);
+    _mask = slots - 1;
+    runRegion(slots, b.width, [&](unsigned, u64 lo, u64 hi) {
+        std::fill(_table.begin() + static_cast<i64>(lo),
+                  _table.begin() + static_cast<i64>(hi), Entry{});
+    });
+    b.fillTable();
+    b.decodeTable();
     bindOwned();
+}
+
+void
+FlatKmerIndex::adviseHugePages(void *p, size_t bytes)
+{
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+    if (bytes < kHugePageAdviceBytes)
+        return;
+    // madvise wants whole pages: advise the ones inside the array.
+    const auto page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+    const auto begin = reinterpret_cast<uintptr_t>(p);
+    const uintptr_t lo = (begin + page - 1) & ~(page - 1);
+    const uintptr_t hi = (begin + bytes) & ~(page - 1);
+    if (hi > lo)
+        (void)::madvise(reinterpret_cast<void *>(lo), hi - lo,
+                        MADV_HUGEPAGE);
+#else
+    (void)p;
+    (void)bytes;
+#endif
 }
 
 FlatKmerIndex::FlatKmerIndex(const FlatKmerIndex &other)

@@ -21,11 +21,14 @@
  * line so batched offset loops (SmemEngine's exact-match path) can
  * overlap the dependent loads of consecutive lookups.
  *
- * The build inserts every k-mer in reference order on the calling
- * thread (that order fixes the slot layout snapshots store), then
- * orders the keys by a linear-time bucket pass and fills the postings
- * by key range, both on up to `threads` pool runners. The table and
- * postings are byte-identical at every width.
+ * The build has no serial pass. On up to `threads` pool runners, a
+ * counting sort of every k-mer's (key, position) word writes the
+ * postings in key order and marks where each key's extent starts;
+ * the table is then filled by ordered linear probing with each key's
+ * first occurrence as its priority, which yields exactly the slot
+ * layout of inserting the k-mers in reference order (the layout
+ * snapshots store). The table and postings are byte-identical at
+ * every width (DESIGN.md §6b-bis).
  *
  * All hardware footprint reporting (indexTableBytes,
  * positionTableBytes) still models the paper's dense SRAM tables —
@@ -37,8 +40,10 @@
 #ifndef GENAX_SEED_FLAT_KMER_INDEX_HH
 #define GENAX_SEED_FLAT_KMER_INDEX_HH
 
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/dna.hh"
@@ -261,6 +266,44 @@ class FlatKmerIndex
   private:
     friend class FlatKmerIndexMapping;
     struct Builder; //!< the building constructor's phases
+
+    /** Ask the kernel to back [p, p + bytes) with transparent huge
+     *  pages when it is big enough to gain: the build writes its
+     *  arrays at random, so this cuts page faults and TLB misses.
+     *  Advice only; without it (or off Linux) nothing changes. */
+    static void adviseHugePages(void *p, size_t bytes);
+
+    /** Value-initialization is a no-op, so the build sizes its arrays
+     *  without touching them and the runners that fill them
+     *  first-touch their own ranges; big arrays ask for huge pages. */
+    template <typename T>
+    struct UninitAllocator : std::allocator<T>
+    {
+        UninitAllocator() = default;
+        template <typename U>
+        UninitAllocator(const UninitAllocator<U> &) noexcept
+        {
+        }
+        T *
+        allocate(size_t n)
+        {
+            T *p = std::allocator<T>::allocate(n);
+            adviseHugePages(p, n * sizeof(T));
+            return p;
+        }
+        template <typename U>
+        void
+        construct(U *) noexcept
+        {
+        }
+        template <typename U, typename... Args>
+        void
+        construct(U *p, Args &&...args)
+        {
+            std::construct_at(p, std::forward<Args>(args)...);
+        }
+    };
+
     FlatKmerIndex() = default; //!< storage bound by view()
 
     /** Point the lookup pointers at the owning vectors (after a
@@ -290,9 +333,9 @@ class FlatKmerIndex
     u32 _maxHits = 0;
     u64 _distinct = 0;
     u64 _mask = 0;
-    std::vector<Entry> _table;
-    std::vector<u32> _positions; //!< contiguous postings, per-key
-                                 //!< extents in ascending order
+    std::vector<Entry, UninitAllocator<Entry>> _table;
+    /** Contiguous postings, per-key extents in ascending key order. */
+    std::vector<u32, UninitAllocator<u32>> _positions;
     // All accessors go through these; they alias the vectors above
     // when owning, or external snapshot storage when borrowed.
     const Entry *_tablePtr = nullptr;

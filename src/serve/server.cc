@@ -1,6 +1,8 @@
 #include "serve/server.hh"
 
+#include <exception>
 #include <memory>
+#include <new>
 #include <system_error>
 #include <utility>
 
@@ -120,8 +122,49 @@ Server::acceptLoop()
     }
 }
 
+namespace {
+
+/** Best-effort Error frame for a connection whose handler threw; it
+ *  may itself run out of memory, so it swallows everything. */
+void
+sendHandlerFailure(Socket &sock, const char *what) noexcept
+{
+    try {
+        GENAX_WARN("connection handler failed: ", what);
+        (void)sock.sendFrame(
+            FrameType::Error,
+            encodeError(internalError(
+                std::string("daemon failed while serving the "
+                            "connection: ") +
+                what)));
+    } catch (...) {
+    }
+}
+
+} // namespace
+
 void
 Server::handleConnection(Socket sock, size_t slot)
+{
+    // An exception escaping the conversation (std::bad_alloc for a
+    // frame buffer, say) ends this connection, not the daemon: the
+    // client gets a best-effort Error frame and the slot is returned.
+    try {
+        converse(sock);
+    } catch (const std::exception &e) {
+        sendHandlerFailure(sock, e.what());
+    } catch (...) {
+        sendHandlerFailure(sock, "unknown exception");
+    }
+    sock.close();
+    _connectionsServed.fetch_add(1, std::memory_order_relaxed);
+    const MutexLock lk(_mu);
+    _fds[slot] = -1;
+    _finished.push_back(slot);
+}
+
+void
+Server::converse(Socket &sock)
 {
     // Handshake: Hello (tenant name) → HelloAck (SAM header).
     std::string tenant = "anonymous";
@@ -154,6 +197,8 @@ Server::handleConnection(Socket sock, size_t slot)
                                " dropped: ", frame.status().str());
                 break;
             }
+            if (faultFires(fault::kServeHandlerThrow)) [[unlikely]]
+                throw std::bad_alloc();
             if (frame->type == FrameType::AlignRequest) {
                 auto reads = decodeAlignRequest(frame->payload);
                 if (!reads.ok()) {
@@ -193,12 +238,6 @@ Server::handleConnection(Socket sock, size_t slot)
             }
         }
     } while (false);
-
-    sock.close();
-    _connectionsServed.fetch_add(1, std::memory_order_relaxed);
-    const MutexLock lk(_mu);
-    _fds[slot] = -1;
-    _finished.push_back(slot);
 }
 
 } // namespace genax

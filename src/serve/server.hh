@@ -7,7 +7,11 @@
  * concurrent connections, not the number ever served. When no thread
  * can be started the connection gets a ResourceExhausted Error frame
  * and the daemon carries on; fault site serve.spawn.fail takes that
- * path as if thread creation had failed.
+ * path as if thread creation had failed. An exception escaping a
+ * handler (std::bad_alloc for a frame buffer, say) ends only its
+ * connection: the client gets a best-effort Internal Error frame and
+ * the slot is returned; fault site serve.handler.throw throws
+ * std::bad_alloc after a request frame arrives.
  *
  * Per-connection conversation (protocol.hh): Hello → HelloAck (the
  * daemon's SAM header text), then any number of AlignRequests — each
@@ -75,7 +79,11 @@ class Server
 
   private:
     void acceptLoop();
+    /** A connection's thread: converse, then return the slot, whatever
+     *  the conversation threw. */
     void handleConnection(Socket sock, size_t slot);
+    /** Handshake, then requests until the stream ends. */
+    void converse(Socket &sock);
 
     AlignService &_service;
     Batcher &_batcher;

@@ -56,26 +56,42 @@ buildReadCandidates(const SeedIndex &index, const Seq &ref,
 }
 
 /**
- * Collect every extension of every candidate into `jobs`. The windows
- * are owned by `cands`, which must not reallocate afterwards. Each
- * slot records (candidate index, is_left) for the scatter.
+ * Collect every extension of every candidate into `jobs`, and in
+ * `hints` the field its score lands in. The windows and hints are
+ * owned by `cands`, which must not reallocate afterwards.
  */
 void
-gatherJobs(const std::vector<ScoredCandidate> &cands, u32 base,
+gatherJobs(std::vector<ScoredCandidate> &cands,
            std::vector<simd::ExtendJob> &jobs,
-           std::vector<std::pair<u32, bool>> &slots)
+           std::vector<BandedExtendScore *> &hints)
 {
-    for (u32 i = 0; i < cands.size(); ++i) {
-        const ExtendWindows &w = cands[i].win;
+    for (ScoredCandidate &c : cands) {
+        const ExtendWindows &w = c.win;
         if (w.hasRight) {
             jobs.push_back({&w.right, &w.rightQry});
-            slots.emplace_back(base + i, false);
+            hints.push_back(&c.rightHint);
         }
         if (w.hasLeft) {
             jobs.push_back({&w.left, &w.leftQry});
-            slots.emplace_back(base + i, true);
+            hints.push_back(&c.leftHint);
         }
     }
+}
+
+/** Score jobs [lo, hi) as one inter-sequence batch and store each
+ *  score in its hint. */
+void
+scoreJobs(const std::vector<simd::ExtendJob> &jobs,
+          const std::vector<BandedExtendScore *> &hints, u64 lo, u64 hi,
+          const AlignerConfig &cfg)
+{
+    const std::vector<simd::ExtendJob> batch(
+        jobs.begin() + static_cast<i64>(lo),
+        jobs.begin() + static_cast<i64>(hi));
+    const auto scores =
+        simd::scoreCandidateBatch(batch, cfg.scoring, cfg.band);
+    for (u64 j = lo; j < hi; ++j)
+        *hints[j] = scores[j - lo];
 }
 
 /** Once both hints are in place, a candidate's final mapping score
@@ -102,14 +118,9 @@ scoreReadCandidates(const SeedIndex &index, const Seq &ref,
 {
     auto cands = buildReadCandidates(index, ref, cfg, read);
     std::vector<simd::ExtendJob> jobs;
-    std::vector<std::pair<u32, bool>> slots;
-    gatherJobs(cands, 0, jobs, slots);
-    const auto scores =
-        simd::scoreCandidateBatch(jobs, cfg.scoring, cfg.band);
-    for (size_t s = 0; s < slots.size(); ++s) {
-        ScoredCandidate &c = cands[slots[s].first];
-        (slots[s].second ? c.leftHint : c.rightHint) = scores[s];
-    }
+    std::vector<BandedExtendScore *> hints;
+    gatherJobs(cands, jobs, hints);
+    scoreJobs(jobs, hints, 0, jobs.size(), cfg);
     applyHints(cands, cfg);
     return cands;
 }
@@ -242,14 +253,15 @@ std::vector<Mapping>
 BwaMemLike::alignAll(const std::vector<Seq> &reads) const
 {
     // Three-phase batch path. Scoring one read's handful of extension
-    // jobs cannot fill a 16-lane vector group, so the batch is
-    // aggregated across the whole read set: (1) seed and build
-    // windows in parallel, (2) score every extension of every read in
-    // one inter-sequence SIMD batch, (3) select winners and run their
-    // tracebacks in parallel. Per-job scores are independent of batch
-    // composition (the equivalence suite fuzzes exactly this), so the
-    // output is byte-identical to per-read alignRead() calls at any
-    // thread count and any dispatch tier.
+    // jobs cannot fill a 16-lane vector group, so the jobs are pooled
+    // across the whole read set: (1) seed and build windows in
+    // parallel, (2) score the pooled jobs in shards of whole 16-lane
+    // groups, one inter-sequence SIMD batch per shard, in parallel,
+    // (3) select winners and run their tracebacks in parallel.
+    // Per-job scores are independent of batch composition (the
+    // equivalence suite fuzzes exactly this), so the output is
+    // byte-identical to per-read alignRead() calls at any thread
+    // count and any dispatch tier.
     std::vector<std::vector<ScoredCandidate>> all(reads.size());
     parallelFor(reads.size(), _cfg.threads, [&](u64 lo, u64 hi) {
         for (u64 i = lo; i < hi; ++i)
@@ -257,30 +269,20 @@ BwaMemLike::alignAll(const std::vector<Seq> &reads) const
     });
 
     std::vector<simd::ExtendJob> jobs;
-    std::vector<std::pair<u32, bool>> slots;
-    std::vector<u32> bases(reads.size());
+    std::vector<BandedExtendScore *> hints;
     u64 total_cands = 0;
     for (const auto &cands : all)
         total_cands += cands.size();
     jobs.reserve(2 * total_cands);
-    slots.reserve(2 * total_cands);
-    u32 base = 0;
-    for (size_t i = 0; i < reads.size(); ++i) {
-        bases[i] = base;
-        gatherJobs(all[i], base, jobs, slots);
-        base += static_cast<u32>(all[i].size());
-    }
-    const auto scores =
-        simd::scoreCandidateBatch(jobs, _cfg.scoring, _cfg.band);
-    for (size_t s = 0; s < slots.size(); ++s) {
-        // Map the flat candidate index back to its read's list.
-        const u32 flat = slots[s].first;
-        const size_t read_idx = static_cast<size_t>(
-            std::upper_bound(bases.begin(), bases.end(), flat) -
-            bases.begin() - 1);
-        ScoredCandidate &c = all[read_idx][flat - bases[read_idx]];
-        (slots[s].second ? c.leftHint : c.rightHint) = scores[s];
-    }
+    hints.reserve(2 * total_cands);
+    for (auto &cands : all)
+        gatherJobs(cands, jobs, hints);
+    constexpr u64 kLaneGroup = 16;
+    const u64 groups = (jobs.size() + kLaneGroup - 1) / kLaneGroup;
+    parallelFor(groups, _cfg.threads, [&](u64 lo, u64 hi) {
+        scoreJobs(jobs, hints, lo * kLaneGroup,
+                  std::min<u64>(jobs.size(), hi * kLaneGroup), _cfg);
+    });
 
     std::vector<Mapping> out(reads.size());
     parallelFor(reads.size(), _cfg.threads, [&](u64 lo, u64 hi) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -226,6 +227,148 @@ TEST_P(FlatKmerIndexWidthTest, BuildIsByteIdenticalAtEveryWidth)
 
 INSTANTIATE_TEST_SUITE_P(Ks, FlatKmerIndexWidthTest,
                          ::testing::Values(1u, 3u, 7u, 12u, 13u));
+
+/** A key's first probe slot: the splitmix64 finalizer over the key
+ *  plus kFlatIndexHashSeed, masked to the table. */
+u64
+homeSlot(u64 key, u64 mask)
+{
+    u64 h = key + kFlatIndexHashSeed;
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    return (h ^ (h >> 31)) & mask;
+}
+
+/**
+ * The serial build that the parallel one replaced, kept as its layout
+ * oracle: insert every k-mer in reference order by linear probing from
+ * its splitmix64 home slot (so keys sit in first-occurrence order along
+ * each probe run), then give the keys postings extents in ascending key
+ * order and fill each extent in position order.
+ */
+struct SerialFlatLayout
+{
+    std::vector<FlatKmerIndex::Entry> table;
+    std::vector<u32> positions;
+    u32 maxHits = 0;
+    u64 distinct = 0;
+    u64 wrapped = 0;  //!< keys stored below their home slot
+    u64 clusters = 0; //!< runs of two or more occupied slots
+
+    SerialFlatLayout(const Seq &ref, u32 k)
+    {
+        if (ref.size() < k) {
+            table.assign(2, {});
+            return;
+        }
+        const u64 kmers = ref.size() - k + 1;
+        table.assign(std::bit_ceil(std::max<u64>(16, 2 * kmers)), {});
+        const u64 mask = table.size() - 1;
+        auto keyAt = [&](u64 p) {
+            u64 key = 0;
+            for (u32 i = 0; i < k; ++i)
+                key |= static_cast<u64>(ref[p + i] & 3) << (2 * i);
+            return key;
+        };
+        // The key's slot, or the empty slot where it would go.
+        auto findSlot = [&](u64 key) {
+            u64 slot = homeSlot(key, mask);
+            while (table[slot].key != key &&
+                   table[slot].key != FlatKmerIndex::kEmptyKey)
+                slot = (slot + 1) & mask;
+            return slot;
+        };
+        for (u64 p = 0; p < kmers; ++p) {
+            const u64 key = keyAt(p);
+            FlatKmerIndex::Entry &e = table[findSlot(key)];
+            if (e.key == key) {
+                ++e.count;
+                continue;
+            }
+            e = {key, 0, 1};
+            ++distinct;
+        }
+        std::vector<std::pair<u64, u64>> keys; // (key, slot)
+        for (u64 s = 0; s < table.size(); ++s)
+            if (table[s].key != FlatKmerIndex::kEmptyKey)
+                keys.emplace_back(table[s].key, s);
+        std::sort(keys.begin(), keys.end());
+        u32 offset = 0;
+        for (const auto &[key, s] : keys) {
+            table[s].offset = offset;
+            offset += table[s].count;
+            maxHits = std::max(maxHits, table[s].count);
+            table[s].count = 0;
+        }
+        positions.resize(kmers);
+        for (u64 p = 0; p < kmers; ++p) {
+            FlatKmerIndex::Entry &e = table[findSlot(keyAt(p))];
+            positions[e.offset + e.count++] = static_cast<u32>(p);
+        }
+
+        // Probe runs start after an empty slot; the load is at most 50%
+        // so there is one.
+        u64 first_empty = 0;
+        while (table[first_empty].key != FlatKmerIndex::kEmptyKey)
+            ++first_empty;
+        u64 run = 0;
+        for (u64 i = 1; i <= table.size(); ++i) {
+            const u64 s = (first_empty + i) & mask;
+            if (table[s].key == FlatKmerIndex::kEmptyKey) {
+                clusters += run >= 2 ? 1 : 0;
+                run = 0;
+                continue;
+            }
+            ++run;
+            wrapped += s < homeSlot(table[s].key, mask) ? 1 : 0;
+        }
+    }
+};
+
+// The parallel build (a counting sort, then ordered linear probing by
+// first occurrence) must lay the table out exactly as the serial
+// reference-order insertion did, byte for byte, at every width.
+TEST(FlatKmerIndex, MatchesTheSerialReferenceOrderLayout)
+{
+    u64 wrapped = 0, clusters = 0;
+    for (const u32 k : {1u, 2u, 3u, 7u, 12u, 13u}) {
+        Rng rng(720 + k);
+        const std::vector<std::pair<std::string, Seq>> refs = {
+            {"random 4 kbp", randomSeq(rng, 4000)},
+            {"readsim 200 kbp, 30% repeats", repeatRichReference()},
+            {"poly-A", Seq(3000, kBaseA)},
+            {"length k", randomSeq(rng, k)},
+            {"shorter than k", randomSeq(rng, k - 1)},
+        };
+        for (const auto &[name, ref] : refs) {
+            const SerialFlatLayout serial(ref, k);
+            wrapped += serial.wrapped;
+            clusters += serial.clusters;
+            for (const unsigned width : {1u, 2u, 3u, 0u}) {
+                const FlatKmerIndex flat(ref, k, width);
+                const auto where = ::testing::Message()
+                                   << name << ", k " << k << ", width "
+                                   << width;
+                const auto t = flat.tableSpan();
+                ASSERT_EQ(t.size(), serial.table.size()) << where;
+                EXPECT_EQ(std::memcmp(t.data(), serial.table.data(),
+                                      t.size_bytes()),
+                          0)
+                    << where;
+                const auto p = flat.positionsSpan();
+                EXPECT_TRUE(std::equal(p.begin(), p.end(),
+                                       serial.positions.begin(),
+                                       serial.positions.end()))
+                    << where;
+                EXPECT_EQ(flat.maxHitListSize(), serial.maxHits) << where;
+                EXPECT_EQ(flat.distinctKmers(), serial.distinct) << where;
+            }
+        }
+    }
+    // Displacement and wrap-around past the last slot both happened.
+    EXPECT_GT(clusters, 0u);
+    EXPECT_GT(wrapped, 0u);
+}
 
 TEST(FlatKmerIndex, PolyAKeyHoldsEveryPosition)
 {

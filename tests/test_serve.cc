@@ -696,5 +696,41 @@ TEST(ServeEndToEnd, FailedHandlerSpawnGetsResourceExhausted)
     conn.value().close();
 }
 
+TEST(ServeEndToEnd, HandlerExceptionEndsOnlyItsConnection)
+{
+    const Workload w = makeWorkload();
+    Stack s = startStack(w);
+    const Endpoint ep = s.server->boundEndpoint();
+    FaultInjector &fi = FaultInjector::instance();
+    fi.reset();
+
+    // The handler throws std::bad_alloc on the first request frame:
+    // the client gets an Internal Error frame, not a dead daemon.
+    auto doomed = ServeClient::connect(ep, "doomed", 5.0);
+    ASSERT_TRUE(doomed.ok()) << doomed.status().str();
+    fi.arm(fault::kServeHandlerThrow, {.fireOnNth = 1});
+    auto failed = doomed->align(std::vector<FastqRecord>(
+        w.reads.begin(), w.reads.begin() + 3));
+    fi.reset();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::Internal)
+        << failed.status().str();
+    doomed.value().close();
+
+    // The handler returned its slot, and the daemon serves the next
+    // client normally.
+    for (int spin = 0; spin < 500 && s.server->connectionsServed() < 1;
+         ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(s.server->connectionsServed(), 1u);
+    auto conn = ServeClient::connect(ep, "fine", 5.0);
+    ASSERT_TRUE(conn.ok()) << conn.status().str();
+    auto lines = conn->align(std::vector<FastqRecord>(
+        w.reads.begin(), w.reads.begin() + 3));
+    ASSERT_TRUE(lines.ok()) << lines.status().str();
+    EXPECT_EQ(lines->size(), 3u);
+    conn.value().close();
+}
+
 } // namespace
 } // namespace genax

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
 
 #include "common/rng.hh"
 #include "readsim/readsim.hh"
@@ -295,6 +296,59 @@ TEST_F(BwaMemLikeTest, MapqReflectsUniqueness)
     const auto dm = dup_aligner.alignRead(rep);
     ASSERT_TRUE(dm.mapped);
     EXPECT_EQ(dm.mapq, 0);
+}
+
+// alignAll scores the pooled extension jobs in shards of whole 16-lane
+// groups. Read counts around one lane group, one shard-sized batch and
+// a serving batch put partial groups and a shard's scalar tail at
+// every width; each mapping must equal the read's own alignRead().
+TEST(BwaMemLikeShards, AlignAllMatchesAlignReadAtEveryShardBoundary)
+{
+    RefGenConfig rcfg;
+    rcfg.length = 200'000;
+    rcfg.seed = 18;
+    rcfg.repeatFraction = 0.30;
+    const Seq ref = generateReference(rcfg);
+    ReadSimConfig rs;
+    rs.numReads = 4097;
+    rs.seed = 18;
+    rs.baseErrorRate = 0.02;
+    rs.readIndelRate = 0.001;
+    rs.snpRate = 0.005;
+    std::vector<Seq> reads;
+    for (auto &r : simulateReads(ref, rs))
+        reads.push_back(std::move(r.seq));
+
+    AlignerConfig cfg;
+    cfg.k = 12;
+    const BwaMemLike serial(ref, cfg);
+    std::vector<Mapping> expect;
+    for (const Seq &read : reads)
+        expect.push_back(serial.alignRead(read));
+
+    for (const unsigned width : {1u, 2u, 3u, 0u}) {
+        cfg.threads = width;
+        const BwaMemLike aligner(ref, cfg);
+        for (const size_t n : {1, 15, 16, 17, 255, 256, 257, 4097}) {
+            const std::vector<Seq> batch(
+                reads.begin(), reads.begin() + static_cast<i64>(n));
+            const auto got = aligner.alignAll(batch);
+            ASSERT_EQ(got.size(), n);
+            for (size_t i = 0; i < n; ++i) {
+                const Mapping &e = expect[i];
+                const Mapping &g = got[i];
+                const auto where = ::testing::Message()
+                                   << "width " << width << ", " << n
+                                   << " reads, read " << i;
+                ASSERT_EQ(g.mapped, e.mapped) << where;
+                ASSERT_EQ(g.pos, e.pos) << where;
+                ASSERT_EQ(g.reverse, e.reverse) << where;
+                ASSERT_EQ(g.score, e.score) << where;
+                ASSERT_EQ(g.mapq, e.mapq) << where;
+                ASSERT_EQ(g.cigar, e.cigar) << where;
+            }
+        }
+    }
 }
 
 } // namespace
