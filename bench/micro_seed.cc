@@ -2,17 +2,22 @@
  * @file
  * Microbenchmarks for the seeding accelerator substrate: index
  * construction and per-read SMEM computation (exact and mutated
- * reads), plus the whole-read software aligner for context.
+ * reads, against one index and against a snapshot's segment views),
+ * plus the whole-read software aligner for context.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
 #include <map>
+#include <optional>
 
+#include "common/check.hh"
 #include "readsim/readsim.hh"
 #include "readsim/refgen.hh"
 #include "seed/fm_seeder.hh"
 #include "seed/flat_kmer_index.hh"
+#include "seed/index_snapshot.hh"
 #include "seed/kmer_index.hh"
 #include "seed/smem_engine.hh"
 #include "swbase/bwamem_like.hh"
@@ -191,6 +196,83 @@ BM_SmemSeedNoFastPath(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SmemSeedNoFastPath);
+
+/** An 8 Mbp, 5%-repeat reference's snapshot in 8 segments at k 12
+ *  (the paper-short workload's geometry) and 4,000 readsim reads
+ *  with their reverse complements, made once. */
+struct SegmentedWorkload
+{
+    std::optional<IndexSnapshot> snap;
+    std::vector<Seq> oriented;
+    u64 reads = 4000;
+};
+
+const SegmentedWorkload &
+segmentedWorkload()
+{
+    static const SegmentedWorkload w = [] {
+        SegmentedWorkload out;
+        const Seq &ref = sizedRef(8'000'000);
+        const auto dir = std::filesystem::temp_directory_path() /
+                         "genax_micro_seed_segments";
+        std::filesystem::create_directories(dir);
+        const std::string path = (dir / "ref.gxs").string();
+        SegmentConfig cfg;
+        cfg.k = 12;
+        cfg.segmentCount = 8;
+        cfg.overlap = 256;
+        GENAX_CHECK(IndexSnapshot::build(path, ref,
+                                         {{"chr1", 0, ref.size()}}, cfg)
+                        .ok(),
+                    "snapshot build failed");
+        auto snap = IndexSnapshot::open(path);
+        GENAX_CHECK(snap.ok(), "snapshot open failed");
+        out.snap = std::move(*snap);
+        // The mapping outlives the directory entry.
+        std::filesystem::remove_all(dir);
+        ReadSimConfig rs;
+        rs.numReads = out.reads;
+        rs.seed = 57;
+        for (const SimRead &r : simulateReads(ref, rs)) {
+            out.oriented.push_back(r.seq);
+            out.oriented.push_back(reverseComplement(r.seq));
+        }
+        return out;
+    }();
+    return w;
+}
+
+/**
+ * GenAx's host seeding at width 1: both strands of every read against
+ * every segment view, segment by segment. Most lookups ask a segment
+ * for a k-mer it does not hold. Counters: wall-clock µs per read (all
+ * segments, both strands; printed in µs) and modelled index
+ * lookups per read.
+ */
+void
+BM_SegmentedSeeding(benchmark::State &state)
+{
+    const SegmentedWorkload &w = segmentedWorkload();
+    std::vector<FlatKmerIndex> views;
+    for (u64 seg = 0; seg < w.snap->segmentCount(); ++seg)
+        views.push_back(w.snap->segmentView(seg));
+    u64 lookups = 0;
+    for (auto _ : state) {
+        for (const FlatKmerIndex &view : views) {
+            SmemEngine engine(view, {});
+            for (const Seq &o : w.oriented)
+                benchmark::DoNotOptimize(engine.seed(o).size());
+            lookups += engine.stats().indexLookups;
+        }
+    }
+    const double reads =
+        static_cast<double>(state.iterations() * w.reads);
+    state.counters["time_per_read"] = benchmark::Counter(
+        reads, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.counters["lookups_per_read"] =
+        static_cast<double>(lookups) / reads;
+}
+BENCHMARK(BM_SegmentedSeeding)->Unit(benchmark::kMillisecond);
 
 void
 BM_FmIndexBuild(benchmark::State &state)

@@ -24,13 +24,32 @@
 namespace genax {
 
 ContigMap::ContigMap(const std::vector<FastaRecord> &contigs)
+    : ContigMap(std::vector<FastaRecord>(contigs))
+{
+}
+
+ContigMap::ContigMap(std::vector<FastaRecord> &&contigs)
 {
     GENAX_CHECK(!contigs.empty(), "reference has no contigs");
-    for (const auto &rec : contigs) {
-        GENAX_CHECK(!rec.seq.empty(), "empty contig: ", rec.name);
-        _contigs.push_back({rec.name, _seq.size(), rec.seq.size()});
-        _seq.insert(_seq.end(), rec.seq.begin(), rec.seq.end());
+    const bool one = contigs.size() == 1;
+    if (!one) {
+        u64 total = 0;
+        for (const auto &rec : contigs)
+            total += rec.seq.size();
+        _seq.reserve(total);
     }
+    for (auto &rec : contigs) {
+        GENAX_CHECK(!rec.seq.empty(), "empty contig: ", rec.name);
+        _contigs.push_back({std::move(rec.name), _seq.size(),
+                            rec.seq.size()});
+        if (one) {
+            _seq = std::move(rec.seq);
+        } else {
+            _seq.insert(_seq.end(), rec.seq.begin(), rec.seq.end());
+            Seq().swap(rec.seq);
+        }
+    }
+    contigs.clear();
 }
 
 std::pair<size_t, u64>
@@ -245,10 +264,18 @@ StatusOr<std::unique_ptr<AlignEngine>>
 AlignEngine::create(const std::vector<FastaRecord> &ref,
                     const EngineOptions &opts)
 {
+    return create(std::vector<FastaRecord>(ref), opts);
+}
+
+StatusOr<std::unique_ptr<AlignEngine>>
+AlignEngine::create(std::vector<FastaRecord> &&ref,
+                    const EngineOptions &opts)
+{
     GENAX_TRY(validateReference(ref));
     // No make_unique: the constructor is private.
     // genax-lint: allow(naked-new): one engine per run, not per-read scratch
-    std::unique_ptr<AlignEngine> engine(new AlignEngine(ref, opts));
+    auto *made = new AlignEngine(ContigMap(std::move(ref)), opts);
+    std::unique_ptr<AlignEngine> engine(made);
     if (!opts.indexSnapshot.empty()) {
         GENAX_TRY_ASSIGN(engine->_attach,
                          attachIndexSnapshot(opts.indexSnapshot,
@@ -330,21 +357,20 @@ struct ReadSource
 
 /**
  * The one pipeline driver: every front end streams its reads through
- * here, batch by batch, into one AlignEngine, and gets SAM in input
- * order plus the outcome ledger back. `open_out`, when set, opens
- * `out` once the first batch is in hand, so a run that fails reading
- * it leaves no output file behind.
+ * here, batch by batch, into the AlignEngine it created, and gets SAM
+ * in input order plus the outcome ledger back. `open_out`, when set,
+ * opens `out` once the first batch is in hand, so a run that fails
+ * reading it leaves no output file behind.
  */
 StatusOr<PipelineResult>
-drive(const std::vector<FastaRecord> &ref, const ReadSource &src,
-      std::ostream &out, const PipelineOptions &opts,
+drive(AlignEngine &engine, const ReadSource &src, std::ostream &out,
+      const PipelineOptions &opts,
       const std::function<Status()> &open_out = {})
 {
-    GENAX_TRY_ASSIGN(const auto engine, AlignEngine::create(ref, opts));
-    const ContigMap &contigs = engine->contigs();
+    const ContigMap &contigs = engine.contigs();
     PipelineResult res;
-    res.softwareFallback = engine->softwareFallback();
-    const IndexAttachment &att = engine->indexAttachment();
+    res.softwareFallback = engine.softwareFallback();
+    const IndexAttachment &att = engine.indexAttachment();
     res.indexFromSnapshot = att.fromSnapshot;
     res.indexMapped = att.mapped;
     res.indexFallback = att.fallback;
@@ -455,7 +481,7 @@ drive(const std::vector<FastaRecord> &ref, const ReadSource &src,
         align_seconds +=
             std::chrono::duration<double>(t1 - t0).count();
     };
-    timed([&] { engine->begin(); });
+    timed([&] { engine.begin(); });
 
     Status failure = okStatus();
     for (;;) {
@@ -495,16 +521,16 @@ drive(const std::vector<FastaRecord> &ref, const ReadSource &src,
         }
 
         AlignEngine::Batch aligned;
-        timed([&] { aligned = engine->batch(seqs); });
+        timed([&] { aligned = engine.batch(seqs); });
         emitBatch(*sam, contigs, batch, failed, aligned, res);
         flush_stage();
     }
     flush_stage(); // the header alone, for an empty input
 
     if (failure.ok()) {
-        timed([&] { engine->end(); });
-        res.perf = engine->perf();
-        res.hostProfile = engine->hostProfile();
+        timed([&] { engine.end(); });
+        res.perf = engine.perf();
+        res.hostProfile = engine.hostProfile();
     }
     res.seconds = align_seconds;
 
@@ -536,8 +562,10 @@ alignToSam(const std::vector<FastaRecord> &ref,
            const std::vector<FastqRecord> &reads, std::ostream &out,
            const PipelineOptions &opts)
 {
-    return drive(ref, {.reader = nullptr, .reads = &reads, .context = ""},
-                 out, opts);
+    GENAX_TRY_ASSIGN(const auto engine, AlignEngine::create(ref, opts));
+    return drive(*engine,
+                 {.reader = nullptr, .reads = &reads, .context = ""}, out,
+                 opts);
 }
 
 StatusOr<PipelineResult>
@@ -545,8 +573,10 @@ alignStreamToSam(const std::vector<FastaRecord> &ref,
                  FastqReader &reads, std::ostream &out,
                  const PipelineOptions &opts)
 {
-    return drive(ref, {.reader = &reads, .reads = nullptr, .context = ""},
-                 out, opts);
+    GENAX_TRY_ASSIGN(const auto engine, AlignEngine::create(ref, opts));
+    return drive(*engine,
+                 {.reader = &reads, .reads = nullptr, .context = ""}, out,
+                 opts);
 }
 
 namespace {
@@ -602,13 +632,11 @@ pairedRecord(const ContigMap &contigs, const FastqRecord &read,
     return rec;
 }
 
-} // namespace
-
-StatusOr<PipelineResult>
-alignPairsToSam(const std::vector<FastaRecord> &ref,
+/** The mate files pair up and the reference is usable. */
+Status
+checkPairInputs(const std::vector<FastaRecord> &ref,
                 const std::vector<FastqRecord> &reads1,
-                const std::vector<FastqRecord> &reads2,
-                std::ostream &out, const PipelineOptions &opts)
+                const std::vector<FastqRecord> &reads2)
 {
     if (reads1.size() != reads2.size()) {
         return invalidInputError(
@@ -617,9 +645,16 @@ alignPairsToSam(const std::vector<FastaRecord> &ref,
             std::to_string(reads2.size()) +
             " (skipped malformed records can desynchronize mates)");
     }
-    GENAX_TRY(validateReference(ref));
-    const ContigMap contigs(ref);
+    return validateReference(ref);
+}
 
+/** alignPairsToSam() on checked inputs. */
+StatusOr<PipelineResult>
+alignPairs(const ContigMap &contigs,
+           const std::vector<FastqRecord> &reads1,
+           const std::vector<FastqRecord> &reads2, std::ostream &out,
+           const PipelineOptions &opts)
+{
     BwaMemLike aligner(contigs.sequence(), alignerConfig(opts));
     PairedAligner paired(aligner);
 
@@ -670,6 +705,18 @@ alignPairsToSam(const std::vector<FastaRecord> &ref,
     return res;
 }
 
+} // namespace
+
+StatusOr<PipelineResult>
+alignPairsToSam(const std::vector<FastaRecord> &ref,
+                const std::vector<FastqRecord> &reads1,
+                const std::vector<FastqRecord> &reads2,
+                std::ostream &out, const PipelineOptions &opts)
+{
+    GENAX_TRY(checkPairInputs(ref, reads1, reads2));
+    return alignPairs(ContigMap(ref), reads1, reads2, out, opts);
+}
+
 StatusOr<PipelineResult>
 alignPairFiles(const std::string &ref_fasta,
                const std::string &reads1_fastq,
@@ -679,7 +726,7 @@ alignPairFiles(const std::string &ref_fasta,
     ReaderOptions ropts;
     ropts.maxMalformed = opts.maxMalformed;
     ReaderStats ref_stats, read1_stats, read2_stats;
-    GENAX_TRY_ASSIGN(const auto ref,
+    GENAX_TRY_ASSIGN(auto ref,
                      readFastaFile(ref_fasta, ropts, &ref_stats));
     GENAX_TRY_ASSIGN(const auto reads1,
                      readFastqFile(reads1_fastq, ropts, &read1_stats));
@@ -688,8 +735,10 @@ alignPairFiles(const std::string &ref_fasta,
     std::ofstream out(out_sam);
     if (!out)
         return ioErrorFromErrno("cannot open output SAM", out_sam);
+    GENAX_TRY(checkPairInputs(ref, reads1, reads2));
     GENAX_TRY_ASSIGN(PipelineResult res,
-                     alignPairsToSam(ref, reads1, reads2, out, opts));
+                     alignPairs(ContigMap(std::move(ref)), reads1, reads2,
+                                out, opts));
     // An ofstream buffers; ENOSPC/EIO may only surface at the final
     // flush, and the destructor swallows it — flush and check here
     // so a short SAM file can never look like success.
@@ -715,12 +764,14 @@ alignFiles(const std::string &ref_fasta, const std::string &reads_fastq,
     ReaderOptions ropts;
     ropts.maxMalformed = opts.maxMalformed;
     ReaderStats ref_stats;
-    GENAX_TRY_ASSIGN(const auto ref,
+    GENAX_TRY_ASSIGN(auto ref,
                      readFastaFile(ref_fasta, ropts, &ref_stats));
     std::ifstream in(reads_fastq);
     if (!in)
         return ioErrorFromErrno("cannot open FASTQ file", reads_fastq);
     FastqReader reader(in, ropts);
+    GENAX_TRY_ASSIGN(const auto engine,
+                     AlignEngine::create(std::move(ref), opts));
     std::ofstream out;
     const auto open_out = [&]() -> Status {
         out.open(out_sam);
@@ -730,7 +781,7 @@ alignFiles(const std::string &ref_fasta, const std::string &reads_fastq,
     };
     GENAX_TRY_ASSIGN(
         PipelineResult res,
-        drive(ref,
+        drive(*engine,
               {.reader = &reader,
                .reads = nullptr,
                .context = "FASTQ file '" + reads_fastq + "'"},

@@ -35,6 +35,12 @@ class ContigMap
   public:
     explicit ContigMap(const std::vector<FastaRecord> &contigs);
 
+    /** The same map, taking the records' bases instead of copying
+     *  them: a single contig's bases become the sequence as they are,
+     *  and each of several is freed once appended. Leaves `contigs`
+     *  empty. */
+    explicit ContigMap(std::vector<FastaRecord> &&contigs);
+
     const Seq &sequence() const { return _seq; }
 
     /** Contig descriptors for the SAM header. */
@@ -190,6 +196,11 @@ class AlignEngine
     static StatusOr<std::unique_ptr<AlignEngine>>
     create(const std::vector<FastaRecord> &ref, const EngineOptions &opts);
 
+    /** The same, handing the records to the engine's ContigMap rather
+     *  than copying them (the file front ends' one copy). */
+    static StatusOr<std::unique_ptr<AlignEngine>>
+    create(std::vector<FastaRecord> &&ref, const EngineOptions &opts);
+
     AlignEngine(const AlignEngine &) = delete;
     AlignEngine &operator=(const AlignEngine &) = delete;
 
@@ -220,9 +231,8 @@ class AlignEngine
     u64 readsAligned() const { return _base; }
 
   private:
-    AlignEngine(const std::vector<FastaRecord> &ref,
-                const EngineOptions &opts)
-        : _opts(opts), _contigs(ref) {}
+    AlignEngine(ContigMap &&contigs, const EngineOptions &opts)
+        : _opts(opts), _contigs(std::move(contigs)) {}
 
     const EngineOptions _opts;
     const ContigMap _contigs;

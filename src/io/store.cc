@@ -11,11 +11,12 @@
 #include <cerrno>
 #include <cstddef>
 #include <cstdlib>
-#include <set>
+#include <numeric>
 #include <utility>
 
 #include "common/check.hh"
 #include "common/faultinject.hh"
+#include "common/parallel.hh"
 
 // The on-disk format is little-endian POD aliased in place; a
 // big-endian port would need byte-swapping loads, not just a
@@ -519,8 +520,9 @@ StoreFile::open(const std::string &path, std::string_view expect_kind,
 
     f._version = hdr.version;
     f._kindVersion = hdr.kindVersion;
-    std::set<std::string> seen;
-    for (u64 i = 0; i < hdr.sectionCount; ++i) {
+    // The section table, serially in table order: the first entry that
+    // fails a check ends the walk.
+    const auto entry = [&](u64 i) -> Status {
         StoreSectionEntry e;
         std::memcpy(&e,
                     b.data() + sizeof(StoreHeader) +
@@ -533,7 +535,7 @@ StoreFile::open(const std::string &path, std::string_view expect_kind,
                            ": malformed name");
         std::string name(
             e.name, static_cast<const char *>(name_end) - e.name);
-        if (!seen.insert(name).second)
+        if (!f._byName.emplace(name, f._sections.size()).second)
             return corrupt("duplicate section '" + name + "'");
         if (e.offset % kStoreAlign != 0)
             return corrupt("section '" + name +
@@ -542,25 +544,49 @@ StoreFile::open(const std::string &path, std::string_view expect_kind,
         if (e.offset > b.size() || e.bytes > b.size() - e.offset)
             return corrupt("section '" + name +
                            "' extends past end of file");
-        if (storeChecksum(b.data() + e.offset, e.bytes) != e.checksum)
-            return corrupt("section '" + name +
-                           "' checksum mismatch (bit rot or torn "
-                           "write)");
         f._sections.push_back(
             {std::move(name), e.offset, e.bytes, e.checksum});
-    }
+        return okStatus();
+    };
+    Status table_error;
+    for (u64 i = 0; i < hdr.sectionCount && table_error.ok(); ++i)
+        table_error = entry(i);
+
+    // The checksums of the sections before it, on every core and
+    // largest first so no big section starts last. The lowest-index
+    // failure wins, as in a serial walk.
+    const u64 n = f._sections.size();
+    std::vector<u64> order(n);
+    std::iota(order.begin(), order.end(), u64{0});
+    std::stable_sort(order.begin(), order.end(), [&](u64 x, u64 y) {
+        return f._sections[x].bytes > f._sections[y].bytes;
+    });
+    std::vector<u8> bad(n, 0);
+    parallelFor(n, 0, [&](u64 lo, u64 hi) {
+        for (u64 j = lo; j < hi; ++j) {
+            const Section &s = f._sections[order[j]];
+            bad[order[j]] =
+                storeChecksum(b.data() + s.offset, s.bytes) != s.checksum;
+        }
+    });
+    for (u64 i = 0; i < n; ++i)
+        if (bad[i])
+            return corrupt("section '" + f._sections[i].name +
+                           "' checksum mismatch (bit rot or torn "
+                           "write)");
+    GENAX_TRY(table_error);
     return f;
 }
 
 StatusOr<std::span<const u8>>
 StoreFile::section(std::string_view name) const
 {
-    for (const auto &s : _sections)
-        if (s.name == name)
-            return std::span<const u8>(_bytes.data() + s.offset,
-                                       s.bytes);
-    return notFoundError("store " + _path + ": no section '" +
-                         std::string(name) + "'");
+    const auto it = _byName.find(name);
+    if (it == _byName.end())
+        return notFoundError("store " + _path + ": no section '" +
+                             std::string(name) + "'");
+    const Section &s = _sections[it->second];
+    return std::span<const u8>(_bytes.data() + s.offset, s.bytes);
 }
 
 } // namespace genax

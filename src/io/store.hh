@@ -26,6 +26,9 @@
  * io.store.mmap_fail fault site drives that path in tests). All
  * structural validation and the full checksum walk happen at open —
  * a successfully opened store hands out infallible section spans.
+ * The walk checksums sections concurrently on ThreadPool::global(),
+ * so open() is called from a caller thread, never from inside a pool
+ * region.
  *
  * Fault sites (DESIGN.md "On-disk stores & durability"):
  * io.store.short_write / io.store.eio / io.store.enospc on the write
@@ -37,6 +40,8 @@
 
 #include <cstddef>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -265,7 +270,8 @@ class StoreFile
      * Open and fully verify a store. `expect_kind` is matched against
      * the header when non-empty; pass "" to open any kind (the
      * --verify inspector). Corruption comes back as InvalidInput, OS
-     * trouble as IoError.
+     * trouble as IoError; with several bad sections, the message
+     * names the lowest-index one.
      */
     static StatusOr<StoreFile> open(const std::string &path,
                                     std::string_view expect_kind,
@@ -315,6 +321,10 @@ class StoreFile
     std::vector<u8> _owned;
     std::span<const u8> _bytes;
     std::vector<Section> _sections;
+    /** Index into _sections by name: a snapshot looks up three
+     *  sections per segment, so a scan would make open() quadratic
+     *  in the segment count. */
+    std::map<std::string, size_t, std::less<>> _byName;
 };
 
 } // namespace genax

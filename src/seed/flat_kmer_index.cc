@@ -53,6 +53,10 @@ constexpr u64 kInsertionSortWords = 32;
  *  many keys at a time, so their cache misses overlap. */
 constexpr u64 kInsertGroup = 16;
 
+/** lookupBatch() keeps the filter words, then the table lines, of
+ *  this many keys in flight. */
+constexpr size_t kLookupGroup = 32;
+
 /** Width of a fill word's first-occurrence field. Ties in it are
  *  broken by reading the postings (about one comparison in 2^8), so
  *  it only has to make them rare. It is fixed rather than as wide as
@@ -369,15 +373,31 @@ struct FlatKmerIndex::Builder
         }
     }
 
-    /** Insert the keys whose extents start in bitmap words [lo, hi).
-     *  Each group of kInsertGroup keys prefetches its reference
-     *  k-mers, then its home slots, then inserts. */
+    /** Set a key's presence-filter bits; bits only ever get set, so
+     *  concurrent runners need only an atomic OR. */
+    template <bool Concurrent>
+    void
+    markPresent(FilterProbe p) const
+    {
+        u64 &w = idx._filter[p.word];
+        if constexpr (Concurrent)
+            std::atomic_ref<u64>(w).fetch_or(p.bits,
+                                             std::memory_order_relaxed);
+        else
+            w |= p.bits;
+    }
+
+    /** Insert the keys whose extents start in bitmap words [lo, hi)
+     *  and mark them in the filter. Each group of kInsertGroup keys
+     *  prefetches its reference k-mers, then its home slots and
+     *  filter words, then inserts. */
     template <bool Concurrent>
     void
     fillRange(const FillWords &fw, u64 lo, u64 hi) const
     {
         const u32 *positions = idx._positions.data();
         u64 ext[kInsertGroup], word[kInsertGroup], home[kInsertGroup];
+        FilterProbe present[kInsertGroup];
         u64 n = 0;
         auto flush = [&] {
             for (u64 i = 0; i < n; ++i)
@@ -386,10 +406,14 @@ struct FlatKmerIndex::Builder
                 const u64 key = idx.packKmer(ref, positions[ext[i]]);
                 word[i] = fw.encode(key, ext[i]);
                 home[i] = idx.slotOf(key);
+                present[i] = filterProbe(key, idx._filter.size());
                 prefetchForWrite(&idx._table[home[i]]);
+                prefetchForWrite(&idx._filter[present[i].word]);
             }
-            for (u64 i = 0; i < n; ++i)
+            for (u64 i = 0; i < n; ++i) {
                 insert<Concurrent>(fw, word[i], home[i]);
+                markPresent<Concurrent>(present[i]);
+            }
             n = 0;
         };
         for (u64 w = lo; w < hi; ++w) {
@@ -402,8 +426,9 @@ struct FlatKmerIndex::Builder
         flush();
     }
 
-    /** Fill the table with every key's fill word, in parallel over
-     *  runs of the extent-start bitmap; width 1 skips the atomics. */
+    /** Fill the table with every key's fill word and the filter with
+     *  its bits, in parallel over runs of the extent-start bitmap;
+     *  width 1 skips the atomics. */
     void
     fillTable() const
     {
@@ -471,6 +496,7 @@ FlatKmerIndex::FlatKmerIndex(const Seq &ref, u32 k, unsigned threads)
         // Even the empty table needs one probe-able slot.
         _table.assign(2, Entry{});
         _mask = 1;
+        _filter.assign(filterWords(0), 0);
         bindOwned();
         return;
     }
@@ -487,13 +513,18 @@ FlatKmerIndex::FlatKmerIndex(const Seq &ref, u32 k, unsigned threads)
 
     // <= 50% load so linear probe chains stay short, sized for the
     // worst case (every k-mer distinct). Allocated uninitialized and
-    // first touched by the runners that fill it.
+    // first touched by the runners that fill it, as is the filter.
     const u64 slots = std::bit_ceil(std::max<u64>(16, 2 * kmers));
     _table.resize(slots);
     _mask = slots - 1;
     runRegion(slots, b.width, [&](unsigned, u64 lo, u64 hi) {
         std::fill(_table.begin() + static_cast<i64>(lo),
                   _table.begin() + static_cast<i64>(hi), Entry{});
+    });
+    _filter.resize(filterWords(_distinct));
+    runRegion(_filter.size(), b.width, [&](unsigned, u64 lo, u64 hi) {
+        std::fill(_filter.begin() + static_cast<i64>(lo),
+                  _filter.begin() + static_cast<i64>(hi), u64{0});
     });
     b.fillTable();
     b.decodeTable();
@@ -524,8 +555,10 @@ FlatKmerIndex::FlatKmerIndex(const FlatKmerIndex &other)
     : _k(other._k), _segLen(other._segLen), _maxHits(other._maxHits),
       _distinct(other._distinct), _mask(other._mask),
       _table(other._table), _positions(other._positions),
-      _tablePtr(other._tablePtr), _slots(other._slots),
-      _posPtr(other._posPtr), _posCount(other._posCount)
+      _filter(other._filter), _tablePtr(other._tablePtr),
+      _slots(other._slots), _posPtr(other._posPtr),
+      _posCount(other._posCount), _filterPtr(other._filterPtr),
+      _filterWords(other._filterWords)
 {
     if (!other.borrowed())
         bindOwned();
@@ -542,25 +575,61 @@ FlatKmerIndex::operator=(const FlatKmerIndex &other)
         _mask = other._mask;
         _table = other._table;
         _positions = other._positions;
+        _filter = other._filter;
         _tablePtr = other._tablePtr;
         _slots = other._slots;
         _posPtr = other._posPtr;
         _posCount = other._posCount;
+        _filterPtr = other._filterPtr;
+        _filterWords = other._filterWords;
         if (!other.borrowed())
             bindOwned();
     }
     return *this;
 }
 
+void
+FlatKmerIndex::lookupBatch(std::span<const u64> keys,
+                           std::span<std::span<const u32>> hits) const
+{
+    GENAX_DCHECK(hits.size() == keys.size(), "lookupBatch: ",
+                 hits.size(), " outputs for ", keys.size(), " keys");
+    FilterProbe probes[kLookupGroup];
+    size_t passed[kLookupGroup];
+    for (size_t g = 0; g < keys.size(); g += kLookupGroup) {
+        const size_t n = std::min(kLookupGroup, keys.size() - g);
+        for (size_t i = 0; i < n; ++i) {
+            probes[i] = filterProbe(keys[g + i], _filterWords);
+            prefetchForRead(&_filterPtr[probes[i].word]);
+        }
+        size_t m = 0;
+        for (size_t i = 0; i < n; ++i) {
+            if ((_filterPtr[probes[i].word] & probes[i].bits) !=
+                probes[i].bits) {
+                hits[g + i] = {};
+                continue;
+            }
+            prefetchForRead(&_tablePtr[slotOf(keys[g + i])]);
+            passed[m++] = g + i;
+        }
+        for (size_t j = 0; j < m; ++j)
+            hits[passed[j]] = probe(keys[passed[j]]);
+    }
+}
+
 FlatKmerIndex
 FlatKmerIndex::view(std::span<const Entry> table,
-                    std::span<const u32> positions, u32 k, u64 seg_len,
+                    std::span<const u32> positions,
+                    std::span<const u64> filter, u32 k, u64 seg_len,
                     u32 max_hits, u64 distinct)
 {
     GENAX_CHECK(k >= 1 && k <= 13, "k out of supported range: ", k);
     GENAX_CHECK(table.size() >= 2 && std::has_single_bit(table.size()),
                 "view table size must be a power of two >= 2, got ",
                 table.size());
+    GENAX_CHECK(filter.size() == filterWords(distinct),
+                "view filter has ", filter.size(), " words, want ",
+                filterWords(distinct));
     FlatKmerIndex idx;
     idx._k = k;
     idx._segLen = seg_len;
@@ -571,6 +640,8 @@ FlatKmerIndex::view(std::span<const Entry> table,
     idx._slots = table.size();
     idx._posPtr = positions.data();
     idx._posCount = positions.size();
+    idx._filterPtr = filter.data();
+    idx._filterWords = filter.size();
     return idx;
 }
 

@@ -17,9 +17,16 @@
  * hit lists (the equivalence suite diffs the two layouts
  * exhaustively).
  *
- * lookupPrefetch() issues a software prefetch of a key's first probe
- * line so batched offset loops (SmemEngine's exact-match path) can
- * overlap the dependent loads of consecutive lookups.
+ * A presence filter sits in front of the table: a blocked Bloom
+ * filter of about one byte per distinct k-mer (its size is
+ * distinctKmers() rounded up to a power of two, at least one cache
+ * line), where each key sets up to four bits of one 64-bit word chosen
+ * by a hash unrelated to the slot hash. It has no false negatives, so
+ * lookup() answers most absent k-mers — the common case when a read
+ * is seeded against every segment — from one small, cache-resident
+ * word instead of a probe of the table. lookupBatch() resolves many
+ * keys at once with the filter and table misses of a group in flight
+ * together.
  *
  * The build has no serial pass. On up to `threads` pool runners, a
  * counting sort of every k-mer's (key, position) word writes the
@@ -27,8 +34,9 @@
  * the table is then filled by ordered linear probing with each key's
  * first occurrence as its priority, which yields exactly the slot
  * layout of inserting the k-mers in reference order (the layout
- * snapshots store). The table and postings are byte-identical at
- * every width (DESIGN.md §6b-bis).
+ * snapshots store), and the same pass sets each key's filter bits.
+ * The table, postings and filter are byte-identical at every width
+ * (DESIGN.md §6b-bis).
  *
  * All hardware footprint reporting (indexTableBytes,
  * positionTableBytes) still models the paper's dense SRAM tables —
@@ -40,26 +48,29 @@
 #ifndef GENAX_SEED_FLAT_KMER_INDEX_HH
 #define GENAX_SEED_FLAT_KMER_INDEX_HH
 
+#include <algorithm>
+#include <bit>
 #include <memory>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/dna.hh"
-#include "common/status.hh"
 #include "common/types.hh"
 
 namespace genax {
-
-struct IndexFingerprint;
-class FlatKmerIndexMapping;
 
 /** Additive constant of the splitmix64 slot hash. Serialized into
  *  snapshot fingerprints: a snapshot built with a different hash
  *  stream can never be probed by this build's lookup(), so the
  *  constant is part of the format identity. */
 inline constexpr u64 kFlatIndexHashSeed = 0x9e3779b97f4a7c15ULL;
+
+/** Seed of the presence filter's hash (a murmur3 finalizer, so a
+ *  key's filter word is unrelated to its slot). Snapshots store the
+ *  filter bits, so this and FlatKmerIndex::filterProbe are part of the
+ *  GXSNAP format (kind version 2). */
+inline constexpr u64 kFlatFilterHashSeed = 0x2545f4914f6cdd1dULL;
 
 /** Open-addressing k-mer index for one reference segment. */
 class FlatKmerIndex
@@ -91,13 +102,15 @@ class FlatKmerIndex
      * path for mmap'ed index snapshots (src/seed/index_snapshot.hh).
      * The caller guarantees the spans outlive the view, that `table`
      * is a power-of-two open-addressing table laid out exactly as
-     * the building constructor produces, and that every occupied
-     * entry's postings extent lies inside `positions` (the snapshot
-     * loader validates all of this once at open, after the checksum
-     * walk).
+     * the building constructor produces, that every occupied
+     * entry's postings extent lies inside `positions`, and that
+     * `filter` has filterWords(distinct) words with every occupied
+     * key's bits set (the snapshot loader validates all of this once
+     * at open, after the checksum walk).
      */
     static FlatKmerIndex view(std::span<const Entry> table,
-                              std::span<const u32> positions, u32 k,
+                              std::span<const u32> positions,
+                              std::span<const u64> filter, u32 k,
                               u64 seg_len, u32 max_hits, u64 distinct);
 
     /** True when this index borrows its storage (a snapshot view)
@@ -127,19 +140,62 @@ class FlatKmerIndex
         return {_posPtr, _posCount};
     }
 
+    /** The presence filter's words, for serialization. */
+    std::span<const u64>
+    filterSpan() const
+    {
+        return {_filterPtr, _filterWords};
+    }
+
+    /** Words of the presence filter of an index with `distinct`
+     *  keys: one byte per key rounded up to a power of two, and at
+     *  least one 64-byte cache line. */
+    static u64
+    filterWords(u64 distinct)
+    {
+        return std::bit_ceil(std::max<u64>(distinct, 64)) / 8;
+    }
+
+    /** Where a key lives in a filter of `words` words (a power of
+     *  two): one word, and the up-to-four bits the key sets in it. */
+    struct FilterProbe
+    {
+        u64 word;
+        u64 bits;
+    };
+
+    static FilterProbe
+    filterProbe(u64 key, u64 words)
+    {
+        // murmur3 fmix64: the low bits pick the word, the top 24 bits
+        // four bit positions in it. An index holds at most 2^31 keys,
+        // so at most 2^28 words, and the two fields never overlap.
+        u64 h = key ^ kFlatFilterHashSeed;
+        h = (h ^ (h >> 33)) * 0xff51afd7ed558ccdULL;
+        h = (h ^ (h >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+        h ^= h >> 33;
+        return {h & (words - 1),
+                u64{1} << (h >> 58) | u64{1} << ((h >> 52) & 63) |
+                    u64{1} << ((h >> 46) & 63) |
+                    u64{1} << ((h >> 40) & 63)};
+    }
+
+    /** False when the key is certainly absent; true for every present
+     *  key and a few absent ones (the filter's false positives). */
+    bool
+    mayContain(u64 kmer) const
+    {
+        const FilterProbe p = filterProbe(kmer, _filterWords);
+        return (_filterPtr[p.word] & p.bits) == p.bits;
+    }
+
     /** Sorted occurrence positions of a packed k-mer. */
     std::span<const u32>
     lookup(u64 kmer) const
     {
-        u64 slot = slotOf(kmer);
-        for (;;) {
-            const Entry &e = _tablePtr[slot];
-            if (e.key == kmer)
-                return {_posPtr + e.offset, e.count};
-            if (e.key == kEmptyKey)
-                return {};
-            slot = (slot + 1) & _mask;
-        }
+        if (!mayContain(kmer))
+            return {};
+        return probe(kmer);
     }
 
     /** Hit-list length only — the `{count}` metadata consumers use
@@ -147,27 +203,17 @@ class FlatKmerIndex
     u32
     lookupCount(u64 kmer) const
     {
-        u64 slot = slotOf(kmer);
-        for (;;) {
-            const Entry &e = _tablePtr[slot];
-            if (e.key == kmer)
-                return e.count;
-            if (e.key == kEmptyKey)
-                return 0;
-            slot = (slot + 1) & _mask;
-        }
+        return static_cast<u32>(lookup(kmer).size());
     }
 
-    /** Prefetch the key's first probe line ahead of lookup(). */
-    void
-    lookupPrefetch(u64 kmer) const
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(&_tablePtr[slotOf(kmer)], 0, 1);
-#else
-        (void)kmer;
-#endif
-    }
+    /**
+     * lookup() of every key, into the parallel `hits`: the filter
+     * words of a group of keys are fetched together, then the table
+     * lines of the keys the filter passes, so consecutive lookups
+     * overlap their cache misses instead of serializing on them.
+     */
+    void lookupBatch(std::span<const u64> keys,
+                     std::span<std::span<const u32>> hits) const;
 
     /** Pack the k bases starting at s[pos] into a k-mer key. */
     u64
@@ -207,17 +253,19 @@ class FlatKmerIndex
     /** Distinct k-mers present in the segment. */
     u64 distinctKmers() const { return _distinct; }
 
-    /** Actual host memory footprint (table + postings), for the
-     *  layout microbenches. A borrowed view reports the bytes it
-     *  aliases, not bytes it malloc'd. */
+    /** Actual host memory footprint (table + postings + filter),
+     *  for the layout microbenches. A borrowed view reports the bytes
+     *  it aliases, not bytes it malloc'd. */
     u64
     hostBytes() const
     {
-        return _slots * sizeof(Entry) + _posCount * sizeof(u32);
+        return _slots * sizeof(Entry) + _posCount * sizeof(u32) +
+               _filterWords * sizeof(u64);
     }
 
-    /** Table entries examined by lookup(kmer) — the probe-chain
-     *  length (1 on a first-slot hit or miss). Diagnostics and the
+    /** Table entries a probe for kmer examines — the probe-chain
+     *  length (1 on a first-slot hit or miss), whether or not the
+     *  filter spares lookup() the probe. Diagnostics and the
      *  bytes-touched microbench. */
     u32
     probeLength(u64 kmer) const
@@ -234,37 +282,7 @@ class FlatKmerIndex
 
     static constexpr u64 kEmptyKey = ~u64{0};
 
-    // ----- on-disk snapshots (defined in seed/index_snapshot.cc) ---
-
-    /**
-     * Write this index as a single-index store snapshot (kind
-     * "FKXIDX") through the atomic-write path. `fp` is the build
-     * fingerprint (k, hash seed, reference length/checksum) stamped
-     * into the file; fp.k must equal k().
-     */
-    Status save(const std::string &path,
-                const IndexFingerprint &fp) const;
-
-    /**
-     * Load a snapshot into an owning index (full copy, no mmap
-     * lifetime to manage). When `expect` is non-null the stored
-     * fingerprint must match it exactly.
-     */
-    static StatusOr<FlatKmerIndex>
-    load(const std::string &path,
-         const IndexFingerprint *expect = nullptr);
-
-    /**
-     * Open a snapshot zero-copy: the returned mapping owns the file
-     * bytes (mmap preferred, owned read on mmap failure) and exposes
-     * a borrowed FlatKmerIndex view over them.
-     */
-    static StatusOr<FlatKmerIndexMapping>
-    mapView(const std::string &path,
-            const IndexFingerprint *expect = nullptr);
-
   private:
-    friend class FlatKmerIndexMapping;
     struct Builder; //!< the building constructor's phases
 
     /** Ask the kernel to back [p, p + bytes) with transparent huge
@@ -315,6 +333,23 @@ class FlatKmerIndex
         _slots = _table.size();
         _posPtr = _positions.data();
         _posCount = _positions.size();
+        _filterPtr = _filter.data();
+        _filterWords = _filter.size();
+    }
+
+    /** The table walk behind lookup(), without the filter. */
+    std::span<const u32>
+    probe(u64 kmer) const
+    {
+        u64 slot = slotOf(kmer);
+        for (;;) {
+            const Entry &e = _tablePtr[slot];
+            if (e.key == kmer)
+                return {_posPtr + e.offset, e.count};
+            if (e.key == kEmptyKey)
+                return {};
+            slot = (slot + 1) & _mask;
+        }
     }
 
     u64
@@ -336,12 +371,16 @@ class FlatKmerIndex
     std::vector<Entry, UninitAllocator<Entry>> _table;
     /** Contiguous postings, per-key extents in ascending key order. */
     std::vector<u32, UninitAllocator<u32>> _positions;
+    /** Presence filter, filterWords(_distinct) words. */
+    std::vector<u64, UninitAllocator<u64>> _filter;
     // All accessors go through these; they alias the vectors above
     // when owning, or external snapshot storage when borrowed.
     const Entry *_tablePtr = nullptr;
     u64 _slots = 0;
     const u32 *_posPtr = nullptr;
     u64 _posCount = 0;
+    const u64 *_filterPtr = nullptr;
+    u64 _filterWords = 0;
 };
 
 } // namespace genax

@@ -4,32 +4,16 @@
 #include <cstring>
 
 #include "common/check.hh"
+#include "common/parallel.hh"
 
 namespace genax {
 
 namespace {
 
-constexpr std::string_view kFlatIndexKind = "FKXIDX";
-constexpr u32 kFlatIndexKindVersion = 1;
 constexpr std::string_view kSnapshotKind = "GXSNAP";
-constexpr u32 kSnapshotKindVersion = 1;
 
 /** Contig names longer than this are rejected as corrupt. */
 constexpr u64 kMaxContigName = u64{1} << 16;
-
-/** "meta" section of a single-index ("FKXIDX") snapshot. */
-struct FlatIndexMeta
-{
-    IndexFingerprint fp;
-    u64 segLen;
-    u64 slots;
-    u64 positions;
-    u64 distinct;
-    u32 maxHits;
-    u32 pad;
-};
-static_assert(sizeof(FlatIndexMeta) == 72);
-static_assert(std::is_trivially_copyable_v<FlatIndexMeta>);
 
 /** "meta" section of a whole-reference ("GXSNAP") snapshot. */
 struct SnapshotMeta
@@ -65,20 +49,28 @@ snapshotError(const std::string &path, const std::string &what)
 
 /**
  * Structural validation of an index table against its postings
- * array: the store checksums already rule out on-disk corruption, so
- * this is defense-in-depth against writer bugs and version skew —
- * everything lookup() would otherwise trust blindly.
+ * array and presence filter: the store checksums already rule out
+ * on-disk corruption, so this is defense-in-depth against writer bugs
+ * and version skew — everything lookup() would otherwise trust
+ * blindly, including that the filter never hides a present key.
  */
 Status
 validateTable(const std::string &path, const std::string &what,
               std::span<const FlatKmerIndex::Entry> table,
-              u64 positions, u64 distinct, u32 max_hits)
+              u64 positions, std::span<const u64> filter, u64 distinct,
+              u32 max_hits)
 {
     if (table.size() < 2 || !std::has_single_bit(table.size()))
         return snapshotError(
             path, what + ": table size " +
                       std::to_string(table.size()) +
                       " is not a power of two >= 2");
+    if (filter.size() != FlatKmerIndex::filterWords(distinct))
+        return snapshotError(
+            path, what + ": filter of " +
+                      std::to_string(filter.size()) + " words, want " +
+                      std::to_string(FlatKmerIndex::filterWords(distinct)) +
+                      " for " + std::to_string(distinct) + " keys");
     u64 occupied = 0;
     for (const FlatKmerIndex::Entry &e : table) {
         if (e.key == FlatKmerIndex::kEmptyKey)
@@ -90,6 +82,11 @@ validateTable(const std::string &path, const std::string &what,
         if (e.count > max_hits)
             return snapshotError(
                 path, what + ": entry count exceeds maxHits");
+        const auto p = FlatKmerIndex::filterProbe(e.key, filter.size());
+        if ((filter[p.word] & p.bits) != p.bits)
+            return snapshotError(
+                path, what + ": filter misses key " +
+                          std::to_string(e.key));
     }
     if (occupied != distinct)
         return snapshotError(
@@ -162,117 +159,6 @@ checkFingerprint(const IndexFingerprint &got,
 }
 
 // ------------------------------------------------------------------
-// Single-index snapshots
-
-namespace {
-
-/** Everything parsed out of an opened "FKXIDX" store; the spans
- *  alias the store's bytes. */
-struct ParsedFlatIndex
-{
-    FlatIndexMeta meta;
-    std::span<const FlatKmerIndex::Entry> table;
-    std::span<const u32> positions;
-};
-
-StatusOr<ParsedFlatIndex>
-parseFlatIndex(const StoreFile &store)
-{
-    ParsedFlatIndex out;
-    GENAX_TRY_ASSIGN(const std::span<const FlatIndexMeta> metas,
-                     store.sectionAs<FlatIndexMeta>("meta"));
-    if (metas.size() != 1)
-        return snapshotError(store.path(), "malformed meta section");
-    out.meta = metas[0];
-    GENAX_TRY(validateFingerprintShape(store.path(), out.meta.fp));
-    GENAX_TRY_ASSIGN(out.table,
-                     store.sectionAs<FlatKmerIndex::Entry>("table"));
-    GENAX_TRY_ASSIGN(out.positions,
-                     store.sectionAs<u32>("postings"));
-    if (out.table.size() != out.meta.slots)
-        return snapshotError(store.path(),
-                             "table section does not match the "
-                             "recorded slot count");
-    if (out.positions.size() != out.meta.positions)
-        return snapshotError(store.path(),
-                             "postings section does not match the "
-                             "recorded position count");
-    GENAX_TRY(validateTable(store.path(), "index", out.table,
-                            out.positions.size(), out.meta.distinct,
-                            out.meta.maxHits));
-    return out;
-}
-
-} // namespace
-
-Status
-FlatKmerIndex::save(const std::string &path,
-                    const IndexFingerprint &fp) const
-{
-    GENAX_CHECK(fp.k == _k, "fingerprint k ", fp.k,
-                " does not match index k ", _k);
-    GENAX_CHECK(fp.hashSeed == kFlatIndexHashSeed,
-                "fingerprint hash seed is not this build's seed");
-    FlatIndexMeta meta{};
-    meta.fp = fp;
-    meta.segLen = _segLen;
-    meta.slots = _slots;
-    meta.positions = _posCount;
-    meta.distinct = _distinct;
-    meta.maxHits = _maxHits;
-    StoreWriter w(kFlatIndexKind, kFlatIndexKindVersion);
-    w.addSection("meta", &meta, sizeof(meta));
-    w.addSection("table", _tablePtr, _slots * sizeof(Entry));
-    w.addSection("postings", _posPtr, _posCount * sizeof(u32));
-    return w.writeFile(path);
-}
-
-StatusOr<FlatKmerIndex>
-FlatKmerIndex::load(const std::string &path,
-                    const IndexFingerprint *expect)
-{
-    GENAX_TRY_ASSIGN(
-        const StoreFile store,
-        StoreFile::open(path, kFlatIndexKind, /*prefer_mmap=*/false));
-    GENAX_TRY_ASSIGN(const ParsedFlatIndex p, parseFlatIndex(store));
-    if (expect != nullptr)
-        GENAX_TRY(checkFingerprint(p.meta.fp, *expect)
-                      .withContext("snapshot " + path));
-    FlatKmerIndex idx;
-    idx._k = p.meta.fp.k;
-    idx._segLen = p.meta.segLen;
-    idx._maxHits = p.meta.maxHits;
-    idx._distinct = p.meta.distinct;
-    idx._mask = p.table.size() - 1;
-    idx._table.assign(p.table.begin(), p.table.end());
-    idx._positions.assign(p.positions.begin(), p.positions.end());
-    idx.bindOwned();
-    return idx;
-}
-
-StatusOr<FlatKmerIndexMapping>
-FlatKmerIndex::mapView(const std::string &path,
-                       const IndexFingerprint *expect)
-{
-    GENAX_TRY_ASSIGN(
-        StoreFile store,
-        StoreFile::open(path, kFlatIndexKind, /*prefer_mmap=*/true));
-    GENAX_TRY_ASSIGN(const ParsedFlatIndex p, parseFlatIndex(store));
-    if (expect != nullptr)
-        GENAX_TRY(checkFingerprint(p.meta.fp, *expect)
-                      .withContext("snapshot " + path));
-    FlatKmerIndexMapping m;
-    // The spans stay valid across the move: both the mapping and the
-    // owned buffer keep their addresses.
-    m._store = std::move(store);
-    m._fp = p.meta.fp;
-    m._view = FlatKmerIndex::view(p.table, p.positions, p.meta.fp.k,
-                                  p.meta.segLen, p.meta.maxHits,
-                                  p.meta.distinct);
-    return m;
-}
-
-// ------------------------------------------------------------------
 // Whole-reference snapshots
 
 Status
@@ -342,9 +228,11 @@ IndexSnapshot::build(const std::string &path, const Seq &ref,
         const std::string tag = "seg" + std::to_string(i);
         const auto table = built[i].tableSpan();
         const auto pos = built[i].positionsSpan();
+        const auto filter = built[i].filterSpan();
         w.addSection(tag + ".tab", table.data(),
                      table.size_bytes());
         w.addSection(tag + ".pos", pos.data(), pos.size_bytes());
+        w.addSection(tag + ".flt", filter.data(), filter.size_bytes());
     }
     return w.writeFile(path);
 }
@@ -356,6 +244,13 @@ IndexSnapshot::open(const std::string &path, bool prefer_mmap)
     GENAX_TRY_ASSIGN(snap._store, StoreFile::open(path, kSnapshotKind,
                                                   prefer_mmap));
     const StoreFile &store = snap._store;
+    if (store.kindVersion() != kSnapshotKindVersion)
+        return snapshotError(
+            path, "format version " +
+                      std::to_string(store.kindVersion()) +
+                      ", this build reads version " +
+                      std::to_string(kSnapshotKindVersion) +
+                      " (rebuild it with genax_index)");
 
     GENAX_TRY_ASSIGN(const std::span<const SnapshotMeta> metas,
                      store.sectionAs<SnapshotMeta>("meta"));
@@ -418,8 +313,9 @@ IndexSnapshot::open(const std::string &path, bool prefer_mmap)
         return snapshotError(
             path, "segment table does not match the recorded "
                   "segment count");
-    snap._segs.reserve(segmeta.size());
-    for (u64 i = 0; i < segmeta.size(); ++i) {
+    // Each segment's geometry and section shapes, serially in segment
+    // order; the first segment that fails a check ends the walk.
+    const auto segment = [&](u64 i, SegRef &s) -> Status {
         const SegMeta &m = segmeta[i];
         const std::string what = "segment " + std::to_string(i);
         if (m.start > meta.fp.refLength ||
@@ -427,7 +323,6 @@ IndexSnapshot::open(const std::string &path, bool prefer_mmap)
             return snapshotError(
                 path, what + " extends past the reference");
         const std::string tag = "seg" + std::to_string(i);
-        SegRef s;
         s.start = m.start;
         s.length = m.length;
         s.maxHits = m.maxHits;
@@ -437,6 +332,7 @@ IndexSnapshot::open(const std::string &path, bool prefer_mmap)
             store.sectionAs<FlatKmerIndex::Entry>(tag + ".tab"));
         GENAX_TRY_ASSIGN(s.positions,
                          store.sectionAs<u32>(tag + ".pos"));
+        GENAX_TRY_ASSIGN(s.filter, store.sectionAs<u64>(tag + ".flt"));
         if (s.table.size() != m.slots)
             return snapshotError(
                 path, what + ": table section does not match the "
@@ -445,11 +341,31 @@ IndexSnapshot::open(const std::string &path, bool prefer_mmap)
             return snapshotError(
                 path, what + ": postings section does not match "
                              "the recorded position count");
-        GENAX_TRY(validateTable(path, what, s.table,
-                                s.positions.size(), s.distinct,
-                                s.maxHits));
-        snap._segs.push_back(s);
+        return okStatus();
+    };
+    snap._segs.reserve(segmeta.size());
+    Status shape_error;
+    for (u64 i = 0; i < segmeta.size() && shape_error.ok(); ++i) {
+        SegRef s;
+        shape_error = segment(i, s);
+        if (shape_error.ok())
+            snap._segs.push_back(s);
     }
+
+    // The table and filter walks of the segments before it, on every
+    // core. The lowest-index failure wins, as in a serial walk.
+    std::vector<Status> tables(snap._segs.size());
+    parallelFor(tables.size(), 0, [&](u64 lo, u64 hi) {
+        for (u64 i = lo; i < hi; ++i) {
+            const SegRef &s = snap._segs[i];
+            tables[i] = validateTable(path, "segment " + std::to_string(i),
+                                      s.table, s.positions.size(),
+                                      s.filter, s.distinct, s.maxHits);
+        }
+    });
+    for (const Status &st : tables)
+        GENAX_TRY(st);
+    GENAX_TRY(shape_error);
     return snap;
 }
 
@@ -465,8 +381,8 @@ IndexSnapshot::segmentView(u64 i) const
     GENAX_CHECK(i < _segs.size(), "segment index out of range: ", i,
                 " of ", _segs.size());
     const SegRef &s = _segs[i];
-    return FlatKmerIndex::view(s.table, s.positions, _fp.k, s.length,
-                               s.maxHits, s.distinct);
+    return FlatKmerIndex::view(s.table, s.positions, s.filter, _fp.k,
+                               s.length, s.maxHits, s.distinct);
 }
 
 } // namespace genax

@@ -1,39 +1,29 @@
 /**
  * @file
- * On-disk index snapshots over the crash-safe store container
- * (io/store.hh).
- *
- * Two store kinds live here:
- *
- *  - "FKXIDX": one FlatKmerIndex (table + postings + metadata). The
- *    member functions FlatKmerIndex::{save, load, mapView} declared
- *    in flat_kmer_index.hh are defined in index_snapshot.cc.
- *
- *  - "GXSNAP": a whole-reference snapshot — the concatenated
- *    reference bases, the contig map, the segmentation geometry and
- *    one FlatKmerIndex per segment. genax_index writes one;
- *    genax_align --index mmaps it and aligns without rebuilding
- *    any per-segment index.
+ * On-disk whole-reference index snapshots ("GXSNAP") over the
+ * crash-safe store container (io/store.hh): the concatenated
+ * reference bases, the contig map, the segmentation geometry and, per
+ * segment, one FlatKmerIndex's table, postings and presence filter.
+ * genax_index writes one; genax_align --index mmaps it and aligns
+ * without rebuilding any per-segment index.
  *
  * Every snapshot embeds an IndexFingerprint (k, slot-hash seed,
  * reference length and checksum). Loaders compare it against the
  * reference the caller actually parsed, so a snapshot can never be
  * applied to the wrong genome: a mismatch is a hard
- * FailedPrecondition, distinct from corruption (InvalidInput from
- * the checksum walk), which callers may treat as "rebuild from
- * FASTA".
+ * FailedPrecondition, distinct from corruption or another format
+ * version (InvalidInput from open()), which callers may treat as
+ * "rebuild from FASTA".
  *
- * Lifetime rule for zero-copy views: FlatKmerIndexMapping and
- * IndexSnapshot own the backing bytes (mmap or owned read); every
- * FlatKmerIndex view and span they hand out aliases those bytes and
- * must not outlive the owner. Moving the owner keeps views valid;
- * destroying it invalidates them.
+ * Lifetime rule for zero-copy views: IndexSnapshot owns the backing
+ * bytes (mmap or owned read); every FlatKmerIndex view and span it
+ * hands out aliases those bytes and must not outlive it. Moving the
+ * owner keeps views valid; destroying it invalidates them.
  */
 
 #ifndef GENAX_SEED_INDEX_SNAPSHOT_HH
 #define GENAX_SEED_INDEX_SNAPSHOT_HH
 
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -75,35 +65,13 @@ Status checkFingerprint(const IndexFingerprint &got,
                         const IndexFingerprint &want);
 
 // ------------------------------------------------------------------
-// Single-index snapshots ("FKXIDX")
-
-/**
- * Owner of a mapped single-index snapshot: holds the store bytes and
- * a borrowed FlatKmerIndex view over them (see the file comment's
- * lifetime rule).
- */
-class FlatKmerIndexMapping
-{
-  public:
-    const FlatKmerIndex &index() const { return *_view; }
-    const IndexFingerprint &fingerprint() const { return _fp; }
-
-    /** True on the zero-copy mmap path, false after the owned-read
-     *  fallback (io.store.mmap_fail). */
-    bool mapped() const { return _store.mapped(); }
-
-  private:
-    friend class FlatKmerIndex; // filled by FlatKmerIndex::mapView
-
-    FlatKmerIndexMapping() = default;
-
-    StoreFile _store;
-    IndexFingerprint _fp;
-    std::optional<FlatKmerIndex> _view;
-};
-
-// ------------------------------------------------------------------
 // Whole-reference snapshots ("GXSNAP")
+
+/** GXSNAP format version this build writes and reads. Version 2 added
+ *  each segment's presence filter ("seg<i>.flt"); open() rejects any
+ *  other version, so an older file takes the rebuild path instead of
+ *  being read without its filters. */
+inline constexpr u32 kSnapshotKindVersion = 2;
 
 /** Contig descriptor inside a snapshot (mirrors ContigMap::Contig
  *  without depending on the genax layer). */
@@ -134,9 +102,14 @@ class IndexSnapshot
                         const std::vector<SnapshotContig> &contigs,
                         const SegmentConfig &cfg);
 
-    /** Open and fully validate a snapshot (mmap preferred; owned
-     *  read on mmap failure). Corruption is InvalidInput; OS trouble
-     *  is IoError. */
+    /**
+     * Open and fully validate a snapshot (mmap preferred; owned read
+     * on mmap failure). The checksum walk and the per-segment table
+     * and filter validation run on ThreadPool::global(), so call it
+     * from a caller thread, never from inside a pool region.
+     * Corruption and any format version but kSnapshotKindVersion are
+     * InvalidInput; OS trouble is IoError.
+     */
     static StatusOr<IndexSnapshot> open(const std::string &path,
                                         bool prefer_mmap = true);
 
@@ -175,6 +148,7 @@ class IndexSnapshot
         u64 distinct = 0;
         std::span<const FlatKmerIndex::Entry> table;
         std::span<const u32> positions;
+        std::span<const u64> filter;
     };
 
     StoreFile _store;

@@ -49,18 +49,6 @@ class KmerIndex
         return _offsets[kmer + 1] - _offsets[kmer];
     }
 
-    /** Prefetch the key's offset line ahead of lookup() (interface
-     *  parity with FlatKmerIndex; the dense table needs it less). */
-    void
-    lookupPrefetch(u64 kmer) const
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(&_offsets[kmer], 0, 1);
-#else
-        (void)kmer;
-#endif
-    }
-
     /** Pack the k bases starting at p[pos] into a k-mer key. */
     u64
     packKmer(const Seq &s, size_t pos) const

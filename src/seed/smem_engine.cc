@@ -46,26 +46,30 @@ SmemEngine::tryExactMatch(const Seq &read, std::span<const u64> keys)
     if (offsets.back() + k != len)
         offsets.push_back(len - k);
 
-    // Batched offset loop: prefetch every key's probe line up front,
-    // so the dependent table loads of consecutive lookups overlap
-    // instead of serializing on cache misses.
+    // Resolve every offset's k-mer in one batch so the misses of
+    // consecutive lookups overlap; the hardware stops at the first
+    // absent k-mer, and so does the lookup count.
+    ArenaVector<u64> offset_keys{ArenaAllocator<u64>(&_arena)};
+    offset_keys.reserve(offsets.size());
     for (u32 off : offsets)
-        _index.lookupPrefetch(keys[off]);
+        offset_keys.push_back(keys[off]);
+    ArenaVector<Hits> offset_hits(offsets.size(), Hits{},
+                                  ArenaAllocator<Hits>(&_arena));
+    _index.lookupBatch(offset_keys, offset_hits);
 
     struct Lookup
     {
         u32 offset;
-        std::span<const u32> hits;
+        Hits hits;
     };
     ArenaVector<Lookup> lookups{ArenaAllocator<Lookup>(&_arena)};
     lookups.reserve(offsets.size());
-    for (u32 off : offsets) {
-        const auto hits = _index.lookup(keys[off]);
+    for (size_t i = 0; i < offsets.size(); ++i) {
         ++_stats.indexLookups;
-        if (hits.empty())
+        if (offset_hits[i].empty())
             return PosList{
                 ArenaAllocator<u32>(&_arena)}; // some k-mer absent
-        lookups.push_back({off, hits});
+        lookups.push_back({offsets[i], offset_hits[i]});
     }
 
     // Start from the smallest hit set, intersect in ascending size.
@@ -85,14 +89,20 @@ SmemEngine::tryExactMatch(const Seq &read, std::span<const u64> keys)
 }
 
 std::pair<u32, std::span<const u32>>
-SmemEngine::rmem(const Seq &read, u32 pivot, std::span<const u64> keys)
+SmemEngine::rmem(const Seq &read, u32 pivot, std::span<const Hits> hits)
 {
     const u32 k = _index.k();
     const u32 len = static_cast<u32>(read.size());
     const u32 max_len = len - pivot; // longest possible RMEM
 
-    const auto first = _index.lookup(keys[pivot]);
-    ++_stats.indexLookups;
+    // Every lookup below reads the hit list seed() resolved for that
+    // read offset, and counts one index lookup where the algorithm
+    // makes it.
+    const auto lookup = [&](u32 t) {
+        ++_stats.indexLookups;
+        return hits[pivot + t];
+    };
+    const Hits first = lookup(0);
     if (first.empty())
         return {0, {}};
 
@@ -108,8 +118,8 @@ SmemEngine::rmem(const Seq &read, u32 pivot, std::span<const u64> keys)
 
     // Extension by an overlapping or abutting k-mer at read offset
     // pivot + t certifies length t + k.
-    auto try_extend_hits = [&](u32 t, std::span<const u32> hits) {
-        _cam.intersectInto(cand, hits, t, *next);
+    auto try_extend_hits = [&](u32 t, Hits with) {
+        _cam.intersectInto(cand, with, t, *next);
         if (next->empty())
             return false;
         cand = *next;
@@ -118,9 +128,7 @@ SmemEngine::rmem(const Seq &read, u32 pivot, std::span<const u64> keys)
         return true;
     };
     auto try_extend = [&](u32 t) {
-        const auto hits = _index.lookup(keys[pivot + t]);
-        ++_stats.indexLookups;
-        return try_extend_hits(t, hits);
+        return try_extend_hits(t, lookup(t));
     };
 
     // Probing optimization: the expensive case is intersecting the
@@ -130,17 +138,15 @@ SmemEngine::rmem(const Seq &read, u32 pivot, std::span<const u64> keys)
     bool probed_failure = false;
     if (_cfg.probing && length + k <= max_len) {
         const u32 t0 = length; // the standard stride-k second k-mer
-        auto hits0 = _index.lookup(keys[pivot + t0]);
-        ++_stats.indexLookups;
+        const Hits hits0 = lookup(t0);
         u32 best_t = t0;
-        auto best_hits = hits0;
+        Hits best_hits = hits0;
         if (hits0.size() > _cfg.probeThreshold) {
             for (u32 s = k / 2; s >= 1; s /= 2) {
                 const u32 t = length - k + s;
-                const auto hits = _index.lookup(keys[pivot + t]);
-                ++_stats.indexLookups;
-                if (hits.size() < best_hits.size()) {
-                    best_hits = hits;
+                const Hits probe = lookup(t);
+                if (probe.size() < best_hits.size()) {
+                    best_hits = probe;
                     best_t = t;
                 }
                 if (s == 1)
@@ -231,20 +237,18 @@ SmemEngine::seed(const Seq &read)
         }
     }
 
-    // Prefetch the pivot k-mers' probe lines a fixed distance ahead
-    // of the rmem loop: the first lookup of each pivot is the one
-    // predictable table access, and overlapping its cache miss with
-    // the previous pivots' work takes it off the critical path.
-    constexpr u32 kLookahead = 8;
-    for (u32 p = 0; p < std::min(pivots, kLookahead); ++p)
-        _index.lookupPrefetch(keys[p]);
+    // Resolve every read offset's k-mer once, in one batched pass:
+    // rmem() only ever looks up k-mers at read offsets, and most of
+    // them (in a segment that does not hold the read, nearly all)
+    // are absent, which the index's filter answers without a table
+    // probe.
+    ArenaVector<Hits> hits(pivots, Hits{}, ArenaAllocator<Hits>(&_arena));
+    _index.lookupBatch(keys, hits);
 
     std::vector<Smem> out;
     u32 max_end = 0;
     for (u32 pivot = 0; pivot + k <= len; ++pivot) {
-        if (pivot + kLookahead < pivots)
-            _index.lookupPrefetch(keys[pivot + kLookahead]);
-        auto [length, cand] = rmem(read, pivot, keys);
+        auto [length, cand] = rmem(read, pivot, hits);
         if (length == 0)
             continue;
         // SMEM interval sanity: an RMEM certifies at least one whole

@@ -123,26 +123,30 @@ class SmemEngine
     const Arena &arena() const { return _arena; }
 
   private:
+    /** One k-mer's hit list: a view of the index's postings. */
+    using Hits = std::span<const u32>;
+
     /** Normalize a hit list by `offset` into a fresh candidate set. */
     PosList primeCandidates(std::span<const u32> hits, u32 offset);
 
     /**
      * Right maximal exact match from `pivot`.
      *
-     * `keys` holds the precomputed k-mer key for every read offset
-     * with a whole k-mer (seed() builds it once per read with a
-     * rolling update). The returned span views either the index's
-     * postings array or the engine's arena; it is valid until the
-     * next rmem() or seed() call, so callers must materialize kept
-     * candidate sets before moving on — which is the point: the vast
-     * majority of RMEMs are contained in an earlier SMEM and get
-     * dropped without their hit lists ever being copied.
+     * `hits` holds the hit list of the k-mer at every read offset
+     * with a whole k-mer (seed() resolves them once per read in one
+     * batched pass); rmem() counts an index lookup wherever it reads
+     * one. The returned span views either the index's postings array
+     * or the engine's arena; it is valid until the next rmem() or
+     * seed() call, so callers must materialize kept candidate sets
+     * before moving on — which is the point: the vast majority of
+     * RMEMs are contained in an earlier SMEM and get dropped without
+     * their hit lists ever being copied.
      *
      * @return matched length L (>= k) and the pivot-normalized hit
      *         set; L == 0 when even the first k-mer has no hits.
      */
     std::pair<u32, std::span<const u32>>
-    rmem(const Seq &read, u32 pivot, std::span<const u64> keys);
+    rmem(const Seq &read, u32 pivot, std::span<const Hits> hits);
 
     /** Whole-read exact-match shortcut; empty when not exact. */
     PosList tryExactMatch(const Seq &read, std::span<const u64> keys);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +29,9 @@
 #include "genax/system.hh"
 #include "readsim/readsim.hh"
 #include "readsim/refgen.hh"
+#include "seed/index_snapshot.hh"
+#include "seed/seed_index.hh"
+#include "seed/smem_engine.hh"
 #include "silla/silla_traceback.hh"
 #include "sillax/edit_machine.hh"
 #include "sillax/scoring_machine.hh"
@@ -824,6 +828,121 @@ TEST(ModelEquiv, SimulatedSeedingLanesGolden)
             << "length=" << run.length << " segments=" << run.segments
             << " got " << std::hex << bits;
     }
+}
+
+
+// ------------------------------------------------------ SMEM seeding
+
+/** FNV-1a over the little-endian bytes of one 64-bit word. */
+void
+fnvWord(u64 &h, u64 v)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= static_cast<u8>(v >> (8 * b));
+        h *= 0x100000001b3ULL;
+    }
+}
+
+/** Every SMEM's interval and hit positions, then the engine's
+ *  accumulated counters. */
+void
+hashSeeding(u64 &h, const std::vector<Smem> &smems)
+{
+    fnvWord(h, smems.size());
+    for (const Smem &s : smems) {
+        fnvWord(h, s.qryBegin);
+        fnvWord(h, s.qryEnd);
+        fnvWord(h, s.positions.size());
+        for (const u32 p : s.positions)
+            fnvWord(h, p);
+    }
+}
+
+void
+hashSeedingStats(u64 &h, const SeedingStats &st)
+{
+    for (const u64 v : {st.reads, st.exactMatchReads, st.indexLookups,
+                        st.smems, st.hitsReported, st.cam.loads,
+                        st.cam.searches, st.cam.binarySteps,
+                        st.cam.overflowFallbacks})
+        fnvWord(h, v);
+}
+
+TEST(ModelEquiv, SegmentedSeedingGolden)
+{
+    // SMEM seeding as both engines run it: GenAx over the 8 segment
+    // views of a snapshot, the software engine over one
+    // whole-reference index. The hashes were recorded before the
+    // index gained its presence filter and seeding its resolve pass,
+    // so they pin every SMEM, hit position, lookup and CAM count to
+    // the plain table-probing path.
+    RefGenConfig rcfg;
+    rcfg.length = u64{1} << 20;
+    rcfg.repeatFraction = 0.30;
+    rcfg.seed = 71;
+    const Seq ref = generateReference(rcfg);
+    ReadSimConfig rs;
+    rs.numReads = 300;
+    rs.seed = 72;
+    rs.baseErrorRate = 0.02;
+    rs.readIndelRate = 0.001;
+    rs.snpRate = 0.005;
+    std::vector<Seq> oriented;
+    for (const SimRead &r : simulateReads(ref, rs)) {
+        oriented.push_back(r.seq);
+        oriented.push_back(reverseComplement(r.seq));
+    }
+
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "genax_seeding_golden";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "ref.gxs").string();
+    SegmentConfig scfg;
+    scfg.k = 12;
+    scfg.segmentCount = 8;
+    scfg.overlap = 256;
+    ASSERT_TRUE(
+        IndexSnapshot::build(path, ref, {{"chr1", 0, ref.size()}}, scfg)
+            .ok());
+    auto snap = IndexSnapshot::open(path);
+    ASSERT_TRUE(snap.ok()) << snap.status().str();
+
+    // Both engines' seeding settings, plus a small CAM and a low
+    // probe threshold so the overflow fallback and the probing of
+    // lower strides run on this workload too.
+    const SeedingConfig gx = GenAxConfig{}.seeding;
+    SeedingConfig small_cam = gx;
+    small_cam.camSize = 2;
+    small_cam.probeThreshold = 2;
+    const auto seed_all = [&](const FlatKmerIndex &index,
+                              const SeedingConfig &cfg, u64 &h) {
+        SmemEngine engine(index, cfg);
+        for (const Seq &o : oriented)
+            hashSeeding(h, engine.seed(o));
+        hashSeedingStats(h, engine.stats());
+        return engine.stats();
+    };
+
+    u64 seg_hash = 0xcbf29ce484222325ULL;
+    u64 exact_reads = 0;
+    for (u64 seg = 0; seg < snap->segmentCount(); ++seg)
+        exact_reads +=
+            seed_all(snap->segmentView(seg), gx, seg_hash).exactMatchReads;
+    std::filesystem::remove_all(dir);
+
+    const SeedIndex whole(ref, 12);
+    u64 whole_hash = 0xcbf29ce484222325ULL;
+    const SeedingStats st = seed_all(whole, gx, whole_hash);
+    const SeedingStats small = seed_all(whole, small_cam, whole_hash);
+
+    // The workload must reach the exact-match shortcut, the full SMEM
+    // search and the CAM overflow fallback.
+    EXPECT_GT(exact_reads, 0u);
+    EXPECT_LT(st.exactMatchReads, oriented.size());
+    EXPECT_GT(small.cam.overflowFallbacks, 0u);
+    EXPECT_EQ(seg_hash, 0xed26733d18bd7399ULL) << std::hex << seg_hash;
+    EXPECT_EQ(whole_hash, 0x7e8c18835876e3ecULL) << std::hex << whole_hash;
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include "seed/index_snapshot.hh"
 #include "serve/service.hh"
 #include "silla/silla.hh"
+#include "store_rewrite.hh"
 
 namespace genax {
 namespace {
@@ -581,6 +582,38 @@ TEST_P(FrontEndPolicy, CorruptSnapshotRebuildsWithIdenticalSam)
     ASSERT_TRUE(run.status.ok()) << run.status.str();
     EXPECT_NE(run.indexNote.find("rebuilding from FASTA"),
               std::string::npos)
+        << run.indexNote;
+    EXPECT_EQ(run.sam, runFrontEnd(FrontEnd::AlignToSam, w.ref, w.reads,
+                                   policyOptions())
+                           .sam);
+    std::filesystem::remove_all(dir);
+}
+
+TEST_P(FrontEndPolicy, VersionOneSnapshotRebuildsWithIdenticalSam)
+{
+    // A GXSNAP file from before the presence filters: the same tables
+    // and postings, no ".flt" sections, kind version 1. It must take
+    // the rebuild path, never be read as the current version.
+    const PolicyWorkload w = policyWorkload();
+    const auto dir = testScratchDir();
+    const std::string current = (dir / "current.gxs").string();
+    const std::string snap = (dir / "v1.gxs").string();
+    buildSnapshot(current, w.ref);
+    ASSERT_TRUE(testing::rewriteStore(
+                    current, snap, 1,
+                    [](const std::string &name, std::string &) {
+                        return !name.ends_with(".flt");
+                    })
+                    .ok());
+
+    PipelineOptions opts = policyOptions();
+    opts.indexSnapshot = snap;
+    const FrontEndRun run = runFrontEnd(GetParam(), w.ref, w.reads, opts);
+    ASSERT_TRUE(run.status.ok()) << run.status.str();
+    EXPECT_NE(run.indexNote.find("rebuilding from FASTA"),
+              std::string::npos)
+        << run.indexNote;
+    EXPECT_NE(run.indexNote.find("format version 1"), std::string::npos)
         << run.indexNote;
     EXPECT_EQ(run.sam, runFrontEnd(FrontEnd::AlignToSam, w.ref, w.reads,
                                    policyOptions())

@@ -12,9 +12,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hh"
 #include "io/store.hh"
@@ -189,21 +192,29 @@ repeatRichReference()
     return ref;
 }
 
+/** The references the width and filter suites build at k: random,
+ *  repeat-rich, one repeated base, exactly one k-mer and none. */
+std::vector<std::pair<std::string, Seq>>
+widthTestReferences(u32 k)
+{
+    Rng rng(770 + k);
+    std::vector<std::pair<std::string, Seq>> refs;
+    refs.emplace_back("random 4 kbp", randomSeq(rng, 4000));
+    refs.emplace_back("readsim 200 kbp, 30% repeats",
+                      repeatRichReference());
+    refs.emplace_back("poly-A", Seq(3000, kBaseA));
+    refs.emplace_back("length k", randomSeq(rng, k));
+    refs.emplace_back("shorter than k", randomSeq(rng, k - 1));
+    return refs;
+}
+
 class FlatKmerIndexWidthTest : public ::testing::TestWithParam<u32>
 {};
 
 TEST_P(FlatKmerIndexWidthTest, BuildIsByteIdenticalAtEveryWidth)
 {
     const u32 k = GetParam();
-    Rng rng(770 + k);
-    const std::vector<std::pair<std::string, Seq>> refs = {
-        {"random 4 kbp", randomSeq(rng, 4000)},
-        {"readsim 200 kbp, 30% repeats", repeatRichReference()},
-        {"poly-A", Seq(3000, kBaseA)},
-        {"length k", randomSeq(rng, k)},
-        {"shorter than k", randomSeq(rng, k - 1)},
-    };
-    for (const auto &[name, ref] : refs) {
+    for (const auto &[name, ref] : widthTestReferences(k)) {
         const FlatKmerIndex serial(ref, k, 1);
         const auto table = serial.tableSpan();
         const auto positions = serial.positionsSpan();
@@ -217,6 +228,9 @@ TEST_P(FlatKmerIndexWidthTest, BuildIsByteIdenticalAtEveryWidth)
             EXPECT_TRUE(std::equal(p.begin(), p.end(), positions.begin(),
                                    positions.end()))
                 << name << " width " << width;
+            EXPECT_TRUE(std::ranges::equal(wide.filterSpan(),
+                                           serial.filterSpan()))
+                << name << " width " << width;
             EXPECT_EQ(wide.maxHitListSize(), serial.maxHitListSize())
                 << name << " width " << width;
             EXPECT_EQ(wide.distinctKmers(), serial.distinctKmers())
@@ -227,6 +241,68 @@ TEST_P(FlatKmerIndexWidthTest, BuildIsByteIdenticalAtEveryWidth)
 
 INSTANTIATE_TEST_SUITE_P(Ks, FlatKmerIndexWidthTest,
                          ::testing::Values(1u, 3u, 7u, 12u, 13u));
+
+class FlatKmerFilterTest : public ::testing::TestWithParam<u32>
+{};
+
+// The presence filter may only ever spare lookup() a table probe: it
+// has no false negatives, lookup() still matches the dense oracle,
+// and it rejects at least 85% of absent keys.
+TEST_P(FlatKmerFilterTest, NoFalseNegativesAndFewFalsePositives)
+{
+    const u32 k = GetParam();
+    const u64 key_space = u64{1} << (2 * k);
+    Rng rng(780 + k);
+    u64 absent = 0, passed = 0;
+    for (const auto &[name, ref] : widthTestReferences(k)) {
+        // The dense oracle at k <= 8 (every key) and k = 12 (10^6
+        // random keys); the filter rate from every key up to k = 8
+        // and 10^5 random keys above.
+        std::optional<KmerIndex> dense;
+        if (k <= 8 || k == 12)
+            dense.emplace(ref, k);
+        std::vector<u64> keys;
+        if (k <= 8) {
+            keys.resize(key_space);
+            std::iota(keys.begin(), keys.end(), u64{0});
+        } else {
+            keys.resize(k == 12 ? 1'000'000 : 100'000);
+            for (u64 &key : keys)
+                key = rng.below(key_space);
+        }
+        for (const unsigned width : {1u, 2u, 3u, 0u}) {
+            const auto where = ::testing::Message()
+                               << name << ", width " << width;
+            const FlatKmerIndex flat(ref, k, width);
+            EXPECT_EQ(flat.filterSpan().size(),
+                      FlatKmerIndex::filterWords(flat.distinctKmers()))
+                << where;
+            for (size_t p = 0; p + k <= ref.size(); ++p)
+                ASSERT_TRUE(flat.mayContain(flat.packKmer(ref, p)))
+                    << where << ", position " << p;
+            for (const u64 key : keys) {
+                const auto got = flat.lookup(key);
+                if (dense) {
+                    const auto want = dense->lookup(key);
+                    ASSERT_TRUE(std::ranges::equal(got, want))
+                        << where << ", key " << key;
+                }
+                if (width == 1 && got.empty()) {
+                    ++absent;
+                    passed += flat.mayContain(key) ? 1 : 0;
+                }
+            }
+        }
+    }
+    // Below k = 6 too few keys are absent for a rate to mean much.
+    if (absent >= 1000) {
+        EXPECT_LE(static_cast<double>(passed),
+                  0.15 * static_cast<double>(absent))
+            << passed << " of " << absent << " absent keys passed";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ks, FlatKmerFilterTest, ::testing::Range(1u, 14u));
 
 /** A key's first probe slot: the splitmix64 finalizer over the key
  *  plus kFlatIndexHashSeed, masked to the table. */
@@ -383,8 +459,10 @@ TEST(FlatKmerIndex, PolyAKeyHoldsEveryPosition)
 }
 
 // Every GXSNAP file on disk depends on these bytes: the slot layout,
-// the key-ordered extents and the postings. The checksums were
-// recorded with the original single-threaded comparison-sort build.
+// the key-ordered extents and the postings. The table and postings
+// checksums were recorded with the original single-threaded
+// comparison-sort build; the snapshot's size and checksum with GXSNAP
+// version 2, which adds each segment's presence filter.
 TEST(FlatKmerIndex, GoldenBytesOfTheRecordedLayout)
 {
     const Seq &ref = repeatRichReference();
@@ -417,9 +495,9 @@ TEST(FlatKmerIndex, GoldenBytesOfTheRecordedLayout)
     std::ifstream in(path, std::ios::binary);
     const std::string bytes((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
-    EXPECT_EQ(bytes.size(), 9396792u);
+    EXPECT_EQ(bytes.size(), 9659256u);
     EXPECT_EQ(storeChecksum(bytes.data(), bytes.size()),
-              0xeecdb43f16fc3b5cULL);
+              0x782737fb9bec52ccULL);
     fs::remove_all(dir);
 }
 

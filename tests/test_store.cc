@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -29,6 +31,7 @@
 #include "io/store.hh"
 #include "seed/flat_kmer_index.hh"
 #include "seed/index_snapshot.hh"
+#include "store_rewrite.hh"
 
 namespace genax {
 namespace {
@@ -275,6 +278,37 @@ TEST(Store, MmapFailureFallsBackToOwnedRead)
     fs::remove_all(dir);
 }
 
+TEST(Store, ChecksumFailureNamesTheLowestIndexSection)
+{
+    // The checksum walk runs sections concurrently, largest first;
+    // the diagnostic must still be the serial walk's.
+    const fs::path dir = scratchDir("genax_store_lowest_bad");
+    const TestStore t = buildTestStore(dir);
+    auto pristine = StoreFile::open(t.path, "TSTKND");
+    ASSERT_TRUE(pristine.ok());
+    const std::string bytes = slurp(t.path);
+    const auto flip = [&](std::string b, const char *name) {
+        for (const auto &s : pristine->sections())
+            if (s.name == name)
+                b[s.offset] = static_cast<char>(b[s.offset] ^ 1);
+        return b;
+    };
+    const std::string path = (dir / "bad").string();
+    spit(path, flip(flip(bytes, "alpha"), "beta"));
+    auto both = StoreFile::open(path, "TSTKND");
+    ASSERT_FALSE(both.ok());
+    EXPECT_NE(both.status().str().find("section 'alpha' checksum"),
+              std::string::npos)
+        << both.status().str();
+    spit(path, flip(bytes, "beta"));
+    auto beta = StoreFile::open(path, "TSTKND");
+    ASSERT_FALSE(beta.ok());
+    EXPECT_NE(beta.status().str().find("section 'beta' checksum"),
+              std::string::npos)
+        << beta.status().str();
+    fs::remove_all(dir);
+}
+
 TEST(Store, OpenRejectsMissingAndTinyFiles)
 {
     const fs::path dir = scratchDir("genax_store_tiny");
@@ -397,59 +431,6 @@ TEST(StoreChaos, SeededBitFlipsNeverCrashAndNeverLie)
     fs::remove_all(dir);
 }
 
-// ------------------------------------------- FlatKmerIndex snapshots
-
-TEST(FlatIndexSnapshot, SaveLoadMapViewAreEquivalent)
-{
-    const fs::path dir = scratchDir("genax_flatidx_snap");
-    const std::string path = (dir / "seg.fkx").string();
-
-    Rng rng(904);
-    const Seq ref = randomSeq(rng, 6000);
-    const u32 k = 9;
-    const FlatKmerIndex built(ref, k);
-    const IndexFingerprint fp = referenceFingerprint(ref, k);
-    ASSERT_TRUE(built.save(path, fp).ok());
-
-    auto loaded = FlatKmerIndex::load(path, &fp);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().str();
-    EXPECT_FALSE(loaded->borrowed());
-
-    auto mapping = FlatKmerIndex::mapView(path, &fp);
-    ASSERT_TRUE(mapping.ok()) << mapping.status().str();
-    EXPECT_TRUE(mapping->index().borrowed());
-    EXPECT_TRUE(mapping->mapped());
-
-    const FlatKmerIndex &owned_idx = *loaded;
-    const FlatKmerIndex &mapped_idx = mapping->index();
-    for (const FlatKmerIndex *idx : {&owned_idx, &mapped_idx}) {
-        EXPECT_EQ(idx->k(), built.k());
-        EXPECT_EQ(idx->segmentLength(), built.segmentLength());
-        EXPECT_EQ(idx->maxHitListSize(), built.maxHitListSize());
-        for (u64 key = 0; key < (u64{1} << (2 * k)); ++key) {
-            const auto want = built.lookup(key);
-            const auto got = idx->lookup(key);
-            ASSERT_EQ(got.size(), want.size()) << "key " << key;
-            ASSERT_TRUE(std::equal(got.begin(), got.end(),
-                                   want.begin()))
-                << "key " << key;
-        }
-    }
-
-    // A fingerprint from any other reference or k is rejected as
-    // FailedPrecondition — distinct from corruption.
-    const IndexFingerprint wrong_k = referenceFingerprint(ref, k + 1);
-    auto rk = FlatKmerIndex::load(path, &wrong_k);
-    ASSERT_FALSE(rk.ok());
-    EXPECT_EQ(rk.status().code(), StatusCode::FailedPrecondition);
-    const Seq other = randomSeq(rng, 6000);
-    const IndexFingerprint wrong_ref = referenceFingerprint(other, k);
-    auto rr = FlatKmerIndex::mapView(path, &wrong_ref);
-    ASSERT_FALSE(rr.ok());
-    EXPECT_EQ(rr.status().code(), StatusCode::FailedPrecondition);
-    fs::remove_all(dir);
-}
-
 // --------------------------------------------- whole-ref snapshots
 
 TEST(IndexSnapshot, BuildOpenRoundTrip)
@@ -494,6 +475,8 @@ TEST(IndexSnapshot, BuildOpenRoundTrip)
         const FlatKmerIndex view = snap->segmentView(i);
         EXPECT_TRUE(view.borrowed());
         EXPECT_EQ(view.maxHitListSize(), fresh.maxHitListSize());
+        EXPECT_TRUE(std::ranges::equal(view.filterSpan(),
+                                       fresh.filterSpan()));
         for (u64 key = 0; key < (u64{1} << (2 * cfg.k));
              key += 7) { // stride keeps the sweep fast
             const auto want = fresh.lookup(key);
@@ -544,6 +527,109 @@ TEST(IndexSnapshot, BitFlipSweepRejectsCleanly)
             EXPECT_EQ(r->referenceSequence(), ref);
         }
     }
+    fs::remove_all(dir);
+}
+
+/** A small three-segment snapshot for the format-rule tests. */
+std::string
+formatTestSnapshot(const fs::path &dir)
+{
+    Rng rng(909);
+    const Seq ref = randomSeq(rng, 5000);
+    SegmentConfig cfg;
+    cfg.k = 9;
+    cfg.segmentCount = 3;
+    cfg.overlap = 64;
+    const std::string path = (dir / "ref.gxs").string();
+    EXPECT_TRUE(
+        IndexSnapshot::build(path, ref, {{"c", 0, ref.size()}}, cfg).ok());
+    return path;
+}
+
+TEST(IndexSnapshot, OtherFormatVersionsAreRejected)
+{
+    const fs::path dir = scratchDir("genax_snap_version");
+    const std::string path = formatTestSnapshot(dir);
+    auto store = StoreFile::open(path, "GXSNAP");
+    ASSERT_TRUE(store.ok());
+    EXPECT_EQ(store->kindVersion(), kSnapshotKindVersion);
+
+    // A version-1 file (no filter sections) and a future version both
+    // fail open() with a clean InvalidInput naming the version.
+    const std::string old_path = (dir / "v1.gxs").string();
+    ASSERT_TRUE(testing::rewriteStore(
+                    path, old_path, 1,
+                    [](const std::string &name, std::string &) {
+                        return !name.ends_with(".flt");
+                    })
+                    .ok());
+    const std::string new_path = (dir / "v3.gxs").string();
+    ASSERT_TRUE(testing::rewriteStore(path, new_path, 3).ok());
+    for (const auto &[file, version] :
+         {std::pair{old_path, "format version 1"},
+          std::pair{new_path, "format version 3"}}) {
+        auto r = IndexSnapshot::open(file);
+        ASSERT_FALSE(r.ok()) << file;
+        EXPECT_EQ(r.status().code(), StatusCode::InvalidInput);
+        EXPECT_NE(r.status().str().find(version), std::string::npos)
+            << r.status().str();
+    }
+    fs::remove_all(dir);
+}
+
+TEST(IndexSnapshot, FilterBreakingItsRulesIsRejected)
+{
+    const fs::path dir = scratchDir("genax_snap_filter");
+    const std::string path = formatTestSnapshot(dir);
+    auto snap = IndexSnapshot::open(path);
+    ASSERT_TRUE(snap.ok()) << snap.status().str();
+
+    // Clear the filter bits of one occupied key of segment 1: the
+    // checksums are recomputed, so only the filter walk can catch it.
+    const FlatKmerIndex view = snap->segmentView(1);
+    u64 key = FlatKmerIndex::kEmptyKey;
+    for (const FlatKmerIndex::Entry &e : view.tableSpan())
+        if (e.key != FlatKmerIndex::kEmptyKey)
+            key = e.key;
+    ASSERT_NE(key, FlatKmerIndex::kEmptyKey);
+    const auto probe =
+        FlatKmerIndex::filterProbe(key, view.filterSpan().size());
+    const std::string hole = (dir / "hole.gxs").string();
+    ASSERT_TRUE(testing::rewriteStore(
+                    path, hole, kSnapshotKindVersion,
+                    [&](const std::string &name, std::string &bytes) {
+                        if (name == "seg1.flt") {
+                            u64 w;
+                            std::memcpy(&w, &bytes[8 * probe.word], 8);
+                            w &= ~probe.bits;
+                            std::memcpy(&bytes[8 * probe.word], &w, 8);
+                        }
+                        return true;
+                    })
+                    .ok());
+    auto r = IndexSnapshot::open(hole);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::InvalidInput);
+    EXPECT_NE(r.status().str().find("segment 1: filter misses key"),
+              std::string::npos)
+        << r.status().str();
+
+    // A filter of any size but the one the sizing rule gives.
+    const std::string doubled = (dir / "doubled.gxs").string();
+    ASSERT_TRUE(testing::rewriteStore(
+                    path, doubled, kSnapshotKindVersion,
+                    [](const std::string &name, std::string &bytes) {
+                        if (name == "seg2.flt")
+                            bytes += bytes;
+                        return true;
+                    })
+                    .ok());
+    r = IndexSnapshot::open(doubled);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::InvalidInput);
+    EXPECT_NE(r.status().str().find("segment 2: filter of"),
+              std::string::npos)
+        << r.status().str();
     fs::remove_all(dir);
 }
 

@@ -18,6 +18,11 @@
  *                                        the target must always be
  *                                        the old file or a fully
  *                                        valid new one
+ *   store_chaos filterhole <file>        clear one present key's bit
+ *                                        in a snapshot's presence
+ *                                        filter and recompute every
+ *                                        checksum; the snapshot must
+ *                                        still be rejected
  *
  * The sweeps exercise the exact code paths genax_align trusts at
  * startup, so CI runs them under ASan+UBSan: any crash, hang or
@@ -322,6 +327,87 @@ cmdKillsave(const char *self, const std::string &dir)
     return g_violations ? kExitViolation : kExitOk;
 }
 
+/** Clear one bit of one occupied key's presence-filter word in the
+ *  middle segment, rewrite the store through StoreWriter so every
+ *  section, table and header checksum matches again, and demand that
+ *  IndexSnapshot::open rejects it — both mapped and owned — while the
+ *  bare store still opens: only the filter walk can catch a filter
+ *  that would hide a present key. */
+int
+cmdFilterhole(const std::string &path)
+{
+    auto snap = IndexSnapshot::open(path);
+    auto store = StoreFile::open(path, "");
+    if (!snap.ok() || !store.ok()) {
+        std::fprintf(stderr,
+                     "store_chaos: filterhole: input snapshot is not "
+                     "valid: %s\n",
+                     (snap.ok() ? store.status() : snap.status())
+                         .str()
+                         .c_str());
+        return kExitError;
+    }
+    const u64 seg = snap->segmentCount() / 2;
+    const FlatKmerIndex view = snap->segmentView(seg);
+    u64 key = FlatKmerIndex::kEmptyKey;
+    for (const FlatKmerIndex::Entry &e : view.tableSpan()) {
+        if (e.key != FlatKmerIndex::kEmptyKey) {
+            key = e.key;
+            break;
+        }
+    }
+    if (key == FlatKmerIndex::kEmptyKey) {
+        std::fprintf(stderr, "store_chaos: filterhole: segment %llu "
+                             "holds no key\n",
+                     static_cast<unsigned long long>(seg));
+        return kExitError;
+    }
+    const auto probe =
+        FlatKmerIndex::filterProbe(key, view.filterSpan().size());
+    const u64 bit = probe.bits & (~probe.bits + 1); // lowest of them
+    const std::string filter = "seg" + std::to_string(seg) + ".flt";
+
+    StoreWriter w(store->kind(), store->kindVersion());
+    std::vector<std::string> payloads;
+    payloads.reserve(store->sections().size());
+    for (const StoreFile::Section &s : store->sections()) {
+        const auto raw = store->section(s.name);
+        payloads.emplace_back(raw->begin(), raw->end());
+        if (s.name == filter) {
+            u64 word;
+            std::memcpy(&word, &payloads.back()[8 * probe.word], 8);
+            word &= ~bit;
+            std::memcpy(&payloads.back()[8 * probe.word], &word, 8);
+        }
+        w.addSection(s.name, payloads.back().data(),
+                     payloads.back().size());
+    }
+    const std::string scratch = path + ".chaos_hole";
+    if (const Status st = w.writeFile(scratch); !st.ok()) {
+        std::fprintf(stderr, "store_chaos: filterhole: %s\n",
+                     st.str().c_str());
+        return kExitError;
+    }
+    if (!StoreFile::open(scratch, "").ok())
+        violation("filterhole: the rewritten checksums do not match");
+    for (const bool prefer_mmap : {true, false}) {
+        auto r = IndexSnapshot::open(scratch, prefer_mmap);
+        if (r.ok())
+            violation("filterhole: a filter missing key " +
+                      std::to_string(key) + " was accepted");
+        else if (r.status().code() != StatusCode::InvalidInput)
+            violation("filterhole: untyped rejection: " +
+                      r.status().str());
+    }
+    fs::remove(scratch);
+    std::fprintf(stderr,
+                 "store_chaos: filterhole: key %llu of segment %llu, "
+                 "%d violations\n",
+                 static_cast<unsigned long long>(key),
+                 static_cast<unsigned long long>(seg), g_violations);
+    return g_violations ? kExitViolation : kExitOk;
+}
+
 void
 usage(std::FILE *to)
 {
@@ -331,6 +417,7 @@ usage(std::FILE *to)
         "       store_chaos truncate <file>\n"
         "       store_chaos bitflip <file> <n> <seed>\n"
         "       store_chaos killsave <dir>\n"
+        "       store_chaos filterhole <file>\n"
         "\n"
         "exit codes: 0 all invariants held; 1 violation; 2 usage;\n"
         "3 unrecoverable error\n");
@@ -363,6 +450,8 @@ main(int argc, char **argv)
                           static_cast<u64>(std::atoll(argv[4])));
     if (cmd == "killsave" && argc == 3)
         return cmdKillsave(argv[0], argv[2]);
+    if (cmd == "filterhole" && argc == 3)
+        return cmdFilterhole(argv[2]);
     usage(stderr);
     return kExitUsage;
 }

@@ -27,11 +27,13 @@ err() {
 
 # ------------------------------------------------------------------
 # 1. Harness sweeps: truncation at every section boundary, 256
-#    deterministic bit flips, and the kill-during-save crash sweep.
+#    deterministic bit flips, a presence filter missing a key under
+#    valid checksums, and the kill-during-save crash sweep.
 # ------------------------------------------------------------------
 "$chaos" build "$tmp/snap.gxs" || err "build failed"
 "$chaos" truncate "$tmp/snap.gxs" || err "truncation sweep failed"
 "$chaos" bitflip "$tmp/snap.gxs" 256 7 || err "bitflip sweep failed"
+"$chaos" filterhole "$tmp/snap.gxs" || err "filterhole check failed"
 "$chaos" killsave "$tmp/kill" || err "killsave sweep failed"
 
 # A second seed exercises different flip offsets without giving up
