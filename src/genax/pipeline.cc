@@ -14,11 +14,11 @@
 #include "common/check.hh"
 #include "common/faultinject.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/threadpool.hh"
 #include "io/sam.hh"
 #include "seed/index_snapshot.hh"
 #include "silla/silla.hh"
-#include "swbase/bwamem_like.hh"
 #include "swbase/paired.hh"
 
 namespace genax {
@@ -105,36 +105,6 @@ pipelineSamRecord(const ContigMap &contigs, const FastqRecord &read,
 }
 
 namespace {
-
-/**
- * Emit one batch's SAM records in input order and fold its outcomes
- * into the ledger. `failed` covers the whole batch; `aligned` covers
- * only the admitted (non-failed) reads, in the same relative order.
- */
-void
-emitBatch(SamWriter &sam, const ContigMap &contigs,
-          const std::vector<FastqRecord> &reads,
-          const std::vector<u8> &failed,
-          const AlignEngine::Batch &aligned, PipelineResult &res)
-{
-    size_t live = 0; // index into aligned (admitted reads only)
-    for (size_t i = 0; i < reads.size(); ++i) {
-        if (failed[i]) {
-            sam.write(pipelineSamRecord(contigs, reads[i], Mapping{}));
-            continue;
-        }
-        const Mapping &m = aligned.maps[live];
-        const bool via_fallback = aligned.degraded[live] != 0;
-        ++live;
-        if (!m.mapped)
-            ++res.unmapped;
-        else if (via_fallback)
-            ++res.degraded;
-        else
-            ++res.mapped;
-        sam.write(pipelineSamRecord(contigs, reads[i], m));
-    }
-}
 
 /**
  * Single-producer single-consumer bounded queue connecting the
@@ -330,6 +300,31 @@ AlignEngine::batch(const std::vector<Seq> &seqs)
     return out;
 }
 
+AlignEngine::CandidateBatch
+AlignEngine::batchCandidates(const std::vector<Seq> &seqs,
+                             u32 max_candidates)
+{
+    GENAX_CHECK(_open,
+                "AlignEngine::batchCandidates() outside begin()/end()");
+    CandidateBatch out;
+    if (_system) {
+        out.candidates =
+            _system->streamBatchCandidates(seqs, _base, max_candidates);
+        out.degraded = _system->degradedReads();
+    } else if (_aligner) {
+        out.candidates.resize(seqs.size());
+        parallelFor(seqs.size(), _aligner->config().threads,
+                    [&](u64 lo, u64 hi) {
+                        for (u64 i = lo; i < hi; ++i)
+                            out.candidates[i] = _aligner->candidates(
+                                seqs[i], max_candidates);
+                    });
+        out.degraded.assign(seqs.size(), _softwareFallback ? 1 : 0);
+    }
+    _base += seqs.size();
+    return out;
+}
+
 void
 AlignEngine::end()
 {
@@ -345,8 +340,9 @@ AlignEngine::end()
 
 namespace {
 
-/** The driver's reads: a FASTQ reader drained in batches, or one
- *  batch the caller already holds in memory (exactly one is set). */
+/** One read stream of the driver: a FASTQ reader drained in batches,
+ *  or one batch the caller already holds in memory (exactly one is
+ *  set). */
 struct ReadSource
 {
     FastqReader *reader = nullptr;
@@ -355,16 +351,58 @@ struct ReadSource
     std::string context;
 };
 
+/** One parsed batch of templates: a read each, and on paired input
+ *  its mate. */
+struct Templates
+{
+    std::vector<FastqRecord> reads;
+    std::vector<FastqRecord> mates;
+};
+
+/** A mate's SAM record: pipelineSamRecord() plus the pair fields. */
+SamRecord
+pairedRecord(const ContigMap &contigs, const FastqRecord &read,
+             const PairMapping &pair, bool is_read1)
+{
+    const Mapping &self = is_read1 ? pair.r1 : pair.r2;
+    const Mapping &mate = is_read1 ? pair.r2 : pair.r1;
+    SamRecord rec = pipelineSamRecord(contigs, read, self);
+    rec.flag |= kSamPaired | (is_read1 ? kSamRead1 : kSamRead2);
+    if (!mate.mapped) {
+        rec.flag |= kSamMateUnmapped;
+        return rec;
+    }
+    if (mate.reverse)
+        rec.flag |= kSamMateReverse;
+    const auto [mci, mlocal] = contigs.locate(mate.pos);
+    const bool same_contig =
+        self.mapped && contigs.locate(self.pos).first == mci;
+    rec.rnext = same_contig ? "=" : contigs.contigs()[mci].name;
+    rec.pnext = mlocal;
+    // Pairing works in concatenated coordinates; mates on different
+    // contigs are not a proper pair.
+    if (pair.proper && same_contig) {
+        rec.flag |= kSamProperPair;
+        // Leftmost mate carries +tlen, rightmost -tlen.
+        rec.tlen = self.pos <= mate.pos ? pair.templateLen
+                                        : -pair.templateLen;
+    }
+    return rec;
+}
+
 /**
  * The one pipeline driver: every front end streams its reads through
  * here, batch by batch, into the AlignEngine it created, and gets SAM
- * in input order plus the outcome ledger back. `open_out`, when set,
- * opens `out` once the first batch is in hand, so a run that fails
- * reading it leaves no output file behind.
+ * in input order plus the outcome ledger back. With `mates` set the
+ * input is paired: both sources are read in lockstep batches of
+ * templates, each template is resolved from its mates' candidate
+ * lists (swbase/paired.hh) and emits both mates' records. `open_out`,
+ * when set, opens `out` once the first batch is in hand, so a run
+ * that fails reading it leaves no output file behind.
  */
 StatusOr<PipelineResult>
-drive(AlignEngine &engine, const ReadSource &src, std::ostream &out,
-      const PipelineOptions &opts,
+drive(AlignEngine &engine, const ReadSource &src, const ReadSource *mates,
+      std::ostream &out, const PipelineOptions &opts,
       const std::function<Status()> &open_out = {})
 {
     const ContigMap &contigs = engine.contigs();
@@ -375,14 +413,24 @@ drive(AlignEngine &engine, const ReadSource &src, std::ostream &out,
     res.indexMapped = att.mapped;
     res.indexFallback = att.fallback;
     res.indexNote = att.note;
+    const PairedConfig pairing;
 
     const u64 batch_size =
         opts.batchReads == 0 ? ~u64{0} : opts.batchReads;
-    const auto parse_batch = [&]() -> StatusOr<std::vector<FastqRecord>> {
-        auto batch = src.reader->nextBatch(batch_size);
-        if (src.context.empty())
+    const auto parse = [&](const ReadSource &from)
+        -> StatusOr<std::vector<FastqRecord>> {
+        auto batch = from.reader->nextBatch(batch_size);
+        if (from.context.empty())
             return batch;
-        return std::move(batch).withContext(src.context);
+        return std::move(batch).withContext(from.context);
+    };
+    const auto parse_batch = [&]() -> StatusOr<Templates> {
+        Templates batch;
+        GENAX_TRY_ASSIGN(batch.reads, parse(src));
+        if (mates) {
+            GENAX_TRY_ASSIGN(batch.mates, parse(*mates));
+        }
+        return batch;
     };
 
     // IO-overlap policy: overlap needs more than one batch — with one,
@@ -403,13 +451,13 @@ drive(AlignEngine &engine, const ReadSource &src, std::ostream &out,
     // strictly sequential on that thread, so record order — and the
     // parser fault sites' per-site ordinal replay — is exactly what
     // a synchronous read would produce.
-    BoundedQueue<StatusOr<std::vector<FastqRecord>>> parsed(1);
+    BoundedQueue<StatusOr<Templates>> parsed(1);
     std::thread reader_thread;
     if (overlap) {
         reader_thread = std::thread([&] {
             for (;;) {
                 auto batch = parse_batch();
-                const bool stop = !batch.ok() || batch->empty();
+                const bool stop = !batch.ok() || batch->reads.empty();
                 if (!parsed.push(std::move(batch)))
                     break; // aligner bailed out; stop reading
                 if (stop)
@@ -450,26 +498,45 @@ drive(AlignEngine &engine, const ReadSource &src, std::ostream &out,
     };
 
     // The batch in hand: the caller's reads (handed out once, never
-    // copied) or the reader's next batch; empty at end of input.
-    const std::vector<FastqRecord> *unread = src.reads;
-    std::vector<FastqRecord> parsed_batch;
-    const auto next_batch =
-        [&]() -> StatusOr<const std::vector<FastqRecord> *> {
-        parsed_batch.clear();
+    // copied) or the reader's next batch; empty at end of input. Mates
+    // pair up by index, so on paired input the files must agree in
+    // read count at every batch.
+    bool handed_out = false;
+    Templates parsed_batch;
+    u64 reads_seen = 0, mates_seen = 0;
+    struct InHand
+    {
+        const std::vector<FastqRecord> *reads;
+        const std::vector<FastqRecord> *mates;
+    };
+    const auto next_batch = [&]() -> StatusOr<InHand> {
+        parsed_batch = Templates{};
+        InHand batch{&parsed_batch.reads, &parsed_batch.mates};
         if (!src.reader) {
-            const auto *batch = unread ? unread : &parsed_batch;
-            unread = nullptr;
-            return batch;
+            if (!handed_out)
+                batch = {src.reads, mates ? mates->reads : nullptr};
+            handed_out = true;
+        } else {
+            StatusOr<Templates> next = Templates{};
+            if (!overlap)
+                next = parse_batch();
+            else if (auto popped = parsed.pop())
+                next = std::move(*popped);
+            GENAX_TRY(next.status());
+            parsed_batch = std::move(next).value();
         }
-        StatusOr<std::vector<FastqRecord>> next =
-            std::vector<FastqRecord>{};
-        if (!overlap)
-            next = parse_batch();
-        else if (auto popped = parsed.pop())
-            next = std::move(*popped);
-        GENAX_TRY(next.status());
-        parsed_batch = std::move(next).value();
-        return &parsed_batch;
+        if (mates) {
+            reads_seen += batch.reads->size();
+            mates_seen += batch.mates->size();
+            if (reads_seen != mates_seen)
+                return invalidInputError(
+                    "mate files differ in read count: " +
+                    std::to_string(reads_seen) + " vs " +
+                    std::to_string(mates_seen) +
+                    " records read (skipped malformed records can "
+                    "desynchronize mates)");
+        }
+        return batch;
     };
 
     double align_seconds = 0;
@@ -482,6 +549,14 @@ drive(AlignEngine &engine, const ReadSource &src, std::ostream &out,
             std::chrono::duration<double>(t1 - t0).count();
     };
     timed([&] { engine.begin(); });
+    const auto tally = [&res](const Mapping &m, u8 via_fallback) {
+        if (!m.mapped)
+            ++res.unmapped;
+        else if (via_fallback)
+            ++res.degraded;
+        else
+            ++res.mapped;
+    };
 
     Status failure = okStatus();
     for (;;) {
@@ -490,7 +565,7 @@ drive(AlignEngine &engine, const ReadSource &src, std::ostream &out,
             failure = next.status();
             break;
         }
-        const std::vector<FastqRecord> &batch = **next;
+        const std::vector<FastqRecord> &batch = *next->reads;
         if (!sam) {
             if (open_out)
                 failure = open_out();
@@ -500,29 +575,68 @@ drive(AlignEngine &engine, const ReadSource &src, std::ostream &out,
         }
         if (batch.empty())
             break;
-        res.reads += batch.size();
+        const u64 reads_per_template = mates ? 2 : 1;
+        res.reads += batch.size() * reads_per_template;
 
-        // Admission: the genax.pipeline.read fault point models a read
-        // lost inside the pipeline (staging-buffer corruption and the
-        // like). Such a read is Failed in the ledger and emitted as an
-        // unmapped placeholder so the SAM output stays index-aligned
-        // with the input. It runs on this thread in read order, so the
-        // site's ordinals are the same at any batch size.
+        // Admission: the genax.pipeline.read fault point models a
+        // template lost inside the pipeline (staging-buffer corruption
+        // and the like). Its reads are Failed in the ledger and emitted
+        // as unmapped placeholders so the SAM output stays
+        // index-aligned with the input. It runs on this thread in input
+        // order, so the site's ordinals are the same at any batch size.
+        // An admitted template's reads sit side by side in the engine's
+        // batch (read then mate), so a read's engine index, which keys
+        // GenAx faults and perf, does not depend on the batch size
+        // either.
         std::vector<u8> failed(batch.size(), 0);
         std::vector<Seq> seqs;
-        seqs.reserve(batch.size());
-        for (size_t i = 0; i < batch.size(); ++i) {
+        seqs.reserve(batch.size() * reads_per_template);
+        for (size_t t = 0; t < batch.size(); ++t) {
             if (faultFires(fault::kPipelineRead)) [[unlikely]] {
-                failed[i] = 1;
-                ++res.failed;
+                failed[t] = 1;
+                res.failed += reads_per_template;
                 continue;
             }
-            seqs.push_back(batch[i].seq);
+            seqs.push_back(batch[t].seq);
+            if (mates)
+                seqs.push_back((*next->mates)[t].seq);
         }
 
-        AlignEngine::Batch aligned;
-        timed([&] { aligned = engine.batch(seqs); });
-        emitBatch(*sam, contigs, batch, failed, aligned, res);
+        AlignEngine::Batch single;
+        AlignEngine::CandidateBatch paired;
+        timed([&] {
+            if (mates)
+                paired = engine.batchCandidates(
+                    seqs, pairing.candidatesPerMate);
+            else
+                single = engine.batch(seqs);
+        });
+
+        // Emission in input order; `live` indexes the engine's results,
+        // which cover the admitted templates only.
+        size_t live = 0;
+        for (size_t t = 0; t < batch.size(); ++t) {
+            if (!mates) {
+                Mapping m;
+                if (!failed[t]) {
+                    m = std::move(single.maps[live]);
+                    tally(m, single.degraded[live++]);
+                }
+                sam->write(pipelineSamRecord(contigs, batch[t], m));
+                continue;
+            }
+            PairMapping pair;
+            if (!failed[t]) {
+                pair = resolvePair(paired.candidates[live],
+                                   paired.candidates[live + 1], pairing);
+                tally(pair.r1, paired.degraded[live]);
+                tally(pair.r2, paired.degraded[live + 1]);
+                live += 2;
+            }
+            sam->write(pairedRecord(contigs, batch[t], pair, true));
+            sam->write(
+                pairedRecord(contigs, (*next->mates)[t], pair, false));
+        }
         flush_stage();
     }
     flush_stage(); // the header alone, for an empty input
@@ -555,221 +669,34 @@ drive(AlignEngine &engine, const ReadSource &src, std::ostream &out,
     return res;
 }
 
-} // namespace
-
+/**
+ * The file front end of alignFiles() and alignPairFiles(): parse the
+ * reference, drive the read file (and on paired input its mate file)
+ * into a fresh engine, and open the output once the first batch is
+ * read.
+ */
 StatusOr<PipelineResult>
-alignToSam(const std::vector<FastaRecord> &ref,
-           const std::vector<FastqRecord> &reads, std::ostream &out,
-           const PipelineOptions &opts)
-{
-    GENAX_TRY_ASSIGN(const auto engine, AlignEngine::create(ref, opts));
-    return drive(*engine,
-                 {.reader = nullptr, .reads = &reads, .context = ""}, out,
-                 opts);
-}
-
-StatusOr<PipelineResult>
-alignStreamToSam(const std::vector<FastaRecord> &ref,
-                 FastqReader &reads, std::ostream &out,
-                 const PipelineOptions &opts)
-{
-    GENAX_TRY_ASSIGN(const auto engine, AlignEngine::create(ref, opts));
-    return drive(*engine,
-                 {.reader = &reads, .reads = nullptr, .context = ""}, out,
-                 opts);
-}
-
-namespace {
-
-/** Fill one mate's SAM record from its mapping and its mate's. */
-SamRecord
-pairedRecord(const ContigMap &contigs, const FastqRecord &read,
-             const Mapping &self, const Mapping &mate,
-             const PairMapping &pair, bool is_read1)
-{
-    SamRecord rec;
-    rec.qname = read.name;
-    rec.flag = kSamPaired | (is_read1 ? kSamRead1 : kSamRead2);
-    if (pair.proper)
-        rec.flag |= kSamProperPair;
-    if (!mate.mapped)
-        rec.flag |= kSamMateUnmapped;
-    else if (mate.reverse)
-        rec.flag |= kSamMateReverse;
-
-    const Seq &oriented = self.mapped && self.reverse
-                              ? reverseComplement(read.seq)
-                              : read.seq;
-    rec.seq = decode(oriented);
-    rec.qual = phredToAscii(read.qual, self.mapped && self.reverse);
-
-    if (!self.mapped) {
-        rec.flag |= kSamUnmapped;
-    } else {
-        const auto [ci, local] = contigs.locate(self.pos);
-        if (self.reverse)
-            rec.flag |= kSamReverse;
-        rec.rname = contigs.contigs()[ci].name;
-        rec.pos = local;
-        rec.mapq = self.mapq;
-        rec.cigar = self.cigar.strSamM();
-        rec.score = self.score;
-        rec.editDistance = static_cast<i32>(self.cigar.editDistance());
-    }
-    if (mate.mapped) {
-        const auto [mci, mlocal] = contigs.locate(mate.pos);
-        rec.rnext = self.mapped &&
-                            contigs.locate(self.pos).first == mci
-                        ? "="
-                        : contigs.contigs()[mci].name;
-        rec.pnext = mlocal;
-    }
-    if (pair.proper && self.mapped && mate.mapped) {
-        // Leftmost mate carries +tlen, rightmost -tlen.
-        rec.tlen = self.pos <= mate.pos ? pair.templateLen
-                                        : -pair.templateLen;
-    }
-    return rec;
-}
-
-/** The mate files pair up and the reference is usable. */
-Status
-checkPairInputs(const std::vector<FastaRecord> &ref,
-                const std::vector<FastqRecord> &reads1,
-                const std::vector<FastqRecord> &reads2)
-{
-    if (reads1.size() != reads2.size()) {
-        return invalidInputError(
-            "mate files differ in read count: " +
-            std::to_string(reads1.size()) + " vs " +
-            std::to_string(reads2.size()) +
-            " (skipped malformed records can desynchronize mates)");
-    }
-    return validateReference(ref);
-}
-
-/** alignPairsToSam() on checked inputs. */
-StatusOr<PipelineResult>
-alignPairs(const ContigMap &contigs,
-           const std::vector<FastqRecord> &reads1,
-           const std::vector<FastqRecord> &reads2, std::ostream &out,
-           const PipelineOptions &opts)
-{
-    BwaMemLike aligner(contigs.sequence(), alignerConfig(opts));
-    PairedAligner paired(aligner);
-
-    PipelineResult res;
-    res.reads = reads1.size() * 2;
-
-    SamWriter sam(out, contigs.samHeader());
-
-    const auto t0 = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < reads1.size(); ++i) {
-        // A pipeline.read fault fails the whole template: both mates
-        // are emitted as unmapped placeholders and counted Failed.
-        if (faultFires(fault::kPipelineRead)) [[unlikely]] {
-            res.failed += 2;
-            SamRecord r1 = pipelineSamRecord(contigs, reads1[i], {});
-            r1.flag |= kSamPaired | kSamRead1 | kSamMateUnmapped;
-            SamRecord r2 = pipelineSamRecord(contigs, reads2[i], {});
-            r2.flag |= kSamPaired | kSamRead2 | kSamMateUnmapped;
-            sam.write(r1);
-            sam.write(r2);
-            continue;
-        }
-        PairMapping pm = paired.alignPair(reads1[i].seq, reads2[i].seq);
-        // Pairing works in concatenated coordinates; a pair whose
-        // mates land on different contigs is not a proper pair.
-        if (pm.proper &&
-            contigs.locate(pm.r1.pos).first !=
-                contigs.locate(pm.r2.pos).first) {
-            pm.proper = false;
-            pm.templateLen = 0;
-        }
-        res.mapped += pm.r1.mapped + pm.r2.mapped;
-        res.unmapped += !pm.r1.mapped + !pm.r2.mapped;
-        sam.write(pairedRecord(contigs, reads1[i], pm.r1, pm.r2, pm,
-                               true));
-        sam.write(pairedRecord(contigs, reads2[i], pm.r2, pm.r1, pm,
-                               false));
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    res.seconds = std::chrono::duration<double>(t1 - t0).count();
-    if (!out)
-        return ioError("failed writing SAM output after " +
-                       std::to_string(sam.count()) + " records");
-    GENAX_CHECK(res.ledgerBalanced(),
-                "paired pipeline ledger out of balance: ", res.mapped,
-                "+", res.unmapped, "+", res.skippedMalformed, "+",
-                res.degraded, "+", res.failed, " != ", res.reads);
-    return res;
-}
-
-} // namespace
-
-StatusOr<PipelineResult>
-alignPairsToSam(const std::vector<FastaRecord> &ref,
-                const std::vector<FastqRecord> &reads1,
-                const std::vector<FastqRecord> &reads2,
-                std::ostream &out, const PipelineOptions &opts)
-{
-    GENAX_TRY(checkPairInputs(ref, reads1, reads2));
-    return alignPairs(ContigMap(ref), reads1, reads2, out, opts);
-}
-
-StatusOr<PipelineResult>
-alignPairFiles(const std::string &ref_fasta,
-               const std::string &reads1_fastq,
-               const std::string &reads2_fastq,
-               const std::string &out_sam, const PipelineOptions &opts)
-{
-    ReaderOptions ropts;
-    ropts.maxMalformed = opts.maxMalformed;
-    ReaderStats ref_stats, read1_stats, read2_stats;
-    GENAX_TRY_ASSIGN(auto ref,
-                     readFastaFile(ref_fasta, ropts, &ref_stats));
-    GENAX_TRY_ASSIGN(const auto reads1,
-                     readFastqFile(reads1_fastq, ropts, &read1_stats));
-    GENAX_TRY_ASSIGN(const auto reads2,
-                     readFastqFile(reads2_fastq, ropts, &read2_stats));
-    std::ofstream out(out_sam);
-    if (!out)
-        return ioErrorFromErrno("cannot open output SAM", out_sam);
-    GENAX_TRY(checkPairInputs(ref, reads1, reads2));
-    GENAX_TRY_ASSIGN(PipelineResult res,
-                     alignPairs(ContigMap(std::move(ref)), reads1, reads2,
-                                out, opts));
-    // An ofstream buffers; ENOSPC/EIO may only surface at the final
-    // flush, and the destructor swallows it — flush and check here
-    // so a short SAM file can never look like success.
-    out.flush();
-    if (!out)
-        return ioError("failed flushing SAM output to " + out_sam);
-    res.refInput = ref_stats;
-    res.readInput = read1_stats;
-    res.readInput.records += read2_stats.records;
-    res.readInput.malformed += read2_stats.malformed;
-    res.readInput.errors.insert(res.readInput.errors.end(),
-                                read2_stats.errors.begin(),
-                                read2_stats.errors.end());
-    res.skippedMalformed = res.readInput.malformed;
-    res.reads += res.skippedMalformed;
-    return res;
-}
-
-StatusOr<PipelineResult>
-alignFiles(const std::string &ref_fasta, const std::string &reads_fastq,
-           const std::string &out_sam, const PipelineOptions &opts)
+alignFastqFiles(const std::string &ref_fasta,
+                const std::vector<std::string> &fastqs,
+                const std::string &out_sam, const PipelineOptions &opts)
 {
     ReaderOptions ropts;
     ropts.maxMalformed = opts.maxMalformed;
     ReaderStats ref_stats;
     GENAX_TRY_ASSIGN(auto ref,
                      readFastaFile(ref_fasta, ropts, &ref_stats));
-    std::ifstream in(reads_fastq);
-    if (!in)
-        return ioErrorFromErrno("cannot open FASTQ file", reads_fastq);
-    FastqReader reader(in, ropts);
+    std::ifstream in[2];
+    std::optional<FastqReader> readers[2];
+    ReadSource sources[2];
+    for (size_t i = 0; i < fastqs.size(); ++i) {
+        in[i].open(fastqs[i]);
+        if (!in[i])
+            return ioErrorFromErrno("cannot open FASTQ file", fastqs[i]);
+        readers[i].emplace(in[i], ropts);
+        sources[i] = {.reader = &*readers[i],
+                      .reads = nullptr,
+                      .context = "FASTQ file '" + fastqs[i] + "'"};
+    }
     GENAX_TRY_ASSIGN(const auto engine,
                      AlignEngine::create(std::move(ref), opts));
     std::ofstream out;
@@ -781,19 +708,81 @@ alignFiles(const std::string &ref_fasta, const std::string &reads_fastq,
     };
     GENAX_TRY_ASSIGN(
         PipelineResult res,
-        drive(*engine,
-              {.reader = &reader,
-               .reads = nullptr,
-               .context = "FASTQ file '" + reads_fastq + "'"},
+        drive(*engine, sources[0], readers[1] ? &sources[1] : nullptr,
               out, opts, open_out));
+    // An ofstream buffers; ENOSPC/EIO may only surface at the final
+    // flush, and the destructor swallows it — flush and check here
+    // so a short SAM file can never look like success.
     out.flush();
     if (!out)
         return ioError("failed flushing SAM output to " + out_sam);
     res.refInput = ref_stats;
-    res.readInput = reader.stats();
+    res.readInput = readers[0]->stats();
+    if (readers[1]) {
+        const ReaderStats &r2 = readers[1]->stats();
+        res.readInput.records += r2.records;
+        res.readInput.malformed += r2.malformed;
+        res.readInput.errors.insert(res.readInput.errors.end(),
+                                    r2.errors.begin(), r2.errors.end());
+    }
     res.skippedMalformed = res.readInput.malformed;
     res.reads += res.skippedMalformed;
     return res;
+}
+
+} // namespace
+
+StatusOr<PipelineResult>
+alignToSam(const std::vector<FastaRecord> &ref,
+           const std::vector<FastqRecord> &reads, std::ostream &out,
+           const PipelineOptions &opts)
+{
+    GENAX_TRY_ASSIGN(const auto engine, AlignEngine::create(ref, opts));
+    return drive(*engine,
+                 {.reader = nullptr, .reads = &reads, .context = ""},
+                 nullptr, out, opts);
+}
+
+StatusOr<PipelineResult>
+alignStreamToSam(const std::vector<FastaRecord> &ref,
+                 FastqReader &reads, std::ostream &out,
+                 const PipelineOptions &opts)
+{
+    GENAX_TRY_ASSIGN(const auto engine, AlignEngine::create(ref, opts));
+    return drive(*engine,
+                 {.reader = &reads, .reads = nullptr, .context = ""},
+                 nullptr, out, opts);
+}
+
+StatusOr<PipelineResult>
+alignFiles(const std::string &ref_fasta, const std::string &reads_fastq,
+           const std::string &out_sam, const PipelineOptions &opts)
+{
+    return alignFastqFiles(ref_fasta, {reads_fastq}, out_sam, opts);
+}
+
+StatusOr<PipelineResult>
+alignPairsToSam(const std::vector<FastaRecord> &ref,
+                const std::vector<FastqRecord> &reads1,
+                const std::vector<FastqRecord> &reads2,
+                std::ostream &out, const PipelineOptions &opts)
+{
+    GENAX_TRY_ASSIGN(const auto engine, AlignEngine::create(ref, opts));
+    const ReadSource mates{.reader = nullptr, .reads = &reads2,
+                           .context = ""};
+    return drive(*engine,
+                 {.reader = nullptr, .reads = &reads1, .context = ""},
+                 &mates, out, opts);
+}
+
+StatusOr<PipelineResult>
+alignPairFiles(const std::string &ref_fasta,
+               const std::string &reads1_fastq,
+               const std::string &reads2_fastq,
+               const std::string &out_sam, const PipelineOptions &opts)
+{
+    return alignFastqFiles(ref_fasta, {reads1_fastq, reads2_fastq},
+                           out_sam, opts);
 }
 
 } // namespace genax

@@ -160,11 +160,11 @@ struct PipelineOptions : EngineOptions
      *  input file before the run fails with InvalidInput. */
     u64 maxMalformed = 1000;
     /**
-     * Streaming batch size in reads (see alignStreamToSam()); 0 = one
-     * unbounded batch, the whole read file. Peak host memory is
-     * O(batch), while output is byte-identical at any batch size and
-     * thread count (DESIGN.md "Memory & streaming"). Paired mode
-     * always loads both mate files whole.
+     * Streaming batch size in reads, or in templates on paired input
+     * (see alignStreamToSam()); 0 = one unbounded batch, the whole
+     * read file. Peak host memory is O(batch), while output is
+     * byte-identical at any batch size and thread count (DESIGN.md
+     * "Memory & streaming").
      */
     u64 batchReads = 0;
 };
@@ -179,10 +179,10 @@ struct PipelineOptions : EngineOptions
  * degrade-to-software decision, where an edit bound beyond what a
  * SillaX lane supports moves the whole run to the software engine and
  * flags every read it maps as degraded. begin() constructs exactly
- * one of GenAxSystem / BwaMemLike and opens its stream, batch()
- * aligns one batch, end() closes the stream. Mappings do not depend
- * on how reads are split into batches: fault keys and perf accounting
- * use the global read index.
+ * one of GenAxSystem / BwaMemLike and opens its stream, batch() (or
+ * batchCandidates()) aligns one batch, end() closes the stream.
+ * Mappings do not depend on how reads are split into batches: fault
+ * keys and perf accounting use the global read index.
  *
  * Pinned in memory: the engines hold references to
  * contigs().sequence().
@@ -220,6 +220,20 @@ class AlignEngine
         std::vector<u8> degraded;
     };
     Batch batch(const std::vector<Seq> &seqs);
+
+    /** The candidates form of batch(): each read's distinct
+     *  placements (at most `max_candidates`, by descending score,
+     *  MAPQ unset), the input of a stage downstream of the engine
+     *  such as pairing (swbase/paired.hh). Shares batch()'s read
+     *  indexing, so the two may be mixed within one stream. */
+    struct CandidateBatch
+    {
+        std::vector<std::vector<Mapping>> candidates;
+        /** Non-zero where a read went through a fallback path. */
+        std::vector<u8> degraded;
+    };
+    CandidateBatch batchCandidates(const std::vector<Seq> &seqs,
+                                   u32 max_candidates);
 
     /** Close the stream (idempotent). perf() and hostProfile() then
      *  cover every batch; both stay empty on the software engine. */
@@ -335,10 +349,14 @@ StatusOr<PipelineResult> alignFiles(const std::string &ref_fasta,
 
 /**
  * Paired-end alignment (FR libraries): r1/r2 records pair up by
- * index. Runs on the software engine (pairing is a post-processing
- * stage downstream of any single-end engine; the paper's GenAx
- * evaluates single-ended reads). Emits both mates with paired SAM
- * flags, mate coordinates and template length.
+ * index, and mate lists of different lengths are InvalidInput, with
+ * nothing written. The templates go through the pipeline driver as
+ * one batch on opts.engine: the engine's candidate lists for both
+ * mates feed the pairing stage (swbase/paired.hh), which sits
+ * downstream of either engine (the paper's GenAx evaluates
+ * single-ended reads). Emits both mates with paired SAM flags, mate
+ * coordinates and template length; a template lost to a per-read
+ * fault gives two unmapped placeholders.
  */
 StatusOr<PipelineResult>
 alignPairsToSam(const std::vector<FastaRecord> &ref,
@@ -346,7 +364,11 @@ alignPairsToSam(const std::vector<FastaRecord> &ref,
                 const std::vector<FastqRecord> &reads2,
                 std::ostream &out, const PipelineOptions &opts);
 
-/** File-path convenience wrapper for paired-end mode. */
+/** alignFiles() for paired-end mode: both mate files stream in
+ *  lockstep batches of opts.batchReads templates. Mate files that
+ *  differ in read count are InvalidInput at the first batch where
+ *  they diverge (before the output file is opened when that is the
+ *  first batch). */
 StatusOr<PipelineResult> alignPairFiles(const std::string &ref_fasta,
                                         const std::string &reads1_fastq,
                                         const std::string &reads2_fastq,

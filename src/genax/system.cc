@@ -589,14 +589,8 @@ GenAxSystem::streamBatch(const std::vector<Seq> &reads,
         if (c.empty())
             continue;
         out[r] = c[0];
-        if (c.size() == 1) {
-            out[r].mapq = 60;
-        } else if (c[1].score >= c[0].score) {
-            out[r].mapq = 0;
-        } else {
-            out[r].mapq = static_cast<u8>(
-                std::min<i32>(60, 6 * (c[0].score - c[1].score)));
-        }
+        out[r].mapq =
+            marginMapq(c[0].score, c.size() > 1 ? c[1].score : INT32_MIN);
     }
     return out;
 }
@@ -754,24 +748,6 @@ GenAxSystem::alignAll(const std::vector<Seq> &reads)
     streamBegin();
     auto out = streamBatch(reads, 0);
     streamEnd();
-    return out;
-}
-
-std::vector<PairMapping>
-GenAxSystem::alignPairs(const std::vector<Seq> &reads1,
-                        const std::vector<Seq> &reads2,
-                        const PairedConfig &pcfg)
-{
-    GENAX_CHECK(reads1.size() == reads2.size(),
-                 "mate batches differ in size");
-    const auto c1 = alignAllCandidates(reads1, pcfg.candidatesPerMate);
-    // Note: perf for the second pass overwrites the first; callers
-    // interested in the model should inspect perf() after each
-    // alignAllCandidates call separately.
-    const auto c2 = alignAllCandidates(reads2, pcfg.candidatesPerMate);
-    std::vector<PairMapping> out(reads1.size());
-    for (size_t i = 0; i < reads1.size(); ++i)
-        out[i] = resolvePair(c1[i], c2[i], pcfg);
     return out;
 }
 

@@ -30,7 +30,6 @@
 #include "sillax/lane.hh"
 #include "sillax/tech_model.hh"
 #include "swbase/anchor.hh"
-#include "swbase/paired.hh"
 
 namespace genax {
 
@@ -223,14 +222,6 @@ class GenAxSystem
     std::vector<std::vector<Mapping>>
     alignAllCandidates(const std::vector<Seq> &reads,
                        u32 max_candidates = 16);
-
-    /**
-     * Paired-end alignment: the pairing stage (swbase/paired.hh)
-     * applied downstream of the accelerator's candidate lists.
-     */
-    std::vector<PairMapping> alignPairs(const std::vector<Seq> &reads1,
-                                        const std::vector<Seq> &reads2,
-                                        const PairedConfig &pcfg = {});
 
     const GenAxPerf &perf() const { return _perf; }
 

@@ -198,15 +198,15 @@ IndexSnapshot::build(const std::string &path, const Seq &ref,
         blob.insert(blob.end(), c.name.begin(), c.name.end());
     }
 
-    // Build every per-segment index up front so the store is written
-    // in one atomic pass (peak memory is O(reference) — see the
-    // class comment).
+    // Build every per-segment index up front, each at every hardware
+    // thread, so the store is written in one atomic pass (peak memory
+    // is O(reference) — see the class comment).
     std::vector<FlatKmerIndex> built;
     built.reserve(segs.count());
     std::vector<SegMeta> segmeta(segs.count());
     for (u64 i = 0; i < segs.count(); ++i) {
         const Seq bases = segs.bases(i);
-        built.emplace_back(bases, cfg.k);
+        built.emplace_back(bases, cfg.k, 0);
         const FlatKmerIndex &idx = built.back();
         SegMeta &m = segmeta[i];
         m = SegMeta{};

@@ -95,8 +95,12 @@ class IndexSnapshot
      * Build a snapshot of `ref` under `cfg` and write it atomically
      * to `path`. Builds every per-segment FlatKmerIndex in memory
      * first (O(reference) peak — acceptable for the modelled genome
-     * sizes; streaming section emission is a documented follow-up).
-     * `contigs` describe the concatenated layout for SAM headers.
+     * sizes; streaming section emission is a documented follow-up),
+     * one after another, each at every hardware thread on
+     * ThreadPool::global() — so call it from a caller thread, never
+     * from inside a pool region. The bytes do not depend on the
+     * width. `contigs` describe the concatenated layout for SAM
+     * headers.
      */
     static Status build(const std::string &path, const Seq &ref,
                         const std::vector<SnapshotContig> &contigs,

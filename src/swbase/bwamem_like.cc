@@ -179,16 +179,8 @@ selectAndFinish(const std::vector<ScoredCandidate> &cands,
     Mapping best = finishCandidate(cands[static_cast<size_t>(best_idx)],
                                    cfg, read_len);
 
-    // Margin-based mapping quality.
-    const u32 evaluated = static_cast<u32>(cands.size());
-    if (evaluated <= 1) {
-        best.mapq = 60;
-    } else if (second >= best.score) {
-        best.mapq = 0;
-    } else {
-        best.mapq = static_cast<u8>(
-            std::min<i32>(60, 6 * (best.score - second)));
-    }
+    // A lone candidate leaves `second` at INT32_MIN.
+    best.mapq = marginMapq(best.score, second);
     return best;
 }
 

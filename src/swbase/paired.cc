@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.hh"
-#include "common/parallel.hh"
-
 namespace genax {
 
 namespace {
@@ -15,8 +12,8 @@ namespace {
  * `proper` and `tlen` as side results.
  */
 i32
-pairPenaltyImpl(const Mapping &a, const Mapping &b,
-                const PairedConfig &cfg, bool &proper, i64 &tlen)
+pairPenalty(const Mapping &a, const Mapping &b, const PairedConfig &cfg,
+            bool &proper, i64 &tlen)
 {
     proper = false;
     tlen = 0;
@@ -44,12 +41,7 @@ pairPenaltyImpl(const Mapping &a, const Mapping &b,
 u8
 soloMapq(const std::vector<Mapping> &c)
 {
-    if (c.size() <= 1)
-        return 60;
-    if (c[1].score >= c[0].score)
-        return 0;
-    return static_cast<u8>(
-        std::min<i32>(60, 6 * (c[0].score - c[1].score)));
+    return marginMapq(c[0].score, c.size() > 1 ? c[1].score : INT32_MIN);
 }
 
 } // namespace
@@ -83,7 +75,7 @@ resolvePair(const std::vector<Mapping> &c1,
             bool proper;
             i64 tlen;
             const i32 pen =
-                pairPenaltyImpl(c1[i], c2[j], cfg, proper, tlen);
+                pairPenalty(c1[i], c2[j], cfg, proper, tlen);
             const i32 total = c1[i].score + c2[j].score - pen;
             if (total > best_total) {
                 second_total = best_total;
@@ -103,47 +95,7 @@ resolvePair(const std::vector<Mapping> &c1,
     out.proper = best_proper;
     out.templateLen = best_tlen;
 
-    u8 mapq;
-    if (second_total == INT32_MIN) {
-        mapq = 60;
-    } else if (second_total >= best_total) {
-        mapq = 0;
-    } else {
-        mapq = static_cast<u8>(
-            std::min<i32>(60, 6 * (best_total - second_total)));
-    }
-    out.r1.mapq = mapq;
-    out.r2.mapq = mapq;
-    return out;
-}
-
-i32
-PairedAligner::pairPenalty(const Mapping &a, const Mapping &b,
-                           bool &proper, i64 &tlen) const
-{
-    return pairPenaltyImpl(a, b, _cfg, proper, tlen);
-}
-
-PairMapping
-PairedAligner::alignPair(const Seq &r1, const Seq &r2) const
-{
-    return resolvePair(_aligner.candidates(r1, _cfg.candidatesPerMate),
-                       _aligner.candidates(r2, _cfg.candidatesPerMate),
-                       _cfg);
-}
-
-std::vector<PairMapping>
-PairedAligner::alignAllPairs(const std::vector<Seq> &r1s,
-                             const std::vector<Seq> &r2s,
-                             unsigned threads) const
-{
-    GENAX_ASSERT(r1s.size() == r2s.size(),
-                 "mate batches differ in size");
-    std::vector<PairMapping> out(r1s.size());
-    parallelFor(r1s.size(), threads, [&](u64 lo, u64 hi) {
-        for (u64 i = lo; i < hi; ++i)
-            out[i] = alignPair(r1s[i], r2s[i]);
-    });
+    out.r1.mapq = out.r2.mapq = marginMapq(best_total, second_total);
     return out;
 }
 

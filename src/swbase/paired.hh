@@ -13,7 +13,9 @@
 #ifndef GENAX_SWBASE_PAIRED_HH
 #define GENAX_SWBASE_PAIRED_HH
 
-#include "swbase/bwamem_like.hh"
+#include <vector>
+
+#include "align/mapping.hh"
 
 namespace genax {
 
@@ -45,40 +47,6 @@ struct PairMapping
 PairMapping resolvePair(const std::vector<Mapping> &c1,
                         const std::vector<Mapping> &c2,
                         const PairedConfig &cfg);
-
-/** Paired-end resolver over a single-end aligner. */
-class PairedAligner
-{
-  public:
-    PairedAligner(const BwaMemLike &aligner, const PairedConfig &cfg = {})
-        : _aligner(aligner), _cfg(cfg)
-    {
-    }
-
-    /**
-     * Align a mate pair (r2 given as sequenced, i.e. reverse strand
-     * of the fragment for FR libraries).
-     */
-    PairMapping alignPair(const Seq &r1, const Seq &r2) const;
-
-    /** Align a batch of pairs with the given worker-thread count
-     *  (0 = all hardware threads); results are identical at any
-     *  width. */
-    std::vector<PairMapping>
-    alignAllPairs(const std::vector<Seq> &r1s,
-                  const std::vector<Seq> &r2s,
-                  unsigned threads = 1) const;
-
-    const PairedConfig &config() const { return _cfg; }
-
-  private:
-    /** Gaussian insert-size score penalty for a candidate pair. */
-    i32 pairPenalty(const Mapping &a, const Mapping &b, bool &proper,
-                    i64 &tlen) const;
-
-    const BwaMemLike &_aligner;
-    PairedConfig _cfg;
-};
 
 } // namespace genax
 

@@ -11,7 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +26,7 @@
 #include "genax/pipeline.hh"
 #include "readsim/readsim.hh"
 #include "readsim/refgen.hh"
+#include "seed/index_snapshot.hh"
 #include "serve/batcher.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
@@ -68,6 +73,22 @@ struct RunOutput
     PipelineResult res;
 };
 
+/** Reset the injector and, when `inject`, arm the suite's fault plan:
+ *  lane refusals, CAM overflow forcing, pipeline read loss and DRAM
+ *  stream degradation. */
+void
+armFaultPlan(bool inject)
+{
+    FaultInjector &fi = FaultInjector::instance();
+    fi.reset();
+    if (inject) {
+        fi.arm(fault::kLaneIssue, {.probability = 0.2, .seed = 21});
+        fi.arm(fault::kCamOverflow, {.probability = 0.1, .seed = 22});
+        fi.arm(fault::kPipelineRead, {.probability = 0.05, .seed = 23});
+        fi.arm(fault::kDramStream, {.probability = 0.3, .seed = 24});
+    }
+}
+
 /**
  * One pipeline run; the fault plan (if any) is re-armed fresh so
  * every run sees identical injector state. batch_reads > 0 routes
@@ -85,13 +106,7 @@ runOnce(const Workload &w, PipelineOptions::Engine engine,
     opts.batchReads = batch_reads;
 
     FaultInjector &fi = FaultInjector::instance();
-    fi.reset();
-    if (inject) {
-        fi.arm(fault::kLaneIssue, {.probability = 0.2, .seed = 21});
-        fi.arm(fault::kCamOverflow, {.probability = 0.1, .seed = 22});
-        fi.arm(fault::kPipelineRead, {.probability = 0.05, .seed = 23});
-        fi.arm(fault::kDramStream, {.probability = 0.3, .seed = 24});
-    }
+    armFaultPlan(inject);
 
     std::ostringstream sink;
     const auto res = [&]() -> StatusOr<PipelineResult> {
@@ -261,6 +276,96 @@ TEST(Determinism, StreamingIdenticalUnderFaultInjection)
                                   std::to_string(threads));
         }
     }
+}
+
+TEST(Determinism, GenAxPairedIdenticalAtAnyThreadsBatchAndSnapshot)
+{
+    // Paired input through the one driver on the GenAx engine: a
+    // template's mates take engine read indexes 2t and 2t + 1 of the
+    // admitted templates, so SAM, ledger and the modelled report
+    // (fault replay included) do not depend on the thread count, the
+    // batch size or whether the segment indexes come from a snapshot.
+    namespace fs = std::filesystem;
+    const Workload w = makeWorkload();
+    ReadSimConfig rs;
+    rs.numReads = 60;
+    rs.seed = 91;
+    std::vector<FastqRecord> r1, r2;
+    for (const auto &p : simulatePairs(w.ref[0].seq, rs)) {
+        r1.push_back({p.r1.name, p.r1.seq, p.r1.qual});
+        r2.push_back({p.r2.name, p.r2.seq, p.r2.qual});
+    }
+    const fs::path dir =
+        fs::temp_directory_path() / "genax_determinism_paired";
+    fs::create_directories(dir);
+    const std::string ref_path = (dir / "ref.fa").string();
+    const std::string r1_path = (dir / "r1.fq").string();
+    const std::string r2_path = (dir / "r2.fq").string();
+    const std::string snap_path = (dir / "ref.gxs").string();
+    const std::string sam_path = (dir / "out.sam").string();
+    {
+        std::ofstream ref(ref_path), f1(r1_path), f2(r2_path);
+        ASSERT_TRUE(writeFasta(ref, w.ref).ok());
+        ASSERT_TRUE(writeFastq(f1, r1).ok());
+        ASSERT_TRUE(writeFastq(f2, r2).ok());
+    }
+    SegmentConfig scfg;
+    scfg.k = 12;
+    scfg.segmentCount = 6;
+    scfg.overlap = 256;
+    ASSERT_TRUE(IndexSnapshot::build(snap_path, w.ref[0].seq,
+                                     {{w.ref[0].name, 0,
+                                       w.ref[0].seq.size()}},
+                                     scfg)
+                    .ok());
+
+    for (const bool inject : {false, true}) {
+        std::optional<RunOutput> first;
+        for (const bool snapshot : {false, true}) {
+            for (const unsigned threads : {1u, 3u}) {
+                for (const u64 batch : {u64{0}, u64{7}, u64{64}}) {
+                    PipelineOptions opts;
+                    opts.segments = 6;
+                    opts.threads = threads;
+                    opts.batchReads = batch;
+                    if (snapshot)
+                        opts.indexSnapshot = snap_path;
+                    armFaultPlan(inject);
+                    const auto res = alignPairFiles(ref_path, r1_path,
+                                                    r2_path, sam_path,
+                                                    opts);
+                    FaultInjector::instance().reset();
+                    ASSERT_TRUE(res.ok()) << res.status().str();
+                    EXPECT_EQ(res->indexFromSnapshot, snapshot);
+                    std::ifstream in(sam_path);
+                    RunOutput run{
+                        std::string(std::istreambuf_iterator<char>(in),
+                                    std::istreambuf_iterator<char>()),
+                        *res};
+                    if (!inject) {
+                        EXPECT_EQ(run.res.perf.reads, 2 * r1.size());
+                        EXPECT_EQ(run.res.reads, 2 * r1.size());
+                    }
+                    if (!first) {
+                        EXPECT_GT(run.res.mapped, r1.size());
+                        if (inject) {
+                            EXPECT_GT(run.res.degraded + run.res.failed,
+                                      0u);
+                        }
+                        first = std::move(run);
+                        continue;
+                    }
+                    expectSameOutcome(
+                        *first, run,
+                        std::string(inject ? "inject " : "") +
+                            (snapshot ? "snapshot " : "") +
+                            "threads=" + std::to_string(threads) +
+                            " batch=" + std::to_string(batch));
+                }
+            }
+        }
+    }
+    fs::remove_all(dir);
 }
 
 /** Every kernel tier the host can run, scalar always included. */

@@ -15,6 +15,7 @@
 #include "readsim/readsim.hh"
 #include "readsim/refgen.hh"
 #include "swbase/bwamem_like.hh"
+#include "swbase/paired.hh"
 
 namespace genax {
 namespace {
@@ -187,14 +188,15 @@ TEST_F(GenAxSystemTest, PairedEndRescueThroughAccelerator)
                         dup_ref.begin() +
                             static_cast<i64>(frag_start + 101));
 
-    const auto pairs = dup_system.alignPairs(
-        {r1_unique}, {reverseComplement(r2_inner)});
-    ASSERT_EQ(pairs.size(), 1u);
-    ASSERT_TRUE(pairs[0].r1.mapped);
-    ASSERT_TRUE(pairs[0].r2.mapped);
-    EXPECT_TRUE(pairs[0].proper);
-    EXPECT_EQ(pairs[0].r2.pos, src + 20);
-    EXPECT_GT(pairs[0].r2.mapq, 0);
+    const auto c1 = dup_system.alignAllCandidates({r1_unique}, 16);
+    const auto c2 =
+        dup_system.alignAllCandidates({reverseComplement(r2_inner)}, 16);
+    const auto pair = resolvePair(c1[0], c2[0], {});
+    ASSERT_TRUE(pair.r1.mapped);
+    ASSERT_TRUE(pair.r2.mapped);
+    EXPECT_TRUE(pair.proper);
+    EXPECT_EQ(pair.r2.pos, src + 20);
+    EXPECT_GT(pair.r2.mapq, 0);
 }
 
 // --------------------------------------------------- area and power

@@ -12,6 +12,7 @@
 
 #include "readsim/readsim.hh"
 #include "readsim/refgen.hh"
+#include "swbase/bwamem_like.hh"
 #include "swbase/paired.hh"
 
 namespace genax {
@@ -76,7 +77,7 @@ TEST(PairSim, InsertSizeDistribution)
     EXPECT_NEAR(sd, 25, 3);
 }
 
-// ----------------------------------------------------- paired aligner
+// ------------------- pairing over the software engine's candidates
 
 class PairedAlignerTest : public ::testing::Test
 {
@@ -98,16 +99,23 @@ class PairedAlignerTest : public ::testing::Test
     std::unique_ptr<BwaMemLike> aligner;
 };
 
+/** The pairing stage over the software engine's candidate lists. */
+PairMapping
+alignPair(const BwaMemLike &aligner, const Seq &r1, const Seq &r2)
+{
+    return resolvePair(aligner.candidates(r1, 16),
+                       aligner.candidates(r2, 16), {});
+}
+
 TEST_F(PairedAlignerTest, CleanPairsResolveProper)
 {
     ReadSimConfig cfg;
     cfg.numReads = 80;
     cfg.seed = 14;
     const auto pairs = simulatePairs(ref, cfg);
-    PairedAligner paired(*aligner);
     u64 proper = 0, correct = 0;
     for (const auto &p : pairs) {
-        const auto m = paired.alignPair(p.r1.seq, p.r2.seq);
+        const auto m = alignPair(*aligner, p.r1.seq, p.r2.seq);
         ASSERT_TRUE(m.r1.mapped);
         ASSERT_TRUE(m.r2.mapped);
         proper += m.proper;
@@ -133,8 +141,7 @@ TEST_F(PairedAlignerTest, DistantMatesAreImproper)
     const Seq r1(ref.begin() + 10000, ref.begin() + 10101);
     const Seq r2 =
         reverseComplement(Seq(ref.begin() + 60000, ref.begin() + 60101));
-    PairedAligner paired(*aligner);
-    const auto m = paired.alignPair(r1, r2);
+    const auto m = alignPair(*aligner, r1, r2);
     ASSERT_TRUE(m.r1.mapped);
     ASSERT_TRUE(m.r2.mapped);
     EXPECT_FALSE(m.proper);
@@ -174,8 +181,8 @@ TEST_F(PairedAlignerTest, MateRescuesRepetitiveRead)
     // Paired with the forward mate, the src copy must win.
     // Library geometry: fwd_mate is R1-forward, r1 acts as the
     // reverse mate of the fragment.
-    PairedAligner paired(dup_aligner);
-    const auto m = paired.alignPair(fwd_mate, reverseComplement(r1));
+    const auto m =
+        alignPair(dup_aligner, fwd_mate, reverseComplement(r1));
     ASSERT_TRUE(m.r1.mapped);
     ASSERT_TRUE(m.r2.mapped);
     EXPECT_TRUE(m.proper);
@@ -184,37 +191,13 @@ TEST_F(PairedAlignerTest, MateRescuesRepetitiveRead)
     EXPECT_NE(m.r2.pos, dst + 20);
 }
 
-TEST_F(PairedAlignerTest, BatchApiMatchesPerPairCalls)
-{
-    ReadSimConfig cfg;
-    cfg.numReads = 20;
-    cfg.seed = 15;
-    const auto pairs = simulatePairs(ref, cfg);
-    std::vector<Seq> r1s, r2s;
-    for (const auto &p : pairs) {
-        r1s.push_back(p.r1.seq);
-        r2s.push_back(p.r2.seq);
-    }
-    PairedAligner paired(*aligner);
-    const auto batch = paired.alignAllPairs(r1s, r2s, 4);
-    ASSERT_EQ(batch.size(), pairs.size());
-    for (size_t i = 0; i < pairs.size(); ++i) {
-        const auto single = paired.alignPair(r1s[i], r2s[i]);
-        EXPECT_EQ(batch[i].r1.pos, single.r1.pos);
-        EXPECT_EQ(batch[i].r2.pos, single.r2.pos);
-        EXPECT_EQ(batch[i].proper, single.proper);
-        EXPECT_EQ(batch[i].templateLen, single.templateLen);
-    }
-}
-
 TEST_F(PairedAlignerTest, OneGarbageMateFallsBackToSingleEnd)
 {
     const Seq good(ref.begin() + 5000, ref.begin() + 5101);
     Seq junk;
     for (int i = 0; i < 101; ++i)
         junk.push_back(i % 2 ? kBaseC : kBaseA);
-    PairedAligner paired(*aligner);
-    const auto m = paired.alignPair(good, junk);
+    const auto m = alignPair(*aligner, good, junk);
     EXPECT_TRUE(m.r1.mapped);
     EXPECT_FALSE(m.proper);
 }

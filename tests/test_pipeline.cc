@@ -13,8 +13,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
+#include "common/faultinject.hh"
 #include "genax/pipeline.hh"
 #include "io/sam.hh"
 #include "readsim/readsim.hh"
@@ -207,26 +209,97 @@ TEST(Pipeline, FileRoundTrip)
     fs::remove_all(dir);
 }
 
-TEST(Pipeline, PairedEndSamFlagsAndTlen)
+/** PairedEndSamFlagsAndTlen's workload: 25 FR pairs over two
+ *  contigs of 80 and 40 kbp. */
+struct PairedWorkload
 {
-    const auto ref = twoContigReference(80000, 40000, 777);
-    ContigMap map(ref);
+    std::vector<FastaRecord> ref;
+    std::vector<FastqRecord> r1, r2;
+};
 
+PairedWorkload
+pairedWorkload()
+{
+    PairedWorkload w;
+    w.ref = twoContigReference(80000, 40000, 777);
+    const ContigMap map(w.ref);
     ReadSimConfig rs;
     rs.numReads = 25;
     rs.seed = 9;
-    const auto pairs = simulatePairs(map.sequence(), rs);
-    std::vector<FastqRecord> r1, r2;
-    for (const auto &p : pairs) {
-        r1.push_back({p.r1.name, p.r1.seq, p.r1.qual});
-        r2.push_back({p.r2.name, p.r2.seq, p.r2.qual});
+    for (const auto &p : simulatePairs(map.sequence(), rs)) {
+        w.r1.push_back({p.r1.name, p.r1.seq, p.r1.qual});
+        w.r2.push_back({p.r2.name, p.r2.seq, p.r2.qual});
     }
+    return w;
+}
+
+/** FNV-1a 64 over the SAM text, then over the eight little-endian
+ *  bytes of each ledger count. */
+u64
+samLedgerHash(const std::string &sam, const PipelineResult &res)
+{
+    u64 h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](u8 byte) {
+        h ^= byte;
+        h *= 0x100000001b3ull;
+    };
+    for (const char c : sam)
+        mix(static_cast<u8>(c));
+    for (const u64 v : {res.mapped, res.unmapped, res.skippedMalformed,
+                        res.degraded, res.failed}) {
+        for (int b = 0; b < 8; ++b)
+            mix(static_cast<u8>(v >> (8 * b)));
+    }
+    return h;
+}
+
+/** A paired run's files in one directory. */
+struct PairedPaths
+{
+    std::string ref, r1, r2, sam;
+};
+
+/** Write `ref` and the mate lists into `dir` (created if missing). */
+PairedPaths
+writePairedFiles(const std::filesystem::path &dir,
+                 const std::vector<FastaRecord> &ref,
+                 const std::vector<FastqRecord> &r1,
+                 const std::vector<FastqRecord> &r2)
+{
+    std::filesystem::create_directories(dir);
+    const PairedPaths paths{(dir / "ref.fa").string(),
+                            (dir / "r1.fq").string(),
+                            (dir / "r2.fq").string(),
+                            (dir / "out.sam").string()};
+    std::ofstream ref_out(paths.ref), r1_out(paths.r1), r2_out(paths.r2);
+    EXPECT_TRUE(writeFasta(ref_out, ref).ok());
+    EXPECT_TRUE(writeFastq(r1_out, r1).ok());
+    EXPECT_TRUE(writeFastq(r2_out, r2).ok());
+    return paths;
+}
+
+/** The whole text of a file; empty when there is none. */
+std::string
+fileText(const std::string &path)
+{
+    std::ifstream in(path);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** Paired SAM flags, mate fields and template lengths on `engine`. */
+void
+expectPairedSamFlagsAndTlen(PipelineOptions::Engine engine)
+{
+    const PairedWorkload w = pairedWorkload();
 
     PipelineOptions opts;
+    opts.engine = engine;
     opts.k = 11;
     opts.band = 16;
     std::ostringstream sam;
-    const auto status_or_res = alignPairsToSam(ref, r1, r2, sam, opts);
+    const auto status_or_res =
+        alignPairsToSam(w.ref, w.r1, w.r2, sam, opts);
     ASSERT_TRUE(status_or_res.ok());
     const PipelineResult &res = *status_or_res;
     EXPECT_EQ(res.reads, 50u);
@@ -266,6 +339,75 @@ TEST(Pipeline, PairedEndSamFlagsAndTlen)
                 300.0, 60.0);
 }
 
+TEST(Pipeline, PairedEndSamFlagsAndTlen)
+{
+    expectPairedSamFlagsAndTlen(PipelineOptions::Engine::Software);
+}
+
+TEST(Pipeline, PairedEndSamFlagsAndTlenOnGenAx)
+{
+    expectPairedSamFlagsAndTlen(PipelineOptions::Engine::GenAx);
+}
+
+TEST(Pipeline, PairedSoftwareSamMatchesTheRecordedGolden)
+{
+    // FNV-1a of the software engine's paired SAM and ledger, recorded
+    // at d903c51 (paired input on its own load-all driver): clean, and
+    // with the third template lost to genax.pipeline.read. The same
+    // bytes must come out at any thread count and batch size.
+    constexpr u64 kClean = 0x82597fec100ad93full;
+    constexpr u64 kThirdTemplateLost = 0x5be431e8a614e271ull;
+    const PairedWorkload w = pairedWorkload();
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "genax_pipeline_paired_golden";
+    const PairedPaths files = writePairedFiles(dir, w.ref, w.r1, w.r2);
+
+    PipelineOptions opts;
+    opts.engine = PipelineOptions::Engine::Software;
+    opts.k = 11;
+    opts.band = 16;
+    FaultInjector &fi = FaultInjector::instance();
+    for (const bool inject : {false, true}) {
+        const u64 want = inject ? kThirdTemplateLost : kClean;
+        const auto arm = [&] {
+            fi.reset();
+            if (inject)
+                fi.arm(fault::kPipelineRead, {.fireOnNth = 3});
+        };
+        for (const unsigned threads : {1u, 2u, 0u}) {
+            opts.threads = threads;
+            opts.batchReads = 0;
+            arm();
+            std::ostringstream sam;
+            const auto res =
+                alignPairsToSam(w.ref, w.r1, w.r2, sam, opts);
+            fi.reset();
+            ASSERT_TRUE(res.ok()) << res.status().str();
+            EXPECT_EQ(res->failed, inject ? 2u : 0u);
+            EXPECT_EQ(samLedgerHash(sam.str(), *res), want)
+                << std::hex << samLedgerHash(sam.str(), *res) << std::dec
+                << " inject " << inject << " threads " << threads;
+        }
+        for (const u64 batch : {u64{0}, u64{1}, u64{7}, u64{64}}) {
+            for (const unsigned threads : {1u, 2u}) {
+                opts.threads = threads;
+                opts.batchReads = batch;
+                arm();
+                const auto res = alignPairFiles(files.ref, files.r1,
+                                                files.r2, files.sam, opts);
+                fi.reset();
+                ASSERT_TRUE(res.ok()) << res.status().str();
+                const std::string sam = fileText(files.sam);
+                EXPECT_EQ(samLedgerHash(sam, *res), want)
+                    << std::hex << samLedgerHash(sam, *res) << std::dec
+                    << " inject " << inject << " batch " << batch
+                    << " threads " << threads;
+            }
+        }
+    }
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Pipeline, EmptyReferenceIsInvalidInput)
 {
     std::ostringstream sam;
@@ -283,6 +425,50 @@ TEST(Pipeline, MateCountMismatchIsInvalidInput)
         alignPairsToSam(ref, r1, {}, sam, PipelineOptions{});
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.status().code(), StatusCode::InvalidInput);
+    EXPECT_EQ(sam.str(), "");
+}
+
+TEST(Pipeline, MateFilesThatDivergeAreInvalidInputAtThatBatch)
+{
+    // One batch reads both files whole, so the mismatch comes before
+    // the output file exists. At batch 7, 10 reads against 12 mates
+    // agree for the first batch and diverge in the second.
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "genax_pipeline_mate_mismatch";
+    const PairedWorkload w = pairedWorkload();
+    const PairedPaths files =
+        writePairedFiles(dir, w.ref, {w.r1.begin(), w.r1.begin() + 10},
+                         {w.r2.begin(), w.r2.begin() + 12});
+    PipelineOptions opts;
+    opts.k = 11;
+    opts.band = 16;
+    for (const unsigned threads : {1u, 2u}) {
+        opts.threads = threads;
+        opts.batchReads = 0;
+        auto res = alignPairFiles(files.ref, files.r1, files.r2,
+                                  files.sam, opts);
+        ASSERT_FALSE(res.ok());
+        EXPECT_EQ(res.status().code(), StatusCode::InvalidInput);
+        EXPECT_NE(res.status().str().find("10 vs 12"), std::string::npos)
+            << res.status().str();
+        EXPECT_FALSE(std::filesystem::exists(files.sam));
+
+        opts.batchReads = 7;
+        res = alignPairFiles(files.ref, files.r1, files.r2, files.sam,
+                             opts);
+        ASSERT_FALSE(res.ok());
+        EXPECT_EQ(res.status().code(), StatusCode::InvalidInput);
+        EXPECT_NE(res.status().str().find("10 vs 12"), std::string::npos)
+            << res.status().str();
+        // The first batch's seven templates were emitted.
+        std::ifstream in(files.sam);
+        u64 records = 0;
+        for (std::string line; std::getline(in, line);)
+            records += !line.empty() && line[0] != '@';
+        EXPECT_EQ(records, 14u) << "threads " << threads;
+        std::filesystem::remove(files.sam);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Pipeline, MalformedReadsAreSkippedAndLedgered)
@@ -378,15 +564,28 @@ enum class FrontEnd
     AlignToSam, //!< in-memory reads, one batch
     Stream,     //!< alignStreamToSam at batch 7 x threads 2
     Service,    //!< the serving daemon's AlignService
+    Pairs,      //!< alignPairsToSam: in-memory mates, one batch
+    PairedFiles, //!< alignPairFiles at batch 7 x threads 2
 };
 
 /** Names the ctest entry of each parametrized instance. */
 void
 PrintTo(FrontEnd fe, std::ostream *os)
 {
-    *os << (fe == FrontEnd::AlignToSam ? "AlignToSam"
-            : fe == FrontEnd::Stream   ? "StreamBatch7Threads2"
-                                       : "Service");
+    *os << (fe == FrontEnd::AlignToSam  ? "AlignToSam"
+            : fe == FrontEnd::Stream    ? "StreamBatch7Threads2"
+            : fe == FrontEnd::Service   ? "Service"
+            : fe == FrontEnd::Pairs     ? "PairsToSam"
+                                        : "PairedFilesBatch7Threads2");
+}
+
+/** The one-batch front end whose SAM `fe`'s must equal. */
+FrontEnd
+oneBatchFrontEnd(FrontEnd fe)
+{
+    return fe == FrontEnd::Pairs || fe == FrontEnd::PairedFiles
+               ? FrontEnd::Pairs
+               : FrontEnd::AlignToSam;
 }
 
 /** A front end's outcome in common terms. */
@@ -396,15 +595,60 @@ struct FrontEndRun
     std::string sam;
     bool softwareFallback = false;
     std::string indexNote;
+    u64 reads = 0;
     u64 mapped = 0;
     u64 degraded = 0;
     bool ledgerBalanced = false;
 };
 
-FrontEndRun
-runFrontEnd(FrontEnd fe, const std::vector<FastaRecord> &ref,
-            const std::vector<FastqRecord> &reads, PipelineOptions opts)
+struct PolicyWorkload
 {
+    std::vector<FastaRecord> ref;
+    std::vector<FastqRecord> reads;
+    std::vector<FastqRecord> r1, r2; //!< mates, for the paired front ends
+};
+
+/** A scratch directory of this test's own: ctest runs each
+ *  parametrized instance as its own process, concurrently. */
+std::filesystem::path
+testScratchDir()
+{
+    const auto *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string(info->test_suite_name()) + "." +
+                       info->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    const auto dir =
+        std::filesystem::temp_directory_path() / ("genax_" + name);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+/** The paired front ends, SAM to `sam`: alignPairsToSam, or
+ *  alignPairFiles over files in `dir`. */
+StatusOr<PipelineResult>
+runPairedFrontEnd(FrontEnd fe, const PolicyWorkload &w,
+                  const PipelineOptions &opts,
+                  const std::filesystem::path &dir, std::ostream &sam)
+{
+    if (fe == FrontEnd::Pairs)
+        return alignPairsToSam(w.ref, w.r1, w.r2, sam, opts);
+    const PairedPaths files = writePairedFiles(dir, w.ref, w.r1, w.r2);
+    PipelineOptions stream = opts;
+    stream.batchReads = 7;
+    stream.threads = 2;
+    auto res = alignPairFiles(files.ref, files.r1, files.r2, files.sam,
+                              stream);
+    sam << fileText(files.sam);
+    std::filesystem::remove_all(dir);
+    return res;
+}
+
+FrontEndRun
+runFrontEnd(FrontEnd fe, const PolicyWorkload &w, PipelineOptions opts)
+{
+    const std::vector<FastaRecord> &ref = w.ref;
+    const std::vector<FastqRecord> &reads = w.reads;
     FrontEndRun run;
     if (fe == FrontEnd::Service) {
         auto svc = AlignService::create(ref, opts);
@@ -420,6 +664,7 @@ runFrontEnd(FrontEnd fe, const std::vector<FastaRecord> &ref,
             run.mapped += o == BatchOutcome::kMapped;
             run.degraded += o == BatchOutcome::kDegraded;
         }
+        run.reads = reads.size();
         run.ledgerBalanced =
             out.mapped + out.unmapped + out.degraded == reads.size();
         run.softwareFallback = (*svc)->softwareFallback();
@@ -436,9 +681,12 @@ runFrontEnd(FrontEnd fe, const std::vector<FastaRecord> &ref,
         opts.batchReads = 7;
         opts.threads = 2;
     }
-    const auto res = fe == FrontEnd::Stream
-                         ? alignStreamToSam(ref, reader, sam, opts)
-                         : alignToSam(ref, reads, sam, opts);
+    const auto res =
+        fe == FrontEnd::Pairs || fe == FrontEnd::PairedFiles
+            ? runPairedFrontEnd(fe, w, opts, testScratchDir() / "paired",
+                                sam)
+        : fe == FrontEnd::Stream ? alignStreamToSam(ref, reader, sam, opts)
+                                 : alignToSam(ref, reads, sam, opts);
     run.sam = sam.str();
     if (!res.ok()) {
         run.status = res.status();
@@ -446,17 +694,12 @@ runFrontEnd(FrontEnd fe, const std::vector<FastaRecord> &ref,
     }
     run.softwareFallback = res->softwareFallback;
     run.indexNote = res->indexNote;
+    run.reads = res->reads;
     run.mapped = res->mapped;
     run.degraded = res->degraded;
     run.ledgerBalanced = res->ledgerBalanced();
     return run;
 }
-
-struct PolicyWorkload
-{
-    std::vector<FastaRecord> ref;
-    std::vector<FastqRecord> reads;
-};
 
 PolicyWorkload
 policyWorkload()
@@ -469,6 +712,12 @@ policyWorkload()
     rs.seed = 21;
     for (const auto &r : simulateReads(map.sequence(), rs))
         w.reads.push_back({r.name, r.seq, r.qual});
+    rs.numReads = 6;
+    rs.seed = 22;
+    for (const auto &p : simulatePairs(map.sequence(), rs)) {
+        w.r1.push_back({p.r1.name, p.r1.seq, p.r1.qual});
+        w.r2.push_back({p.r2.name, p.r2.seq, p.r2.qual});
+    }
     return w;
 }
 
@@ -481,22 +730,6 @@ policyOptions()
     opts.segments = 4;
     opts.segmentOverlap = 256;
     return opts;
-}
-
-/** A scratch directory of this test's own: ctest runs each
- *  parametrized instance as its own process, concurrently. */
-std::filesystem::path
-testScratchDir()
-{
-    const auto *info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    std::string name = std::string(info->test_suite_name()) + "." +
-                       info->name();
-    std::replace(name.begin(), name.end(), '/', '_');
-    const auto dir =
-        std::filesystem::temp_directory_path() / ("genax_" + name);
-    std::filesystem::create_directories(dir);
-    return dir;
 }
 
 /** Build a flat index snapshot of `ref` with policyOptions()'s
@@ -527,19 +760,19 @@ TEST_P(FrontEndPolicy, OversizedBandDegradesToSoftwareEngine)
     const PolicyWorkload w = policyWorkload();
     PipelineOptions opts = policyOptions();
     opts.band = kMaxSillaK + 1; // beyond what a SillaX lane supports
-    const FrontEndRun run = runFrontEnd(GetParam(), w.ref, w.reads, opts);
+    const FrontEndRun run = runFrontEnd(GetParam(), w, opts);
     ASSERT_TRUE(run.status.ok()) << run.status.str();
     EXPECT_TRUE(run.softwareFallback);
     EXPECT_TRUE(run.ledgerBalanced);
     // Every mapped read is accounted as degraded, not mapped.
     EXPECT_EQ(run.mapped, 0u);
-    EXPECT_GT(run.degraded, w.reads.size() * 9 / 10);
+    EXPECT_GT(run.degraded, run.reads * 9 / 10);
 
     // The software engine's SAM, so the same SAM on every front end.
     PipelineOptions sw = opts;
     sw.engine = PipelineOptions::Engine::Software;
     EXPECT_EQ(run.sam,
-              runFrontEnd(FrontEnd::AlignToSam, w.ref, w.reads, sw).sam);
+              runFrontEnd(oneBatchFrontEnd(GetParam()), w, sw).sam);
 }
 
 TEST_P(FrontEndPolicy, SnapshotOfAnotherReferenceIsFailedPrecondition)
@@ -551,7 +784,7 @@ TEST_P(FrontEndPolicy, SnapshotOfAnotherReferenceIsFailedPrecondition)
 
     PipelineOptions opts = policyOptions();
     opts.indexSnapshot = snap;
-    const FrontEndRun run = runFrontEnd(GetParam(), w.ref, w.reads, opts);
+    const FrontEndRun run = runFrontEnd(GetParam(), w, opts);
     EXPECT_EQ(run.status.code(), StatusCode::FailedPrecondition)
         << run.status.str();
     EXPECT_EQ(run.sam, "");
@@ -578,12 +811,12 @@ TEST_P(FrontEndPolicy, CorruptSnapshotRebuildsWithIdenticalSam)
 
     PipelineOptions opts = policyOptions();
     opts.indexSnapshot = snap;
-    const FrontEndRun run = runFrontEnd(GetParam(), w.ref, w.reads, opts);
+    const FrontEndRun run = runFrontEnd(GetParam(), w, opts);
     ASSERT_TRUE(run.status.ok()) << run.status.str();
     EXPECT_NE(run.indexNote.find("rebuilding from FASTA"),
               std::string::npos)
         << run.indexNote;
-    EXPECT_EQ(run.sam, runFrontEnd(FrontEnd::AlignToSam, w.ref, w.reads,
+    EXPECT_EQ(run.sam, runFrontEnd(oneBatchFrontEnd(GetParam()), w,
                                    policyOptions())
                            .sam);
     std::filesystem::remove_all(dir);
@@ -608,14 +841,14 @@ TEST_P(FrontEndPolicy, VersionOneSnapshotRebuildsWithIdenticalSam)
 
     PipelineOptions opts = policyOptions();
     opts.indexSnapshot = snap;
-    const FrontEndRun run = runFrontEnd(GetParam(), w.ref, w.reads, opts);
+    const FrontEndRun run = runFrontEnd(GetParam(), w, opts);
     ASSERT_TRUE(run.status.ok()) << run.status.str();
     EXPECT_NE(run.indexNote.find("rebuilding from FASTA"),
               std::string::npos)
         << run.indexNote;
     EXPECT_NE(run.indexNote.find("format version 1"), std::string::npos)
         << run.indexNote;
-    EXPECT_EQ(run.sam, runFrontEnd(FrontEnd::AlignToSam, w.ref, w.reads,
+    EXPECT_EQ(run.sam, runFrontEnd(oneBatchFrontEnd(GetParam()), w,
                                    policyOptions())
                            .sam);
     std::filesystem::remove_all(dir);
@@ -624,7 +857,9 @@ TEST_P(FrontEndPolicy, VersionOneSnapshotRebuildsWithIdenticalSam)
 INSTANTIATE_TEST_SUITE_P(FrontEnds, FrontEndPolicy,
                          ::testing::Values(FrontEnd::AlignToSam,
                                            FrontEnd::Stream,
-                                           FrontEnd::Service));
+                                           FrontEnd::Service,
+                                           FrontEnd::Pairs,
+                                           FrontEnd::PairedFiles));
 
 TEST(Pipeline, ReaderFailureOnTheFirstBatchWritesNoSam)
 {

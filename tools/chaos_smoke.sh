@@ -202,7 +202,68 @@ if [[ -n "$index_bin" ]]; then
     fi
 fi
 
-# 7. Daemon-kill leg: SIGKILL genax_serve while a client's request is
+# 7. Paired-end leg: FR mates cut from the contig (fragment 300,
+#    read 2 reverse-complemented). Either engine, one batch on one
+#    thread or batches of 7 templates on two, with or without the
+#    snapshot, gives the same SAM: two records per template, a
+#    balanced ledger, exit 0. A pipeline-read storm still completes
+#    (exit 1, balanced), and mate files of different lengths are
+#    unrecoverable (exit 3) before any SAM file exists.
+revcomp() { rev <<<"$1" | tr ACGT TGCA; }
+for ((t = 0; t < 14; t++)); do
+    p=$((t * 60))
+    printf '@pair%d/1\n%s\n+\n%s\n' "$t" "${seq:$p:80}" "$qual" >&3
+    printf '@pair%d/2\n%s\n+\n%s\n' "$t" \
+        "$(revcomp "${seq:$((p + 220)):80}")" "$qual" >&4
+done 3>"$tmp/r1.fq" 4>"$tmp/r2.fq"
+head -n 52 "$tmp/r2.fq" >"$tmp/r2_short.fq"
+paired_snap=()
+[[ -e "$tmp/snap.gxs" ]] && paired_snap=(--index "$tmp/snap.gxs")
+for engine in genax sw; do
+    ref_sam=""
+    for index in none snap; do
+        [[ $index == snap && ${#paired_snap[@]} -eq 0 ]] && continue
+        extra=()
+        [[ $index == snap ]] && extra=("${paired_snap[@]}")
+        for setting in "0 1" "7 2"; do
+            read -r batch threads <<<"$setting"
+            tag="paired_${engine}_${index}_b${batch}_t${threads}"
+            status=$(run "$tmp/$tag.log" --ref "$tmp/ref.fa" \
+                --reads "$tmp/r1.fq" --reads2 "$tmp/r2.fq" \
+                --out "$tmp/$tag.sam" --engine "$engine" --k 11 \
+                --segments 4 --batch-reads "$batch" --threads "$threads" \
+                "${extra[@]}")
+            ((status == 0)) || err "$tag: exit $status, want 0"
+            check_ledger "$tmp/$tag.log" "$tmp/$tag.sam"
+            records=$(grep -cv '^@' "$tmp/$tag.sam" || true)
+            ((records == 28)) || err "$tag: $records records, want 28"
+            if [[ -z "$ref_sam" ]]; then
+                ref_sam="$tmp/$tag.sam"
+            else
+                cmp -s "$ref_sam" "$tmp/$tag.sam" ||
+                    err "$tag: SAM differs from ${ref_sam##*/}"
+            fi
+        done
+    done
+done
+grep -q '^GenAx model:' "$tmp/paired_genax_none_b0_t1.log" ||
+    err "paired GenAx run printed no model line"
+status=$(run "$tmp/paired_storm.log" --ref "$tmp/ref.fa" \
+    --reads "$tmp/r1.fq" --reads2 "$tmp/r2.fq" --out "$tmp/paired_storm.sam" \
+    --k 11 --segments 4 --batch-reads 7 --threads 2 \
+    --inject 'genax.pipeline.read:p=0.15,seed=4')
+((status == 1)) || err "paired storm: exit $status, want 1"
+check_ledger "$tmp/paired_storm.log" "$tmp/paired_storm.sam"
+status=$(run "$tmp/paired_short.log" --ref "$tmp/ref.fa" \
+    --reads "$tmp/r1.fq" --reads2 "$tmp/r2_short.fq" \
+    --out "$tmp/paired_short.sam" --k 11)
+((status == 3)) || err "mismatched mate files: exit $status, want 3"
+grep -q 'mate files differ' "$tmp/paired_short.log" ||
+    err "mismatched mate files: no diagnostic"
+[[ ! -e "$tmp/paired_short.sam" ]] ||
+    err "mismatched mate files left a SAM file"
+
+# 8. Daemon-kill leg: SIGKILL genax_serve while a client's request is
 #    parked in the batcher. The client must fail cleanly (exit 3, no
 #    partial SAM, no hang — the checksummed framing means a torn
 #    stream is never *accepted*), and a restarted daemon on the same

@@ -54,7 +54,6 @@ printHelp(const char *prog, std::FILE *to)
         "  --ref FILE         reference FASTA (required)\n"
         "  --reads FILE       reads FASTQ (required)\n"
         "  --reads2 FILE      mate FASTQ; enables paired-end mode\n"
-        "                     (software engine)\n"
         "  --out FILE         output SAM (required)\n"
         "  --engine genax|sw  accelerator model or software baseline\n"
         "                     (default genax)\n"
@@ -68,12 +67,12 @@ printHelp(const char *prog, std::FILE *to)
         "                     its index builds (default 1; 0 = all\n"
         "                     hardware threads); output is identical\n"
         "                     at any width\n"
-        "  --batch-reads N    stream reads through the engine in\n"
-        "                     batches of N, overlapping parse, align\n"
-        "                     and SAM emission with O(batch) memory\n"
-        "                     (default 0 = all reads as one batch);\n"
-        "                     output is identical at any batch size;\n"
-        "                     single-end mode only\n"
+        "  --batch-reads N    stream reads (read pairs with --reads2)\n"
+        "                     through the engine in batches of N,\n"
+        "                     overlapping parse, align and SAM\n"
+        "                     emission with O(batch) memory (default\n"
+        "                     0 = all reads as one batch); output is\n"
+        "                     identical at any batch size\n"
         "  --index FILE       prebuilt index snapshot from genax_index;\n"
         "                     mmapped zero-copy, skipping the per-run\n"
         "                     index build. The snapshot's k/segments/\n"
@@ -200,15 +199,6 @@ main(int argc, char **argv)
     }
     if (ref.empty() || reads.empty() || out.empty())
         usageError(argv[0], "--ref, --reads and --out are required");
-    if (opts.batchReads > 0 && !reads2.empty())
-        usageError(argv[0],
-                   "--batch-reads is single-end only (paired mode "
-                   "loads both mate files whole)");
-    if (!opts.indexSnapshot.empty() && !reads2.empty())
-        usageError(argv[0],
-                   "--index is single-end only (paired mode runs "
-                   "the software engine, which builds no segment "
-                   "indexes)");
 
     if (const Status st = FaultInjector::instance().configureFromEnv();
         !st.ok()) {
@@ -254,7 +244,7 @@ main(int argc, char **argv)
         static_cast<unsigned long long>(res.degraded),
         static_cast<unsigned long long>(res.failed));
     if (opts.engine == PipelineOptions::Engine::GenAx &&
-        !res.softwareFallback && reads2.empty()) {
+        !res.softwareFallback) {
         std::fprintf(stderr,
                      "GenAx model: %llu exact-path reads, %llu "
                      "extension jobs, modelled %.1f KReads/s\n",
