@@ -23,6 +23,10 @@
 
 namespace genax {
 
+static_assert(kMaxBand > kMaxSillaK,
+              "a band the SillaX lanes refuse must still reach the "
+              "software engine");
+
 ContigMap::ContigMap(const std::vector<FastaRecord> &contigs)
     : ContigMap(std::vector<FastaRecord>(contigs))
 {
@@ -201,8 +205,7 @@ attachIndexSnapshot(const std::string &path, const Seq &refseq)
                    "FASTA: " +
                    opened.status().str();
         GENAX_WARN("index snapshot ", path,
-                   " unusable; rebuilding segment indexes from the "
-                   "reference: ",
+                   " unusable; building the index from the reference: ",
                    opened.status().str());
         return att;
     }
@@ -242,6 +245,10 @@ AlignEngine::create(std::vector<FastaRecord> &&ref,
                     const EngineOptions &opts)
 {
     GENAX_TRY(validateReference(ref));
+    if (opts.band > kMaxBand)
+        return invalidInputError("band " + std::to_string(opts.band) +
+                                 " exceeds the maximum " +
+                                 std::to_string(kMaxBand));
     // No make_unique: the constructor is private.
     // genax-lint: allow(naked-new): one engine per run, not per-read scratch
     auto *made = new AlignEngine(ContigMap(std::move(ref)), opts);
@@ -278,6 +285,9 @@ AlignEngine::begin()
         applyIndexAttachment(cfg, _attach);
         _system.emplace(_contigs.sequence(), cfg);
         _system->streamBegin();
+    } else if (_attach.snapshot) {
+        _aligner.emplace(_contigs.sequence(), alignerConfig(_opts),
+                         _attach.snapshot->index());
     } else {
         _aligner.emplace(_contigs.sequence(), alignerConfig(_opts));
     }

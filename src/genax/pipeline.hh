@@ -95,8 +95,8 @@ struct IndexAttachment
 
 /**
  * Snapshot attach policy, applied by AlignEngine::create for every
- * front end. Opens `path` and decides how a run gets its per-segment
- * indexes:
+ * front end. Opens `path` and decides how a run gets its k-mer
+ * index:
  *
  *  - fingerprint mismatch against the parsed reference → hard error
  *    (a snapshot must never be applied to the wrong reference);
@@ -108,10 +108,17 @@ StatusOr<IndexAttachment> attachIndexSnapshot(const std::string &path,
                                               const Seq &refseq);
 
 /** Apply an attachment to a GenAx config: the snapshot's build
- *  parameters are authoritative and the engine serves segment
- *  indexes from it. A snapshot-less attachment is a no-op. */
+ *  parameters are authoritative and the engine seeds against its
+ *  index. A snapshot-less attachment is a no-op. */
 void applyIndexAttachment(GenAxConfig &cfg,
                           const IndexAttachment &att);
+
+/** Largest edit bound / extension band an engine accepts: banded
+ *  Gotoh keeps (n + 1) * (2 * band + 1) bytes of traceback per job,
+ *  over windows of n = read length + band bases. It lies above
+ *  kMaxSillaK, so a band between the two degrades a GenAx run to the
+ *  software engine. */
+inline constexpr u32 kMaxBand = 8192;
 
 /**
  * Engine settings: what AlignEngine needs to build an engine. The
@@ -137,10 +144,10 @@ struct EngineOptions
     unsigned threads = 1;
     /**
      * Optional path to a pre-built index snapshot (genax_index
-     * writes one). When set, the GenAx engine serves each
-     * segment's seeding index zero-copy from the snapshot instead of
-     * rebuilding it per batch, and the snapshot's k / segment count /
-     * overlap override the fields above so the output matches the
+     * writes one). When set, either engine seeds against the
+     * snapshot's whole-reference index, zero-copy, and builds none;
+     * the snapshot's k (and, for GenAx, its segment count and
+     * overlap) override the fields above so the output matches the
      * build. The snapshot's reference fingerprint must match the
      * parsed FASTA — a mismatch fails the run (a snapshot is never
      * applied to the wrong reference). A corrupt or unreadable
@@ -191,8 +198,9 @@ class AlignEngine
 {
   public:
     /** Check the reference, concatenate its contigs, attach
-     *  opts.indexSnapshot and decide which engine runs. A snapshot
-     *  of another reference is FailedPrecondition. */
+     *  opts.indexSnapshot and decide which engine runs. A band above
+     *  kMaxBand is InvalidInput; a snapshot of another reference is
+     *  FailedPrecondition. */
     static StatusOr<std::unique_ptr<AlignEngine>>
     create(const std::vector<FastaRecord> &ref, const EngineOptions &opts);
 
@@ -208,6 +216,13 @@ class AlignEngine
     const IndexAttachment &indexAttachment() const { return _attach; }
     /** The run degraded from GenAx to the software engine. */
     bool softwareFallback() const { return _softwareFallback; }
+
+    /** The software engine once begun, else nullptr. */
+    const BwaMemLike *
+    softwareEngine() const
+    {
+        return _aligner ? &*_aligner : nullptr;
+    }
 
     /** Construct the engine and open its stream. */
     void begin();

@@ -134,39 +134,9 @@ struct CandidateSet
 };
 
 /**
- * Phase-A output for one (read, strand): either the exact-match
- * mappings (whole-read SMEM hit) or the anchors to extend. Nothing
- * is inserted into the candidate set until phase B replays the
- * staged work in the original strand-major order — the set's prune
- * uses an unstable partial_sort, so the insertion sequence is part
- * of the output contract.
- */
-struct StrandStage
-{
-    std::vector<Mapping> exact;
-    std::vector<Anchor> anchors;
-};
-
-/** Per-read staging between the seeding and extension phases. */
-struct ReadStage
-{
-    StrandStage strand[2]; //!< [0] forward, [1] reverse
-    Seq revOriented;       //!< reverse complement (phase B reuses it)
-
-    void
-    clear()
-    {
-        for (auto &s : strand) {
-            s.exact.clear();
-            s.anchors.clear();
-        }
-    }
-};
-
-/**
  * Per-runner shard of the mutable alignment state. Each parallelFor
  * slot owns one shard, so the hot path touches no shared mutable
- * state; shards are reduced in slot order after the pass. Every
+ * state; shards are reduced in slot order at streamEnd(). Every
  * reduced quantity is an integer sum — and a SillaX lane's cycle
  * count for a job depends only on the job itself — so the merged
  * perf report is bit-identical at any thread count.
@@ -177,19 +147,28 @@ struct WorkerShard
     u64 extensionJobs = 0;
     u64 laneFaults = 0;
     u64 degradedJobs = 0;
+    u64 exactReads = 0; //!< reads exact in at least one segment
     /** Host wall-clock this shard spent inside the extension kernel
      *  (profiling only — never part of the modelled report). */
     double extHostSeconds = 0;
-    /** Host wall-clock this shard spent in the seeding phase (SMEM
-     *  engine, anchor staging) — profiling only. */
+    /** Host wall-clock this shard spent in the read loop outside the
+     *  extension kernel: lookups, seeding, anchoring — profiling
+     *  only. */
     double seedHostSeconds = 0;
     /** Reused unpack buffer for the extension kernel's packed
      *  reference windows (one live job per shard at a time). */
     Seq unpackScratch;
-    SeedingStats segSeeding; //!< current segment only
+    /** The current read's reverse complement, and both strands'
+     *  k-mers resolved in the whole index. */
+    Seq rev;
+    ResolvedRead resolved[2];
+    /** Per-segment seeding stats and SillaX cycles over the pass. */
+    std::vector<SeedingStats> segSeeding;
+    std::vector<Cycle> segLaneCycles;
 
-    explicit WorkerShard(const GenAxConfig &cfg)
-        : lane(cfg.editBound, cfg.scoring, cfg.sillaxFreqGhz)
+    WorkerShard(const GenAxConfig &cfg, u64 segments)
+        : lane(cfg.editBound, cfg.scoring, cfg.sillaxFreqGhz),
+          segSeeding(segments), segLaneCycles(segments, 0)
     {
     }
 };
@@ -210,17 +189,13 @@ camOps(const SeedingStats &s)
  * streamEnd() are bit-identical whether the reads arrived in one
  * batch or many. The worker shards persist across batches: a SillaX
  * lane's cycles per job depend only on the job, so letting the lane
- * counters run across batches changes nothing, and the per-segment
- * before/after snapshots still isolate each segment's share.
+ * counters run across batches changes nothing, and the before/after
+ * difference around each segment's extensions isolates its share.
  */
 struct GenAxSystem::StreamState
 {
     unsigned width = 1;
     std::vector<WorkerShard> shards;
-    /** Per-segment seeding stats summed across batches. */
-    std::vector<SeedingStats> segSeeding;
-    /** Per-segment SillaX cycle totals summed across batches. */
-    std::vector<Cycle> segLaneCycles;
     /** Per-segment per-read lane work in global read order; only
      *  populated under cfg.simulateSeedingLanes (the cycle-stepped
      *  simulation needs the whole per-read list, so that mode keeps
@@ -228,16 +203,12 @@ struct GenAxSystem::StreamState
     std::vector<std::vector<LaneWork>> segLaneWork;
     u64 readsBytes = 0;  //!< packed read bytes streamed per segment
     u64 totalReads = 0;  //!< reads admitted so far (= next base)
-    u64 exactReads = 0;  //!< reads resolved by the exact-match path
     /** Wall-clock of the streamBatchCandidates calls (profiling). */
     double batchHostSeconds = 0;
     /** Per-read candidate sets, reused across batches so the hash
      *  tables and lists reach a steady-state capacity instead of
      *  reallocating per batch. */
     std::vector<CandidateSet> cands;
-    /** Per-read phase-A staging, reused across segments and batches
-     *  (cleared per use; capacities persist). */
-    std::vector<ReadStage> stages;
 };
 
 GenAxSystem::~GenAxSystem() = default;
@@ -246,33 +217,26 @@ GenAxSystem::GenAxSystem(const Seq &ref, const GenAxConfig &cfg)
     : _ref(ref), _cfg(cfg),
       _segments(ref, SegmentConfig{cfg.segmentCount, cfg.segmentOverlap,
                                    cfg.k}),
+      _index(cfg.snapshot != nullptr
+                 ? cfg.snapshot->index()
+                 : SeedIndex(ref, cfg.k, cfg.threads)),
       _dram(cfg.dram)
 {
     GENAX_CHECK(cfg.sillaxLanes > 0, "need at least one SillaX lane");
     GENAX_CHECK(cfg.seedingLanes > 0, "need at least one seeding lane");
     GENAX_CHECK(cfg.editBound > 0 && cfg.editBound <= kMaxSillaK,
                 "edit bound out of range: ", cfg.editBound);
-    if (cfg.snapshot != nullptr) {
-        // The attach path (pipeline.cc) has already verified the
-        // fingerprint against the parsed reference; same reference +
-        // same config deterministically produce the same
-        // segmentation, so a geometry mismatch here is a programming
-        // error, not an input error.
-        const IndexSnapshot &snap = *cfg.snapshot;
-        GENAX_CHECK(snap.k() == cfg.k, "snapshot k ", snap.k(),
-                    " != configured k ", cfg.k);
-        GENAX_CHECK(snap.segmentCount() == _segments.count(),
-                    "snapshot has ", snap.segmentCount(),
-                    " segments, segmentation produced ",
-                    _segments.count());
-        for (u64 i = 0; i < _segments.count(); ++i) {
-            GENAX_CHECK(snap.segmentStart(i) == _segments.start(i) &&
-                            snap.segmentLength(i) ==
-                                _segments.length(i),
-                        "snapshot segment ", i,
-                        " geometry does not match the segmentation");
-        }
-    }
+    // The attach path (pipeline.cc) has verified the snapshot's
+    // fingerprint against the parsed reference, so a k other than the
+    // configured one (which sizes the modelled tables) is a
+    // programming error. Any segmentation works: segments are windows
+    // of the one index.
+    GENAX_CHECK(_index.k() == cfg.k, "index k ", _index.k(),
+                " != configured k ", cfg.k);
+    _windows.reserve(_segments.count());
+    for (u64 i = 0; i < _segments.count(); ++i)
+        _windows.push_back(
+            _index.window(_segments.start(i), _segments.length(i)));
 }
 
 void
@@ -292,9 +256,7 @@ GenAxSystem::streamBegin()
     // cycle count is invariant to how jobs land on shards.
     st->shards.reserve(st->width);
     for (unsigned s = 0; s < st->width; ++s)
-        st->shards.emplace_back(_cfg);
-    st->segSeeding.resize(_segments.count());
-    st->segLaneCycles.assign(_segments.count(), 0);
+        st->shards.emplace_back(_cfg, _segments.count());
     if (_cfg.simulateSeedingLanes)
         st->segLaneWork.resize(_segments.count());
     _stream = std::move(st);
@@ -319,235 +281,139 @@ GenAxSystem::streamBatchCandidates(const std::vector<Seq> &reads,
     for (u64 r = 0; r < reads.size(); ++r)
         st.cands[r].reset();
     std::vector<CandidateSet> &cands = st.cands;
-    if (st.stages.size() < reads.size())
-        st.stages.resize(reads.size());
-    // The reverse-complemented read is segment-independent: compute
-    // it at most once per read per batch (phase A fills it lazily on
-    // the first reverse-strand search) instead of once per segment.
-    // Only the orientation cache is invalidated here — the strand
-    // stages are cleared per segment in phase A.
-    for (u64 r = 0; r < reads.size(); ++r)
-        st.stages[r].revOriented.clear();
-    std::vector<u8> exact_seen(reads.size(), 0);
     _degraded.assign(reads.size(), 0);
 
     for (const auto &r : reads)
         st.readsBytes += (r.size() + 3) / 4;
+    // The lane simulation's per-segment work lists are in global read
+    // order, and each runner fills its own reads' entries.
+    for (auto &work : st.segLaneWork)
+        work.resize(st.totalReads);
+    const u64 segments = _segments.count();
 
-    // Per-read seeding work for the optional lane simulation,
-    // indexed by read so concurrent chunks never contend.
-    std::vector<LaneWork> lane_work;
-    if (_cfg.simulateSeedingLanes)
-        lane_work.resize(reads.size());
+    // One read-major pass, sharded across the pool: a runner takes a
+    // read, looks up both strands' k-mers once in the whole index,
+    // then seeds every segment's window and extends that window's
+    // anchors. Each read's candidates are inserted segment-major,
+    // then strand-major, exact matches before anchors — the sequence
+    // the set's insertion-order-sensitive prune is pinned to.
+    ThreadPool::global().parallelFor(
+        reads.size(), st.width, [&](unsigned slot, u64 lo, u64 hi) {
+            WorkerShard &ws = st.shards[slot];
+            // The index is shared read-only; each chunk gets its own
+            // engine (it accumulates stats and CAM state).
+            SmemEngine engine(_index, _cfg.seeding);
+            u64 cur_read = 0;
 
-    // The segment loop stays serial; reads within a segment are
-    // sharded across the pool. Without a snapshot the index is
-    // rebuilt per batch at the engine width (the price of O(batch)
-    // resident memory — caching every segment's index would cost
-    // tens of bytes per reference base); with one, the segment's
-    // tables are a zero-copy view over the snapshot file.
-    for (u64 seg = 0; seg < _segments.count(); ++seg) {
-        const SeedIndex index =
-            _cfg.snapshot != nullptr
-                ? _cfg.snapshot->segmentView(seg)
-                : _segments.buildSeedIndex(seg, _cfg.threads);
+            // Extension kernel with graceful degradation: a job the
+            // lane refuses (injected issue fault) is re-run on the
+            // software kernel (SIMD score pass + truncated scalar
+            // traceback) instead of being dropped, and the read is
+            // flagged so the pipeline ledger can report it as
+            // degraded.
+            const ExtendFn kernel = [&](const PackedSeq &rw,
+                                        const Seq &qry) {
+                ++ws.extensionJobs;
+                const auto ext_t0 = std::chrono::steady_clock::now();
+                rw.unpackInto(ws.unpackScratch);
+                auto attempt = ws.lane.tryExtend(ws.unpackScratch, qry);
+                ExtensionResult out;
+                if (!attempt.ok()) [[unlikely]] {
+                    ++ws.laneFaults;
+                    ++ws.degradedJobs;
+                    _degraded[cur_read] = 1;
+                    out = gotohExtendViaScore(rw, qry, _cfg.scoring,
+                                              _cfg.editBound);
+                } else {
+                    const SillaAlignment &a = *attempt;
+                    out.score = a.score;
+                    out.refConsumed = a.refEnd;
+                    out.qryConsumed = a.qryEnd;
+                    for (const auto &e : a.cigar.elems())
+                        if (e.op != CigarOp::SoftClip)
+                            out.cigar.push(e.op, e.len);
+                }
+                // genax-lint: allow(fp-accum): shard-local host profiling, never a modelled quantity
+                ws.extHostSeconds +=
+                    std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - ext_t0)
+                        .count();
+                return out;
+            };
 
-        Cycle lane_cycles_before = 0;
-        for (auto &ws : st.shards) {
-            ws.segSeeding = {};
-            lane_cycles_before += ws.lane.stats().totalCycles();
-        }
-
-        // Phase A — seeding. Each shard seeds its reads against the
-        // shared index and *stages* the per-strand outcome (exact
-        // mappings or anchors) without touching the candidate sets
-        // or the lanes. Splitting the read's fault scope in two is
-        // sound because the seeding sites (seed.cam.*) and the lane
-        // site (sillax.lane.issue) are disjoint and per-site
-        // ordinals restart per scope instance, so each site sees the
-        // same ordinal stream it saw in the fused loop.
-        ThreadPool::global().parallelFor(
-            reads.size(), st.width,
-            [&](unsigned slot, u64 lo, u64 hi) {
-                WorkerShard &ws = st.shards[slot];
-                const auto seed_t0 = std::chrono::steady_clock::now();
-                // The index is shared read-only; each chunk gets its
-                // own engine (it accumulates stats and CAM state).
-                SmemEngine engine(index, _cfg.seeding);
-                u64 prev_lookups = 0, prev_cam = 0;
-
-                for (u64 r = lo; r < hi; ++r) {
-                    ReadStage &rs = st.stages[r];
-                    rs.clear();
+            for (u64 r = lo; r < hi; ++r) {
+                cur_read = r;
+                const auto read_t0 = std::chrono::steady_clock::now();
+                const double ext_before = ws.extHostSeconds;
+                reverseComplementInto(reads[r], ws.rev);
+                engine.resolve(reads[r], ws.resolved[0]);
+                engine.resolve(ws.rev, ws.resolved[1]);
+                bool exact = false;
+                for (u64 seg = 0; seg < segments; ++seg) {
                     // Fault decisions inside this read are keyed on
                     // (segment, global read index) — a pure function
-                    // of the work item, not of arrival order or
-                    // batch composition — so an armed plan fires
+                    // of the work item, not of arrival order or batch
+                    // composition — so an armed plan fires
                     // identically at any thread count and any batch
                     // size.
                     FaultKeyScope fault_key(FaultKeyScope::mixKey(
                         seg + 1, base_read_index + r));
+                    const Cycle cycles_before =
+                        ws.lane.stats().totalCycles();
                     for (int sidx = 0; sidx < 2; ++sidx) {
                         const bool reverse = sidx == 1;
-                        StrandStage &ss = rs.strand[sidx];
-                        if (reverse && rs.revOriented.empty())
-                            reverseComplementInto(reads[r],
-                                                  rs.revOriented);
-                        const Seq &oriented =
-                            reverse ? rs.revOriented : reads[r];
-                        const auto smems = engine.seed(oriented);
+                        const Seq &oriented = reverse ? ws.rev : reads[r];
+                        const auto smems =
+                            engine.seed(ws.resolved[sidx], _windows[seg]);
                         if (smems.empty())
                             continue;
 
                         // Exact whole-read match: no extension needed
                         // (Section V's common-case optimization).
-                        if (smems.size() == 1 &&
-                            smems[0].qryBegin == 0 &&
+                        if (smems.size() == 1 && smems[0].qryBegin == 0 &&
                             smems[0].qryEnd == oriented.size()) {
-                            exact_seen[r] = 1;
+                            exact = true;
                             for (u32 local : smems[0].positions) {
                                 Mapping m;
                                 m.mapped = true;
                                 m.reverse = reverse;
                                 m.pos = _segments.toGlobal(seg, local);
-                                m.score =
-                                    static_cast<i32>(oriented.size()) *
-                                    _cfg.scoring.match;
+                                m.score = static_cast<i32>(oriented.size()) *
+                                          _cfg.scoring.match;
                                 m.cigar.push(
                                     CigarOp::Match,
                                     static_cast<u32>(oriented.size()));
-                                ss.exact.push_back(m);
+                                cands[r].insert(m, max_candidates);
                             }
                             continue;
                         }
-
-                        ss.anchors =
-                            makeAnchors(smems, _segments.start(seg),
-                                        reverse, _cfg.anchors);
+                        for (const Anchor &anchor :
+                             makeAnchors(smems, _segments.start(seg),
+                                         reverse, _cfg.anchors))
+                            cands[r].insert(
+                                extendAnchor(_ref, oriented, anchor,
+                                             _cfg.scoring, _cfg.editBound,
+                                             kernel),
+                                max_candidates);
                     }
-                    if (_cfg.simulateSeedingLanes) {
-                        const u64 lookups =
-                            engine.stats().indexLookups;
-                        const u64 cam = camOps(engine.stats());
-                        lane_work[r] = {lookups - prev_lookups,
-                                        cam - prev_cam};
-                        prev_lookups = lookups;
-                        prev_cam = cam;
-                    }
+                    ws.segLaneCycles[seg] +=
+                        ws.lane.stats().totalCycles() - cycles_before;
+                    const SeedingStats &seeded = engine.stats();
+                    if (_cfg.simulateSeedingLanes)
+                        st.segLaneWork[seg][base_read_index + r] = {
+                            seeded.indexLookups, camOps(seeded)};
+                    accumulate(ws.segSeeding[seg], seeded);
+                    engine.resetStats();
                 }
-                accumulate(ws.segSeeding, engine.stats());
+                ws.exactReads += exact;
                 // genax-lint: allow(fp-accum): shard-local host profiling, never a modelled quantity
                 ws.seedHostSeconds +=
                     std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - seed_t0)
-                        .count();
-            });
-
-        // Phase B — extension. The staged jobs of the whole batch
-        // run cross-read through the per-shard lanes, and the
-        // candidate insertions replay in the exact strand-major,
-        // anchor-ordered sequence the fused loop used (the set's
-        // prune is insertion-order sensitive). Lane cycle counts per
-        // job depend only on the job, so sharding jobs differently
-        // from phase A changes no modelled quantity.
-        ThreadPool::global().parallelFor(
-            reads.size(), st.width,
-            [&](unsigned slot, u64 lo, u64 hi) {
-                WorkerShard &ws = st.shards[slot];
-                u64 cur_read = 0;
-
-                // Extension kernel with graceful degradation: a job
-                // the lane refuses (injected issue fault) is re-run
-                // on the software kernel (SIMD score pass + truncated
-                // scalar traceback) instead of being dropped, and the
-                // read is flagged so the pipeline ledger can report
-                // it as degraded.
-                const ExtendFn kernel = [&](const PackedSeq &rw,
-                                            const Seq &qry) {
-                    ++ws.extensionJobs;
-                    const auto ext_t0 =
-                        std::chrono::steady_clock::now();
-                    rw.unpackInto(ws.unpackScratch);
-                    auto attempt =
-                        ws.lane.tryExtend(ws.unpackScratch, qry);
-                    ExtensionResult out;
-                    if (!attempt.ok()) [[unlikely]] {
-                        ++ws.laneFaults;
-                        ++ws.degradedJobs;
-                        _degraded[cur_read] = 1;
-                        out = gotohExtendViaScore(rw, qry, _cfg.scoring,
-                                                  _cfg.editBound);
-                    } else {
-                        const SillaAlignment &a = *attempt;
-                        out.score = a.score;
-                        out.refConsumed = a.refEnd;
-                        out.qryConsumed = a.qryEnd;
-                        for (const auto &e : a.cigar.elems())
-                            if (e.op != CigarOp::SoftClip)
-                                out.cigar.push(e.op, e.len);
-                    }
-                    // genax-lint: allow(fp-accum): shard-local host profiling, never a modelled quantity
-                    ws.extHostSeconds +=
-                        std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - ext_t0)
-                            .count();
-                    return out;
-                };
-
-                for (u64 r = lo; r < hi; ++r) {
-                    const ReadStage &rs = st.stages[r];
-                    cur_read = r;
-                    // Same key as phase A; the lane-issue ordinals
-                    // within this fresh scope instance match the
-                    // fused loop's because no lane site was hit
-                    // during seeding.
-                    FaultKeyScope fault_key(FaultKeyScope::mixKey(
-                        seg + 1, base_read_index + r));
-                    for (int sidx = 0; sidx < 2; ++sidx) {
-                        const StrandStage &ss = rs.strand[sidx];
-                        for (const Mapping &m : ss.exact)
-                            cands[r].insert(m, max_candidates);
-                        if (ss.anchors.empty())
-                            continue;
-                        const Seq &oriented =
-                            sidx == 1 ? rs.revOriented : reads[r];
-                        for (const auto &anchor : ss.anchors) {
-                            cands[r].insert(
-                                extendAnchor(_ref, oriented, anchor,
-                                             _cfg.scoring,
-                                             _cfg.editBound, kernel),
-                                max_candidates);
-                        }
-                    }
-                }
-            });
-
-        // Deterministic reduction: per-segment seeding stats are u64
-        // sums over shards (in slot order) and then over batches, so
-        // the totals — and the seconds streamEnd() derives from them
-        // — are bit-identical at any thread count and batch size.
-        SeedingStats batch_seg;
-        for (const auto &ws : st.shards)
-            accumulate(batch_seg, ws.segSeeding);
-        accumulate(st.segSeeding[seg], batch_seg);
-        accumulate(_perf.seeding, batch_seg);
-
-        Cycle lane_cycles_after = 0;
-        for (const auto &ws : st.shards)
-            lane_cycles_after += ws.lane.stats().totalCycles();
-        st.segLaneCycles[seg] += lane_cycles_after - lane_cycles_before;
-
-        // The cycle-stepped lane simulation consumes the whole
-        // per-read work list at streamEnd(); batches append in
-        // global read order (the base check above pins the order).
-        if (_cfg.simulateSeedingLanes)
-            st.segLaneWork[seg].insert(st.segLaneWork[seg].end(),
-                                       lane_work.begin(),
-                                       lane_work.end());
-    }
-
-    for (const u8 seen : exact_seen)
-        st.exactReads += seen;
+                        std::chrono::steady_clock::now() - read_t0)
+                        .count() -
+                    (ws.extHostSeconds - ext_before);
+            }
+        });
 
     // Finalize: sort candidates by descending score with the same
     // deterministic tie-break as the software aligner. Per-read and
@@ -632,6 +498,22 @@ GenAxSystem::streamEnd()
                 .count();
     }
 
+    // Deterministic reduction: the shards' per-segment seeding stats
+    // and lane cycles are u64 sums, folded in slot order and then in
+    // segment order, so the totals — and the seconds derived from
+    // them below — are bit-identical at any thread count and batch
+    // size.
+    std::vector<SeedingStats> seg_seeding(_segments.count());
+    std::vector<Cycle> seg_lane_cycles(_segments.count(), 0);
+    for (const auto &ws : st.shards) {
+        for (u64 seg = 0; seg < _segments.count(); ++seg) {
+            accumulate(seg_seeding[seg], ws.segSeeding[seg]);
+            seg_lane_cycles[seg] += ws.segLaneCycles[seg];
+        }
+    }
+    for (const SeedingStats &s : seg_seeding)
+        accumulate(_perf.seeding, s);
+
     // Per-segment DRAM streams and modelled seconds, in segment
     // order. The DRAM fault site replays by per-site ordinal, so the
     // one-stream-per-segment call sequence here is exactly the
@@ -662,13 +544,13 @@ GenAxSystem::streamEnd()
             seed_sec = static_cast<double>(sim_cycles[seg]) /
                        (_cfg.seedingFreqGhz * 1e9);
         } else {
-            seed_sec = seedingCycles(st.segSeeding[seg],
+            seed_sec = seedingCycles(seg_seeding[seg],
                                      _cfg.seedingIssueWidth) /
                        (_cfg.seedingLanes * _cfg.seedingFreqGhz * 1e9);
         }
 
         const double ext_sec =
-            static_cast<double>(st.segLaneCycles[seg]) /
+            static_cast<double>(seg_lane_cycles[seg]) /
             (_cfg.sillaxLanes * _cfg.sillaxFreqGhz * 1e9);
 
         // Derived doubles summed in the serial segment loop, in
@@ -696,8 +578,8 @@ GenAxSystem::streamEnd()
         _perf.extensionJobs += ws.extensionJobs;
         _perf.laneFaults += ws.laneFaults;
         _perf.degradedJobs += ws.degradedJobs;
+        _perf.exactReads += ws.exactReads;
     }
-    _perf.exactReads += st.exactReads;
     // Pipeline occupancy: every extension job dispatched by the
     // kernel must be accounted for by exactly one lane or by the
     // software fallback — the sharded dispatch dropped or
@@ -713,8 +595,9 @@ GenAxSystem::streamEnd()
     // time are shard sums in slot order (CPU-seconds when threaded);
     // bookkeeping is whatever the batch calls and this finalization
     // spent outside the two instrumented phases. The seeding figure
-    // adds the phase-A host time to whatever the cycle-stepped lane
-    // simulation recorded above, so it is non-zero in every mode.
+    // adds the read loop's time outside the extension kernel to
+    // whatever the cycle-stepped lane simulation recorded above, so
+    // it is non-zero in every mode.
     for (const auto &ws : st.shards) {
         _hostProfile.extensionSeconds += ws.extHostSeconds;
         _hostProfile.seedingSimSeconds += ws.seedHostSeconds;

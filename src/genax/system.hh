@@ -4,11 +4,13 @@
  *
  * Brings together the seeding accelerator (128 lanes sharing
  * segment-resident index/position tables) and 4 SillaX seed-extension
- * lanes. The reference genome is processed segment by segment: each
- * segment's tables are streamed from DDR4 into on-chip SRAM, all
- * reads are seeded against the segment, SMEM hits become extension
- * jobs on the SillaX lanes, and the best alignment per read is kept
- * across segments and strands.
+ * lanes. The modelled accelerator processes the reference segment by
+ * segment: each segment's tables are streamed from DDR4 into on-chip
+ * SRAM, all reads are seeded against the segment, SMEM hits become
+ * extension jobs on the SillaX lanes, and the best alignment per read
+ * is kept across segments and strands. The host computes the same
+ * answers read by read: it looks each read's k-mers up once in one
+ * whole-reference index and seeds every segment as a window of it.
  *
  * alignAll() is simultaneously the functional aligner (producing
  * per-read Mappings that the tests check for concordance with the
@@ -61,22 +63,21 @@ struct GenAxConfig
     bool simulateSeedingLanes = false;
     u32 seedingSramBanks = 32;
     /**
-     * Host worker threads for the per-segment read loop and, without
-     * a snapshot, the per-batch segment index builds (0 = all
-     * hardware threads). Purely a host-execution knob: lanes and
-     * stats are sharded per worker and reduced as order-invariant
-     * sums, so mappings, the perf report and the fault-injection
-     * replay are identical at any width (see DESIGN.md).
+     * Host worker threads for the read loop and, without a snapshot,
+     * the index build at construction (0 = all hardware threads).
+     * Purely a host-execution knob: lanes and stats are sharded per
+     * worker and reduced as order-invariant sums, so mappings, the
+     * perf report and the fault-injection replay are identical at
+     * any width (see DESIGN.md).
      */
     unsigned threads = 1;
     /**
      * Optional opened index snapshot (seed/index_snapshot.hh); must
-     * outlive the system. When set, each segment's seeding index is
-     * a zero-copy view over the snapshot's on-disk tables instead of
-     * a per-batch rebuild — a host-speed knob only: mappings, SAM
-     * bytes and the modelled perf report are identical either way.
-     * The snapshot's fingerprint and segmentation must match this
-     * config and reference exactly (checked at construction).
+     * outlive the system. When set, the system seeds against the
+     * snapshot's whole-reference index, zero-copy, and builds none
+     * of its own — a host-speed knob only: mappings, SAM bytes and
+     * the modelled perf report are identical either way. The
+     * snapshot must be of this reference at this config's k.
      */
     const IndexSnapshot *snapshot = nullptr;
 };
@@ -123,8 +124,9 @@ struct GenAxPerf
  */
 struct GenAxHostProfile
 {
-    /** Seeding-phase host time: the SMEM engine / anchor staging
-     *  pass (CPU-seconds across shards) plus the cycle-stepped
+    /** Seeding-phase host time: the read loop outside the
+     *  extension kernel — lookups, SMEM seeding, anchoring
+     *  (CPU-seconds across shards) — plus the cycle-stepped
      *  SeedingLaneSim when that mode is enabled. */
     double seedingSimSeconds = 0;
     double extensionSeconds = 0;  //!< SillaX lane kernel (CPU-seconds)
@@ -278,6 +280,11 @@ class GenAxSystem
     const Seq &_ref;
     GenAxConfig _cfg;
     GenomeSegments _segments;
+    /** The whole-reference k-mer index: the snapshot's, or built at
+     *  construction. */
+    SeedIndex _index;
+    /** Segment i's window of _index. */
+    std::vector<SeedIndex> _windows;
     DramModel _dram;
     GenAxPerf _perf;
     GenAxHostProfile _hostProfile; //!< host time of the latest pass

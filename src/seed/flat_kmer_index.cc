@@ -551,43 +551,6 @@ FlatKmerIndex::adviseHugePages(void *p, size_t bytes)
 #endif
 }
 
-FlatKmerIndex::FlatKmerIndex(const FlatKmerIndex &other)
-    : _k(other._k), _segLen(other._segLen), _maxHits(other._maxHits),
-      _distinct(other._distinct), _mask(other._mask),
-      _table(other._table), _positions(other._positions),
-      _filter(other._filter), _tablePtr(other._tablePtr),
-      _slots(other._slots), _posPtr(other._posPtr),
-      _posCount(other._posCount), _filterPtr(other._filterPtr),
-      _filterWords(other._filterWords)
-{
-    if (!other.borrowed())
-        bindOwned();
-}
-
-FlatKmerIndex &
-FlatKmerIndex::operator=(const FlatKmerIndex &other)
-{
-    if (this != &other) {
-        _k = other._k;
-        _segLen = other._segLen;
-        _maxHits = other._maxHits;
-        _distinct = other._distinct;
-        _mask = other._mask;
-        _table = other._table;
-        _positions = other._positions;
-        _filter = other._filter;
-        _tablePtr = other._tablePtr;
-        _slots = other._slots;
-        _posPtr = other._posPtr;
-        _posCount = other._posCount;
-        _filterPtr = other._filterPtr;
-        _filterWords = other._filterWords;
-        if (!other.borrowed())
-            bindOwned();
-    }
-    return *this;
-}
-
 void
 FlatKmerIndex::lookupBatch(std::span<const u64> keys,
                            std::span<std::span<const u32>> hits) const
@@ -613,7 +576,7 @@ FlatKmerIndex::lookupBatch(std::span<const u64> keys,
             passed[m++] = g + i;
         }
         for (size_t j = 0; j < m; ++j)
-            hits[passed[j]] = probe(keys[passed[j]]);
+            hits[passed[j]] = clip(probe(keys[passed[j]]));
     }
 }
 
@@ -643,6 +606,22 @@ FlatKmerIndex::view(std::span<const Entry> table,
     idx._filterPtr = filter.data();
     idx._filterWords = filter.size();
     return idx;
+}
+
+FlatKmerIndex
+FlatKmerIndex::window(u64 start, u64 len) const
+{
+    GENAX_CHECK(_winEnd == kEmptyKey && start <= _segLen &&
+                    len <= _segLen - start,
+                "window [", start, ", ", start + len,
+                ") is not inside a whole index of ", _segLen, " bases");
+    FlatKmerIndex w = view({_tablePtr, _slots}, {_posPtr, _posCount},
+                           {_filterPtr, _filterWords}, _k, len, _maxHits,
+                           _distinct);
+    w._winStart = start;
+    // One past the last k-mer that fits: none when len < k.
+    w._winEnd = start + (len >= _k ? len - _k + 1 : 0);
+    return w;
 }
 
 } // namespace genax

@@ -22,9 +22,9 @@
  * distinctKmers() rounded up to a power of two, at least one cache
  * line), where each key sets up to four bits of one 64-bit word chosen
  * by a hash unrelated to the slot hash. It has no false negatives, so
- * lookup() answers most absent k-mers — the common case when a read
- * is seeded against every segment — from one small, cache-resident
- * word instead of a probe of the table. lookupBatch() resolves many
+ * lookup() answers most absent k-mers — the ones a sequencing error
+ * or a variant makes — from one small, cache-resident word instead
+ * of a probe of the table. lookupBatch() resolves many
  * keys at once with the filter and table misses of a group in flight
  * together.
  *
@@ -37,6 +37,13 @@
  * snapshots store), and the same pass sets each key's filter bits.
  * The table, postings and filter are byte-identical at every width
  * (DESIGN.md §6b-bis).
+ *
+ * A window of the index (window()) answers only the k-mers that lie
+ * wholly inside a range of reference positions: each hit list is cut
+ * to that range. Postings are sorted, so a window's lists are, by
+ * construction, those of an index built over the window's bases,
+ * shifted by its start. GenAx's segments are windows of the one
+ * whole-reference index, and the host holds no per-segment table.
  *
  * All hardware footprint reporting (indexTableBytes,
  * positionTableBytes) still models the paper's dense SRAM tables —
@@ -72,14 +79,14 @@ inline constexpr u64 kFlatIndexHashSeed = 0x9e3779b97f4a7c15ULL;
  *  GXSNAP format (kind version 2). */
 inline constexpr u64 kFlatFilterHashSeed = 0x2545f4914f6cdd1dULL;
 
-/** Open-addressing k-mer index for one reference segment. */
+/** Open-addressing k-mer index of a reference, or a window of one. */
 class FlatKmerIndex
 {
   public:
     /**
-     * Build the table for a reference segment.
+     * Build the table for a reference.
      *
-     * @param ref     the segment's bases (at most 2^31 of them)
+     * @param ref     the reference's bases (at most 2^31 of them)
      * @param k       k-mer length (1..13; the paper uses 12)
      * @param threads build width on ThreadPool::global(); 0 means all
      *                hardware threads. Call from a caller thread,
@@ -113,15 +120,43 @@ class FlatKmerIndex
                               std::span<const u64> filter, u32 k,
                               u64 seg_len, u32 max_hits, u64 distinct);
 
-    /** True when this index borrows its storage (a snapshot view)
-     *  rather than owning it. */
+    /** True when this index borrows its storage (a snapshot view or
+     *  a window) rather than owning it. */
     bool borrowed() const { return _tablePtr != _table.data(); }
 
-    // Deep copies re-point at the copied vectors; a copied *view*
-    // stays a view over the same external storage. Moves transfer
-    // vector buffers, so all spans and pointers stay valid.
-    FlatKmerIndex(const FlatKmerIndex &other);
-    FlatKmerIndex &operator=(const FlatKmerIndex &other);
+    /**
+     * The window [start, start + len) of this whole index, borrowing
+     * its storage (which must outlive the window): lookups return
+     * only the postings in [start, start + len - k], the k-mers that
+     * lie wholly inside the window, still in reference coordinates.
+     * SmemEngine reports seeds relative to windowStart().
+     */
+    FlatKmerIndex window(u64 start, u64 len) const;
+
+    /** First reference position of the window (0 for a whole
+     *  index). */
+    u64 windowStart() const { return _winStart; }
+
+    /** The part of a hit list of the whole index inside this window;
+     *  the list itself when this is no window. */
+    std::span<const u32>
+    clip(std::span<const u32> hits) const
+    {
+        if (hits.empty() ||
+            (hits.front() >= _winStart && hits.back() < _winEnd))
+            return hits;
+        if (hits.back() < _winStart || hits.front() >= _winEnd)
+            return {};
+        const auto lo = std::lower_bound(hits.begin(), hits.end(),
+                                         _winStart);
+        return {lo, std::lower_bound(lo, hits.end(), _winEnd)};
+    }
+
+    // Move-only: moves transfer vector buffers, so all spans and
+    // pointers stay valid; view() and window() make borrowing
+    // copies.
+    FlatKmerIndex(const FlatKmerIndex &) = delete;
+    FlatKmerIndex &operator=(const FlatKmerIndex &) = delete;
     FlatKmerIndex(FlatKmerIndex &&other) noexcept = default;
     FlatKmerIndex &operator=(FlatKmerIndex &&other) noexcept = default;
     ~FlatKmerIndex() = default;
@@ -189,13 +224,14 @@ class FlatKmerIndex
         return (_filterPtr[p.word] & p.bits) == p.bits;
     }
 
-    /** Sorted occurrence positions of a packed k-mer. */
+    /** Sorted occurrence positions of a packed k-mer (in the
+     *  window, for a window). */
     std::span<const u32>
     lookup(u64 kmer) const
     {
         if (!mayContain(kmer))
             return {};
-        return probe(kmer);
+        return clip(probe(kmer));
     }
 
     /** Hit-list length only — the `{count}` metadata consumers use
@@ -226,6 +262,7 @@ class FlatKmerIndex
     }
 
     u32 k() const { return _k; }
+    /** Bases the index covers: the reference's, or the window's. */
     u64 segmentLength() const { return _segLen; }
 
     /** Hardware table entry width (see KmerIndex::kEntryBytes — the
@@ -240,17 +277,18 @@ class FlatKmerIndex
         return (u64{1} << (2 * _k)) * kEntryBytes;
     }
 
-    /** Hardware position-table footprint in bytes. */
+    /** Hardware position-table footprint in bytes (of the whole
+     *  index, for a window, as every shape accessor below). */
     u64
     positionTableBytes() const
     {
         return _posCount * kEntryBytes;
     }
 
-    /** Largest hit-list size in this segment (CAM sizing input). */
+    /** Largest hit-list size in the index (CAM sizing input). */
     u32 maxHitListSize() const { return _maxHits; }
 
-    /** Distinct k-mers present in the segment. */
+    /** Distinct k-mers present in the index. */
     u64 distinctKmers() const { return _distinct; }
 
     /** Actual host memory footprint (table + postings + filter),
@@ -325,7 +363,7 @@ class FlatKmerIndex
     FlatKmerIndex() = default; //!< storage bound by view()
 
     /** Point the lookup pointers at the owning vectors (after a
-     *  build or a deep copy). */
+     *  build). */
     void
     bindOwned()
     {
@@ -365,6 +403,10 @@ class FlatKmerIndex
 
     u32 _k = 0;
     u64 _segLen = 0;
+    /** The postings a window answers, [_winStart, _winEnd); all of
+     *  them in a whole index. */
+    u64 _winStart = 0;
+    u64 _winEnd = kEmptyKey;
     u32 _maxHits = 0;
     u64 _distinct = 0;
     u64 _mask = 0;

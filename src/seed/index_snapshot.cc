@@ -1,7 +1,9 @@
 #include "seed/index_snapshot.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <numeric>
 
 #include "common/check.hh"
 #include "common/parallel.hh"
@@ -15,31 +17,48 @@ constexpr std::string_view kSnapshotKind = "GXSNAP";
 /** Contig names longer than this are rejected as corrupt. */
 constexpr u64 kMaxContigName = u64{1} << 16;
 
-/** "meta" section of a whole-reference ("GXSNAP") snapshot. */
+/** "meta" section of a whole-reference ("GXSNAP") snapshot: the
+ *  fingerprint, the segmentation and the shape of the index. */
 struct SnapshotMeta
 {
     IndexFingerprint fp;
     u64 segmentCount;
     u64 segmentOverlap;
     u64 contigCount;
-};
-static_assert(sizeof(SnapshotMeta) == 56);
-static_assert(std::is_trivially_copyable_v<SnapshotMeta>);
-
-/** One element of the "segs" section: segment geometry plus the
- *  shape of its index tables. */
-struct SegMeta
-{
-    u64 start;
-    u64 length;
-    u64 slots;
-    u64 positions;
-    u64 distinct;
+    u64 slots;     //!< table slots
+    u64 positions; //!< postings entries
+    u64 distinct;  //!< occupied slots
     u32 maxHits;
     u32 pad;
 };
-static_assert(sizeof(SegMeta) == 48);
-static_assert(std::is_trivially_copyable_v<SegMeta>);
+static_assert(sizeof(SnapshotMeta) == 88);
+static_assert(std::is_trivially_copyable_v<SnapshotMeta>);
+
+/** The table, the postings and the filter are each stored as
+ *  sections "tab0", "tab1", ... of this many bytes (the last one
+ *  shorter), so no one core checksums or walks a whole array. */
+constexpr u64 kSliceBytes = u64{8} << 20;
+
+/** Table entries one runner of the open-time table walk takes. */
+constexpr u64 kWalkEntries = u64{1} << 16;
+
+u64
+sliceCount(u64 bytes)
+{
+    return std::max<u64>(1, (bytes + kSliceBytes - 1) / kSliceBytes);
+}
+
+void
+addSlices(StoreWriter &w, const std::string &tag, const void *data,
+          u64 bytes)
+{
+    for (u64 i = 0; i < sliceCount(bytes); ++i) {
+        const u64 at = i * kSliceBytes;
+        w.addSection(tag + std::to_string(i),
+                     static_cast<const u8 *>(data) + at,
+                     std::min(kSliceBytes, bytes - at));
+    }
+}
 
 Status
 snapshotError(const std::string &path, const std::string &what)
@@ -47,53 +66,96 @@ snapshotError(const std::string &path, const std::string &what)
     return invalidInputError("snapshot " + path + ": " + what);
 }
 
+/** The slices tag0, tag1, ... of an array of `count` T, as one span:
+ *  every slice has the size the layout gives it and follows the one
+ *  before directly in the file (whole slices are multiples of the
+ *  store alignment, so the writer puts no padding between them). */
+template <typename T>
+StatusOr<std::span<const T>>
+joinSlices(const StoreFile &store, const std::string &tag, u64 count)
+{
+    if (count > store.fileBytes() / sizeof(T))
+        return snapshotError(store.path(),
+                             tag + ": " + std::to_string(count) +
+                                 " entries cannot fit the file");
+    const u64 bytes = count * sizeof(T);
+    const u8 *first = nullptr;
+    for (u64 i = 0, at = 0; i < sliceCount(bytes); ++i) {
+        const std::string name = tag + std::to_string(i);
+        GENAX_TRY_ASSIGN(const std::span<const u8> slice,
+                         store.section(name));
+        if (i == 0)
+            first = slice.data();
+        if (slice.size() != std::min(kSliceBytes, bytes - at) ||
+            slice.data() != first + at)
+            return snapshotError(store.path(),
+                                 "section '" + name +
+                                     "' is not where the layout puts it");
+        at += slice.size();
+    }
+    return std::span<const T>(reinterpret_cast<const T *>(first), count);
+}
+
 /**
- * Structural validation of an index table against its postings
- * array and presence filter: the store checksums already rule out
- * on-disk corruption, so this is defense-in-depth against writer bugs
- * and version skew — everything lookup() would otherwise trust
- * blindly, including that the filter never hides a present key.
+ * Structural validation of the table against its postings array and
+ * presence filter: the store checksums already rule out on-disk
+ * corruption, so this is defense-in-depth against writer bugs and
+ * version skew — everything lookup() would otherwise trust blindly,
+ * including that the filter never hides a present key. The walk runs
+ * on every core in chunks; the lowest failing chunk wins, as in a
+ * serial walk.
  */
 Status
-validateTable(const std::string &path, const std::string &what,
-              std::span<const FlatKmerIndex::Entry> table,
-              u64 positions, std::span<const u64> filter, u64 distinct,
-              u32 max_hits)
+validateTable(const std::string &path,
+              std::span<const FlatKmerIndex::Entry> table, u64 positions,
+              std::span<const u64> filter, u64 distinct, u32 max_hits)
 {
     if (table.size() < 2 || !std::has_single_bit(table.size()))
-        return snapshotError(
-            path, what + ": table size " +
-                      std::to_string(table.size()) +
-                      " is not a power of two >= 2");
-    if (filter.size() != FlatKmerIndex::filterWords(distinct))
-        return snapshotError(
-            path, what + ": filter of " +
-                      std::to_string(filter.size()) + " words, want " +
-                      std::to_string(FlatKmerIndex::filterWords(distinct)) +
-                      " for " + std::to_string(distinct) + " keys");
-    u64 occupied = 0;
-    for (const FlatKmerIndex::Entry &e : table) {
-        if (e.key == FlatKmerIndex::kEmptyKey)
-            continue;
-        ++occupied;
-        if (u64{e.offset} + e.count > positions)
-            return snapshotError(
-                path, what + ": postings extent out of bounds");
-        if (e.count > max_hits)
-            return snapshotError(
-                path, what + ": entry count exceeds maxHits");
-        const auto p = FlatKmerIndex::filterProbe(e.key, filter.size());
-        if ((filter[p.word] & p.bits) != p.bits)
-            return snapshotError(
-                path, what + ": filter misses key " +
-                          std::to_string(e.key));
-    }
-    if (occupied != distinct)
-        return snapshotError(
-            path, what + ": occupied slots " +
-                      std::to_string(occupied) +
-                      " != recorded distinct count " +
-                      std::to_string(distinct));
+        return snapshotError(path,
+                             "table size " + std::to_string(table.size()) +
+                                 " is not a power of two >= 2");
+    const u64 chunks = (table.size() + kWalkEntries - 1) / kWalkEntries;
+    std::vector<Status> errors(chunks);
+    std::vector<u64> occupied(chunks, 0);
+    parallelFor(chunks, 0, [&](u64 lo, u64 hi) {
+        for (u64 c = lo; c < hi; ++c) {
+            const u64 end = std::min(table.size(), (c + 1) * kWalkEntries);
+            u64 n = 0; // counted locally: runners share occupied's lines
+            for (u64 i = c * kWalkEntries; i < end; ++i) {
+                const FlatKmerIndex::Entry &e = table[i];
+                if (e.key == FlatKmerIndex::kEmptyKey)
+                    continue;
+                ++n;
+                if (u64{e.offset} + e.count > positions) {
+                    errors[c] = snapshotError(
+                        path, "postings extent out of bounds");
+                    break;
+                }
+                if (e.count > max_hits) {
+                    errors[c] = snapshotError(
+                        path, "entry count exceeds maxHits");
+                    break;
+                }
+                const auto p =
+                    FlatKmerIndex::filterProbe(e.key, filter.size());
+                if ((filter[p.word] & p.bits) != p.bits) {
+                    errors[c] = snapshotError(
+                        path, "filter misses key " + std::to_string(e.key));
+                    break;
+                }
+            }
+            occupied[c] = n;
+        }
+    });
+    for (const Status &st : errors)
+        GENAX_TRY(st);
+    const u64 total = std::accumulate(occupied.begin(), occupied.end(),
+                                      u64{0});
+    if (total != distinct)
+        return snapshotError(path, "occupied slots " +
+                                       std::to_string(total) +
+                                       " != recorded distinct count " +
+                                       std::to_string(distinct));
     return okStatus();
 }
 
@@ -182,11 +244,19 @@ IndexSnapshot::build(const std::string &path, const Seq &ref,
     }
 
     const GenomeSegments segs(ref, cfg);
+    const FlatKmerIndex index(ref, cfg.k, 0);
+    const auto table = index.tableSpan();
+    const auto pos = index.positionsSpan();
+    const auto filter = index.filterSpan();
     SnapshotMeta meta{};
     meta.fp = referenceFingerprint(ref, cfg.k);
     meta.segmentCount = segs.count();
     meta.segmentOverlap = cfg.overlap;
     meta.contigCount = contigs.size();
+    meta.slots = table.size();
+    meta.positions = pos.size();
+    meta.distinct = index.distinctKmers();
+    meta.maxHits = index.maxHitListSize();
 
     // Contig blob: per contig {u64 start, u64 length, u64 nameLen,
     // name bytes}, unpadded and parsed with bounds-checked memcpy.
@@ -198,42 +268,13 @@ IndexSnapshot::build(const std::string &path, const Seq &ref,
         blob.insert(blob.end(), c.name.begin(), c.name.end());
     }
 
-    // Build every per-segment index up front, each at every hardware
-    // thread, so the store is written in one atomic pass (peak memory
-    // is O(reference) — see the class comment).
-    std::vector<FlatKmerIndex> built;
-    built.reserve(segs.count());
-    std::vector<SegMeta> segmeta(segs.count());
-    for (u64 i = 0; i < segs.count(); ++i) {
-        const Seq bases = segs.bases(i);
-        built.emplace_back(bases, cfg.k, 0);
-        const FlatKmerIndex &idx = built.back();
-        SegMeta &m = segmeta[i];
-        m = SegMeta{};
-        m.start = segs.start(i);
-        m.length = segs.length(i);
-        m.slots = idx.tableSpan().size();
-        m.positions = idx.positionsSpan().size();
-        m.distinct = idx.distinctKmers();
-        m.maxHits = idx.maxHitListSize();
-    }
-
     StoreWriter w(kSnapshotKind, kSnapshotKindVersion);
     w.addSection("meta", &meta, sizeof(meta));
     w.addSection("contigs", blob.data(), blob.size());
     w.addSection("ref", ref.data(), ref.size());
-    w.addSection("segs", segmeta.data(),
-                 segmeta.size() * sizeof(SegMeta));
-    for (u64 i = 0; i < segs.count(); ++i) {
-        const std::string tag = "seg" + std::to_string(i);
-        const auto table = built[i].tableSpan();
-        const auto pos = built[i].positionsSpan();
-        const auto filter = built[i].filterSpan();
-        w.addSection(tag + ".tab", table.data(),
-                     table.size_bytes());
-        w.addSection(tag + ".pos", pos.data(), pos.size_bytes());
-        w.addSection(tag + ".flt", filter.data(), filter.size_bytes());
-    }
+    addSlices(w, "tab", table.data(), table.size_bytes());
+    addSlices(w, "pos", pos.data(), pos.size_bytes());
+    addSlices(w, "flt", filter.data(), filter.size_bytes());
     return w.writeFile(path);
 }
 
@@ -259,7 +300,6 @@ IndexSnapshot::open(const std::string &path, bool prefer_mmap)
     const SnapshotMeta meta = metas[0];
     GENAX_TRY(validateFingerprintShape(path, meta.fp));
     snap._fp = meta.fp;
-    snap._segmentOverlap = meta.segmentOverlap;
 
     GENAX_TRY_ASSIGN(snap._ref, store.section("ref"));
     if (snap._ref.size() != meta.fp.refLength)
@@ -305,67 +345,34 @@ IndexSnapshot::open(const std::string &path, bool prefer_mmap)
         return snapshotError(path,
                              "trailing bytes after the contig table");
 
-    // Segment geometry and per-segment tables.
-    GENAX_TRY_ASSIGN(const std::span<const SegMeta> segmeta,
-                     store.sectionAs<SegMeta>("segs"));
-    if (segmeta.size() != meta.segmentCount ||
-        segmeta.empty())
-        return snapshotError(
-            path, "segment table does not match the recorded "
-                  "segment count");
-    // Each segment's geometry and section shapes, serially in segment
-    // order; the first segment that fails a check ends the walk.
-    const auto segment = [&](u64 i, SegRef &s) -> Status {
-        const SegMeta &m = segmeta[i];
-        const std::string what = "segment " + std::to_string(i);
-        if (m.start > meta.fp.refLength ||
-            m.length > meta.fp.refLength - m.start)
-            return snapshotError(
-                path, what + " extends past the reference");
-        const std::string tag = "seg" + std::to_string(i);
-        s.start = m.start;
-        s.length = m.length;
-        s.maxHits = m.maxHits;
-        s.distinct = m.distinct;
-        GENAX_TRY_ASSIGN(
-            s.table,
-            store.sectionAs<FlatKmerIndex::Entry>(tag + ".tab"));
-        GENAX_TRY_ASSIGN(s.positions,
-                         store.sectionAs<u32>(tag + ".pos"));
-        GENAX_TRY_ASSIGN(s.filter, store.sectionAs<u64>(tag + ".flt"));
-        if (s.table.size() != m.slots)
-            return snapshotError(
-                path, what + ": table section does not match the "
-                             "recorded slot count");
-        if (s.positions.size() != m.positions)
-            return snapshotError(
-                path, what + ": postings section does not match "
-                             "the recorded position count");
-        return okStatus();
-    };
-    snap._segs.reserve(segmeta.size());
-    Status shape_error;
-    for (u64 i = 0; i < segmeta.size() && shape_error.ok(); ++i) {
-        SegRef s;
-        shape_error = segment(i, s);
-        if (shape_error.ok())
-            snap._segs.push_back(s);
-    }
+    // The segmentation, metadata for the GenAx engine.
+    if (meta.segmentCount == 0 || meta.segmentCount > meta.fp.refLength)
+        return snapshotError(path, "segment count " +
+                                       std::to_string(meta.segmentCount) +
+                                       " does not fit the reference");
+    snap._segs = GenomeSegments(
+        snap._ref,
+        SegmentConfig{meta.segmentCount, meta.segmentOverlap, meta.fp.k});
 
-    // The table and filter walks of the segments before it, on every
-    // core. The lowest-index failure wins, as in a serial walk.
-    std::vector<Status> tables(snap._segs.size());
-    parallelFor(tables.size(), 0, [&](u64 lo, u64 hi) {
-        for (u64 i = lo; i < hi; ++i) {
-            const SegRef &s = snap._segs[i];
-            tables[i] = validateTable(path, "segment " + std::to_string(i),
-                                      s.table, s.positions.size(),
-                                      s.filter, s.distinct, s.maxHits);
-        }
-    });
-    for (const Status &st : tables)
-        GENAX_TRY(st);
-    GENAX_TRY(shape_error);
+    // The one index.
+    GENAX_TRY_ASSIGN(snap._table,
+                     joinSlices<FlatKmerIndex::Entry>(store, "tab",
+                                                      meta.slots));
+    GENAX_TRY_ASSIGN(snap._positions,
+                     joinSlices<u32>(store, "pos", meta.positions));
+    if (meta.distinct > meta.slots)
+        return snapshotError(path, std::to_string(meta.distinct) +
+                                       " keys recorded in a table of " +
+                                       std::to_string(meta.slots) +
+                                       " slots");
+    GENAX_TRY_ASSIGN(snap._filter,
+                     joinSlices<u64>(store, "flt",
+                                     FlatKmerIndex::filterWords(
+                                         meta.distinct)));
+    snap._distinct = meta.distinct;
+    snap._maxHits = meta.maxHits;
+    GENAX_TRY(validateTable(path, snap._table, meta.positions,
+                            snap._filter, meta.distinct, meta.maxHits));
     return snap;
 }
 
@@ -376,13 +383,18 @@ IndexSnapshot::referenceSequence() const
 }
 
 FlatKmerIndex
+IndexSnapshot::index() const
+{
+    return FlatKmerIndex::view(_table, _positions, _filter, _fp.k,
+                               _fp.refLength, _maxHits, _distinct);
+}
+
+FlatKmerIndex
 IndexSnapshot::segmentView(u64 i) const
 {
-    GENAX_CHECK(i < _segs.size(), "segment index out of range: ", i,
-                " of ", _segs.size());
-    const SegRef &s = _segs[i];
-    return FlatKmerIndex::view(s.table, s.positions, s.filter, _fp.k,
-                               s.length, s.maxHits, s.distinct);
+    GENAX_CHECK(i < segmentCount(), "segment index out of range: ", i,
+                " of ", segmentCount());
+    return index().window(segmentStart(i), segmentLength(i));
 }
 
 } // namespace genax

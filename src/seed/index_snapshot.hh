@@ -2,10 +2,12 @@
  * @file
  * On-disk whole-reference index snapshots ("GXSNAP") over the
  * crash-safe store container (io/store.hh): the concatenated
- * reference bases, the contig map, the segmentation geometry and, per
- * segment, one FlatKmerIndex's table, postings and presence filter.
- * genax_index writes one; genax_align --index mmaps it and aligns
- * without rebuilding any per-segment index.
+ * reference bases, the contig map, the segmentation parameters and
+ * one whole-reference FlatKmerIndex — its table, postings and
+ * presence filter, byte-identical to FlatKmerIndex(ref, k). genax_index
+ * writes one; genax_align --index and genax_serve --index mmap it,
+ * and neither engine builds an index. GenAx's segments are windows
+ * of that one index.
  *
  * Every snapshot embeds an IndexFingerprint (k, slot-hash seed,
  * reference length and checksum). Loaders compare it against the
@@ -67,11 +69,11 @@ Status checkFingerprint(const IndexFingerprint &got,
 // ------------------------------------------------------------------
 // Whole-reference snapshots ("GXSNAP")
 
-/** GXSNAP format version this build writes and reads. Version 2 added
- *  each segment's presence filter ("seg<i>.flt"); open() rejects any
- *  other version, so an older file takes the rebuild path instead of
- *  being read without its filters. */
-inline constexpr u32 kSnapshotKindVersion = 2;
+/** GXSNAP format version this build writes and reads. Version 3
+ *  stores one whole-reference index where version 2 stored one per
+ *  segment; open() rejects any other version, so an older file takes
+ *  the rebuild path instead of being misread. */
+inline constexpr u32 kSnapshotKindVersion = 3;
 
 /** Contig descriptor inside a snapshot (mirrors ContigMap::Contig
  *  without depending on the genax layer). */
@@ -84,23 +86,22 @@ struct SnapshotContig
 
 /**
  * A validated, opened whole-reference snapshot. All structural
- * validation (geometry, table shapes, postings extents) happens at
- * open(), after the store layer's checksum walk — segmentView() and
- * the accessors are infallible afterwards.
+ * validation (segmentation, table shape, postings extents, filter)
+ * happens at open(), after the store layer's checksum walk — index(),
+ * segmentView() and the accessors are infallible afterwards.
  */
 class IndexSnapshot
 {
   public:
     /**
      * Build a snapshot of `ref` under `cfg` and write it atomically
-     * to `path`. Builds every per-segment FlatKmerIndex in memory
-     * first (O(reference) peak — acceptable for the modelled genome
-     * sizes; streaming section emission is a documented follow-up),
-     * one after another, each at every hardware thread on
+     * to `path`. Builds the whole-reference FlatKmerIndex in memory
+     * first (O(reference) peak), at every hardware thread on
      * ThreadPool::global() — so call it from a caller thread, never
      * from inside a pool region. The bytes do not depend on the
-     * width. `contigs` describe the concatenated layout for SAM
-     * headers.
+     * width. The segment count and overlap are recorded for the
+     * GenAx engine; `contigs` describe the concatenated layout for
+     * SAM headers.
      */
     static Status build(const std::string &path, const Seq &ref,
                         const std::vector<SnapshotContig> &contigs,
@@ -108,11 +109,12 @@ class IndexSnapshot
 
     /**
      * Open and fully validate a snapshot (mmap preferred; owned read
-     * on mmap failure). The checksum walk and the per-segment table
-     * and filter validation run on ThreadPool::global(), so call it
-     * from a caller thread, never from inside a pool region.
-     * Corruption and any format version but kSnapshotKindVersion are
-     * InvalidInput; OS trouble is IoError.
+     * on mmap failure). The table, postings and filter are stored in
+     * fixed-size slices, so the checksum walk and the table walk
+     * both run on every core of ThreadPool::global(): call it from a
+     * caller thread, never from inside a pool region. Corruption and
+     * any format version but kSnapshotKindVersion are InvalidInput;
+     * OS trouble is IoError.
      */
     static StatusOr<IndexSnapshot> open(const std::string &path,
                                         bool prefer_mmap = true);
@@ -120,8 +122,8 @@ class IndexSnapshot
     const IndexFingerprint &fingerprint() const { return _fp; }
     u32 k() const { return _fp.k; }
     u64 referenceLength() const { return _fp.refLength; }
-    u64 segmentCount() const { return _segs.size(); }
-    u64 segmentOverlap() const { return _segmentOverlap; }
+    u64 segmentCount() const { return _segs.count(); }
+    u64 segmentOverlap() const { return _segs.config().overlap; }
     const std::vector<SnapshotContig> &contigs() const
     {
         return _contigs;
@@ -134,33 +136,29 @@ class IndexSnapshot
     Seq referenceSequence() const;
 
     /** Global start / length (overlap included) of segment i. */
-    u64 segmentStart(u64 i) const { return _segs[i].start; }
-    u64 segmentLength(u64 i) const { return _segs[i].length; }
+    u64 segmentStart(u64 i) const { return _segs.start(i); }
+    u64 segmentLength(u64 i) const { return _segs.length(i); }
 
-    /** Borrowed FlatKmerIndex over segment i's on-disk tables —
-     *  cheap (no allocation), valid while this snapshot lives. */
+    /** The whole-reference index, borrowed from the file — cheap (no
+     *  allocation), valid while this snapshot lives. */
+    FlatKmerIndex index() const;
+
+    /** Segment i's window of index(). */
     FlatKmerIndex segmentView(u64 i) const;
 
   private:
     IndexSnapshot() = default;
 
-    struct SegRef
-    {
-        u64 start = 0;
-        u64 length = 0;
-        u32 maxHits = 0;
-        u64 distinct = 0;
-        std::span<const FlatKmerIndex::Entry> table;
-        std::span<const u32> positions;
-        std::span<const u64> filter;
-    };
-
     StoreFile _store;
     IndexFingerprint _fp;
-    u64 _segmentOverlap = 0;
+    GenomeSegments _segs;
     std::vector<SnapshotContig> _contigs;
     std::span<const u8> _ref;
-    std::vector<SegRef> _segs;
+    std::span<const FlatKmerIndex::Entry> _table;
+    std::span<const u32> _positions;
+    std::span<const u64> _filter;
+    u64 _distinct = 0;
+    u32 _maxHits = 0;
 };
 
 } // namespace genax

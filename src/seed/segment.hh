@@ -7,14 +7,17 @@
  * streamed in once per pass. Segments overlap by readLen - 1 bases so
  * every read alignment lies entirely inside at least one segment.
  *
- * Indexes are built on demand, one segment at a time — mirroring the
- * hardware, which holds exactly one segment's tables in SRAM.
+ * The host keeps no per-segment tables: a segment is a position
+ * window of the one whole-reference k-mer index
+ * (FlatKmerIndex::window), and the footprint formulas below model
+ * the SRAM tables the hardware streams per segment.
  */
 
 #ifndef GENAX_SEED_SEGMENT_HH
 #define GENAX_SEED_SEGMENT_HH
 
-#include <vector>
+#include <algorithm>
+#include <span>
 
 #include "common/dna.hh"
 #include "seed/seed_index.hh"
@@ -29,33 +32,36 @@ struct SegmentConfig
     u32 k = 12;
 };
 
-/** A segmented view of a reference genome. */
+/**
+ * A segmented view of a reference genome: segment i starts at
+ * i * base, base = ceil(reference length / cfg.segmentCount), and runs
+ * cfg.overlap bases into the next one, cut at the end of the
+ * reference. Segments that would start past the end are dropped, so
+ * count() can fall short of cfg.segmentCount.
+ */
 class GenomeSegments
 {
   public:
-    GenomeSegments(const Seq &ref, const SegmentConfig &cfg);
+    GenomeSegments() = default;
+    GenomeSegments(std::span<const Base> ref, const SegmentConfig &cfg);
 
-    u64 count() const { return _starts.size(); }
+    u64 count() const { return _count; }
 
     /** Global start coordinate of segment i (its local position 0). */
-    u64 start(u64 i) const { return _starts[i]; }
+    u64 start(u64 i) const { return i * _base; }
 
     /** Segment length including the overlap tail. */
-    u64 length(u64 i) const { return _lengths[i]; }
+    u64
+    length(u64 i) const
+    {
+        return std::min(_ref.size() - start(i), _base + _overlap);
+    }
 
     /** Copy of the segment's bases. */
     Seq bases(u64 i) const;
 
-    /** Build the segment's dense hardware-model index (the per-pass
-     *  SRAM streaming; also the oracle layout). */
-    KmerIndex buildIndex(u64 i) const;
-
-    /** Build the segment's seeding index (see FlatKmerIndex for the
-     *  build width; 0 means all hardware threads). */
-    SeedIndex buildSeedIndex(u64 i, unsigned threads = 1) const;
-
     /** Convert a segment-local position to a global one. */
-    u64 toGlobal(u64 seg, u64 local) const { return _starts[seg] + local; }
+    u64 toGlobal(u64 seg, u64 local) const { return start(seg) + local; }
 
     // ------------- table footprints for the DRAM streaming model
 
@@ -81,10 +87,11 @@ class GenomeSegments
     const SegmentConfig &config() const { return _cfg; }
 
   private:
-    const Seq &_ref;
+    std::span<const Base> _ref;
     SegmentConfig _cfg;
-    std::vector<u64> _starts;
-    std::vector<u64> _lengths;
+    u64 _base = 0;
+    u64 _overlap = 0; //!< cut at the reference length
+    u64 _count = 0;
 };
 
 } // namespace genax

@@ -21,42 +21,37 @@ SmemEngine::resetStats()
 }
 
 PosList
-SmemEngine::primeCandidates(std::span<const u32> hits, u32 offset)
+SmemEngine::primeCandidates(std::span<const u32> hits, u32 offset,
+                            u64 start)
 {
     PosList out{ArenaAllocator<u32>(&_arena)};
     out.reserve(hits.size());
     for (u32 h : hits)
-        if (h >= offset)
+        if (h >= start + offset)
             out.push_back(h - offset);
     return out;
 }
 
-PosList
-SmemEngine::tryExactMatch(const Seq &read, std::span<const u64> keys)
+ArenaVector<u32>
+SmemEngine::exactOffsets(u32 len)
 {
     const u32 k = _index.k();
-    const u32 len = static_cast<u32>(read.size());
-
-    // k-mers spanning the whole read: offsets 0, k, 2k, ... plus a
-    // final overlapping k-mer ending at the last base.
     ArenaVector<u32> offsets{ArenaAllocator<u32>(&_arena)};
     offsets.reserve(len / k + 2);
     for (u32 off = 0; off + k <= len; off += k)
         offsets.push_back(off);
     if (offsets.back() + k != len)
         offsets.push_back(len - k);
+    return offsets;
+}
 
-    // Resolve every offset's k-mer in one batch so the misses of
-    // consecutive lookups overlap; the hardware stops at the first
-    // absent k-mer, and so does the lookup count.
-    ArenaVector<u64> offset_keys{ArenaAllocator<u64>(&_arena)};
-    offset_keys.reserve(offsets.size());
-    for (u32 off : offsets)
-        offset_keys.push_back(keys[off]);
-    ArenaVector<Hits> offset_hits(offsets.size(), Hits{},
-                                  ArenaAllocator<Hits>(&_arena));
-    _index.lookupBatch(offset_keys, offset_hits);
-
+std::vector<Smem>
+SmemEngine::tryExactMatch(std::span<const u32> offsets,
+                          std::span<const Hits> offset_hits, u32 len,
+                          u64 start)
+{
+    // The hardware stops at the first absent k-mer, and so does the
+    // lookup count.
     struct Lookup
     {
         u32 offset;
@@ -67,8 +62,7 @@ SmemEngine::tryExactMatch(const Seq &read, std::span<const u64> keys)
     for (size_t i = 0; i < offsets.size(); ++i) {
         ++_stats.indexLookups;
         if (offset_hits[i].empty())
-            return PosList{
-                ArenaAllocator<u32>(&_arena)}; // some k-mer absent
+            return {}; // some k-mer absent
         lookups.push_back({offsets[i], offset_hits[i]});
     }
 
@@ -78,21 +72,35 @@ SmemEngine::tryExactMatch(const Seq &read, std::span<const u64> keys)
                   return a.hits.size() < b.hits.size();
               });
     PosList cand =
-        primeCandidates(lookups[0].hits, lookups[0].offset);
+        primeCandidates(lookups[0].hits, lookups[0].offset, start);
     PosList next{ArenaAllocator<u32>(&_arena)};
     for (size_t i = 1; i < lookups.size() && !cand.empty(); ++i) {
         _cam.intersectInto(cand, lookups[i].hits, lookups[i].offset,
                            next);
         cand.swap(next);
     }
-    return cand;
+    if (cand.empty())
+        return {};
+    ++_stats.exactMatchReads;
+    ++_stats.smems;
+    _stats.hitsReported += cand.size();
+    for (u32 &p : cand)
+        p -= static_cast<u32>(start);
+    Smem smem;
+    smem.qryBegin = 0;
+    smem.qryEnd = len;
+    smem.positions = std::move(cand);
+    _stats.cam += _cam.stats();
+    _cam.resetStats();
+    std::vector<Smem> out;
+    out.push_back(std::move(smem));
+    return out;
 }
 
 std::pair<u32, std::span<const u32>>
-SmemEngine::rmem(const Seq &read, u32 pivot, std::span<const Hits> hits)
+SmemEngine::rmem(u32 len, u32 pivot, std::span<const Hits> hits)
 {
     const u32 k = _index.k();
-    const u32 len = static_cast<u32>(read.size());
     const u32 max_len = len - pivot; // longest possible RMEM
 
     // Every lookup below reads the hit list seed() resolved for that
@@ -191,64 +199,104 @@ SmemEngine::rmem(const Seq &read, u32 pivot, std::span<const Hits> hits)
     return {length, cand};
 }
 
+ArenaVector<u64>
+SmemEngine::packKeys(const Seq &read)
+{
+    // One rolling pass: O(len) total instead of O(k) per pivot.
+    const u32 k = _index.k();
+    ArenaVector<u64> keys{ArenaAllocator<u64>(&_arena)};
+    if (read.size() < k)
+        return keys;
+    keys.reserve(read.size() - k + 1);
+    u64 key = _index.packKmer(read, 0);
+    keys.push_back(key);
+    for (size_t p = k; p < read.size(); ++p) {
+        key = (key >> 2) | (static_cast<u64>(read[p] & 3) << (2 * (k - 1)));
+        keys.push_back(key);
+    }
+    return keys;
+}
+
 std::vector<Smem>
 SmemEngine::seed(const Seq &read)
 {
     // Recycle the previous read's position lists and scratch; see
     // the lifetime note in the header.
     _arena.reset();
-
-    const u32 k = _index.k();
-    const u32 len = static_cast<u32>(read.size());
     ++_stats.reads;
-    if (len < k)
+    const ArenaVector<u64> keys = packKeys(read);
+    if (keys.empty())
         return {};
-
-    // One rolling pass packs the k-mer key of every read offset —
-    // O(len) total instead of O(k) per pivot — and both the
-    // exact-match path and every rmem() extension index into it.
-    const u32 pivots = len - k + 1;
-    ArenaVector<u64> keys{ArenaAllocator<u64>(&_arena)};
-    keys.reserve(pivots);
-    u64 key = _index.packKmer(read, 0);
-    keys.push_back(key);
-    const u32 top_shift = 2 * (k - 1);
-    for (u32 p = 1; p < pivots; ++p) {
-        key = (key >> 2) |
-              (static_cast<u64>(read[p + k - 1] & 3) << top_shift);
-        keys.push_back(key);
-    }
-
+    const u32 len = static_cast<u32>(read.size());
+    const u64 start = _index.windowStart();
     if (_cfg.exactMatchFastPath) {
-        auto cand = tryExactMatch(read, keys);
-        if (!cand.empty()) {
-            ++_stats.exactMatchReads;
-            ++_stats.smems;
-            _stats.hitsReported += cand.size();
-            Smem smem;
-            smem.qryBegin = 0;
-            smem.qryEnd = len;
-            smem.positions = std::move(cand);
-            _stats.cam += _cam.stats();
-            _cam.resetStats();
-            std::vector<Smem> out;
-            out.push_back(std::move(smem));
+        // Resolve the offsets' k-mers in one batch so the misses of
+        // consecutive lookups overlap.
+        const ArenaVector<u32> offsets = exactOffsets(len);
+        ArenaVector<u64> offset_keys{ArenaAllocator<u64>(&_arena)};
+        for (u32 off : offsets)
+            offset_keys.push_back(keys[off]);
+        ArenaVector<Hits> offset_hits(offsets.size(), Hits{},
+                                      ArenaAllocator<Hits>(&_arena));
+        _index.lookupBatch(offset_keys, offset_hits);
+        if (auto out = tryExactMatch(offsets, offset_hits, len, start);
+            !out.empty())
             return out;
-        }
     }
 
     // Resolve every read offset's k-mer once, in one batched pass:
-    // rmem() only ever looks up k-mers at read offsets, and most of
-    // them (in a segment that does not hold the read, nearly all)
-    // are absent, which the index's filter answers without a table
-    // probe.
-    ArenaVector<Hits> hits(pivots, Hits{}, ArenaAllocator<Hits>(&_arena));
+    // rmem() only ever looks up k-mers at read offsets, and the ones
+    // a sequencing error makes are absent, which the index's filter
+    // answers without a table probe.
+    ArenaVector<Hits> hits(keys.size(), Hits{},
+                           ArenaAllocator<Hits>(&_arena));
     _index.lookupBatch(keys, hits);
+    return smems(len, hits, start);
+}
 
+void
+SmemEngine::resolve(const Seq &read, ResolvedRead &out)
+{
+    _arena.reset();
+    const ArenaVector<u64> keys = packKeys(read);
+    out.resize(keys.size());
+    _index.lookupBatch(keys, out);
+}
+
+std::vector<Smem>
+SmemEngine::seed(const ResolvedRead &read, const SeedIndex &window)
+{
+    _arena.reset();
+    ++_stats.reads;
+    if (read.empty())
+        return {};
+    const u32 len = static_cast<u32>(read.size()) + _index.k() - 1;
+    ArenaVector<Hits> hits(read.size(), Hits{},
+                           ArenaAllocator<Hits>(&_arena));
+    for (size_t p = 0; p < hits.size(); ++p)
+        hits[p] = window.clip(read[p]);
+
+    const u64 start = window.windowStart();
+    if (_cfg.exactMatchFastPath) {
+        const ArenaVector<u32> offsets = exactOffsets(len);
+        ArenaVector<Hits> offset_hits{ArenaAllocator<Hits>(&_arena)};
+        for (u32 off : offsets)
+            offset_hits.push_back(hits[off]);
+        if (auto out = tryExactMatch(offsets, offset_hits, len, start);
+            !out.empty())
+            return out;
+    }
+    return smems(len, hits, start);
+}
+
+std::vector<Smem>
+SmemEngine::smems(u32 len, std::span<const Hits> hits, u64 start)
+{
+    const u32 k = _index.k();
     std::vector<Smem> out;
     u32 max_end = 0;
     for (u32 pivot = 0; pivot + k <= len; ++pivot) {
-        auto [length, cand] = rmem(read, pivot, hits);
+        auto [length, cand] = rmem(len, pivot, hits);
         if (length == 0)
             continue;
         // SMEM interval sanity: an RMEM certifies at least one whole
@@ -272,10 +320,13 @@ SmemEngine::seed(const Seq &read)
         smem.qryBegin = pivot;
         smem.qryEnd = end;
         // Materialize the surviving candidate view (rmem()'s span
-        // dies at its next call); contained RMEMs — the overwhelming
-        // majority — were dropped above without a copy.
+        // dies at its next call), relative to the window; contained
+        // RMEMs — the overwhelming majority — were dropped above
+        // without a copy.
         smem.positions = PosList{ArenaAllocator<u32>(&_arena)};
-        smem.positions.assign(cand.begin(), cand.end());
+        smem.positions.reserve(cand.size());
+        for (const u32 p : cand)
+            smem.positions.push_back(p - static_cast<u32>(start));
         out.push_back(std::move(smem));
     }
     _stats.cam += _cam.stats();

@@ -33,6 +33,7 @@
 #ifndef GENAX_SEED_SMEM_ENGINE_HH
 #define GENAX_SEED_SMEM_ENGINE_HH
 
+#include <span>
 #include <vector>
 
 #include "common/arena.hh"
@@ -66,9 +67,10 @@ struct Smem
 {
     u32 qryBegin = 0; //!< pivot position in the read
     u32 qryEnd = 0;   //!< one past the last matched read position
-    /** Segment-local reference positions where read[qryBegin]
-     *  aligns, ascending. Storage may borrow the producing engine's
-     *  arena — see the lifetime note in the file header. */
+    /** Reference positions where read[qryBegin] aligns, relative to
+     *  the start of the index's window (a segment's local positions),
+     *  ascending. Storage may borrow the producing engine's arena —
+     *  see the lifetime note in the file header. */
     PosList positions;
 
     u32 length() const { return qryEnd - qryBegin; }
@@ -101,7 +103,12 @@ struct SeedingStats
     }
 };
 
-/** Seeding engine bound to one segment's k-mer index. */
+/** The hit list, in a whole index, of the k-mer at every offset of
+ *  a read: SmemEngine::resolve() fills one, and seed() seeds it
+ *  against any window of that index without a lookup of its own. */
+using ResolvedRead = std::vector<std::span<const u32>>;
+
+/** Seeding engine bound to a k-mer index or a window of one. */
 class SmemEngine
 {
   public:
@@ -115,19 +122,36 @@ class SmemEngine
      */
     std::vector<Smem> seed(const Seq &read);
 
+    /**
+     * Resolve the k-mer at every offset of `read` in the engine's
+     * index, in one batched pass, into `out`. Counts nothing: seed()
+     * counts each lookup where the algorithm makes it. Resets the
+     * arena as seed() does.
+     */
+    void resolve(const Seq &read, ResolvedRead &out);
+
+    /**
+     * seed() of a resolved read against `window`, a window of the
+     * index it was resolved in: the same SMEMs, positions and counts
+     * as seed() of the read by an engine bound to `window`, with each
+     * hit list cut from the resolved one instead of looked up again.
+     * Resets the arena as seed() does.
+     */
+    std::vector<Smem> seed(const ResolvedRead &read,
+                           const SeedIndex &window);
+
     const SeedingStats &stats() const { return _stats; }
     void resetStats();
     const SeedingConfig &config() const { return _cfg; }
-
-    /** The engine's bump arena (observability for tests/benches). */
-    const Arena &arena() const { return _arena; }
 
   private:
     /** One k-mer's hit list: a view of the index's postings. */
     using Hits = std::span<const u32>;
 
-    /** Normalize a hit list by `offset` into a fresh candidate set. */
-    PosList primeCandidates(std::span<const u32> hits, u32 offset);
+    /** Pivot positions of a hit list at read offset `offset` that
+     *  lie at or after `start`, as a fresh candidate set. */
+    PosList primeCandidates(std::span<const u32> hits, u32 offset,
+                            u64 start);
 
     /**
      * Right maximal exact match from `pivot`.
@@ -146,10 +170,26 @@ class SmemEngine
      *         set; L == 0 when even the first k-mer has no hits.
      */
     std::pair<u32, std::span<const u32>>
-    rmem(const Seq &read, u32 pivot, std::span<const Hits> hits);
+    rmem(u32 len, u32 pivot, std::span<const Hits> hits);
 
-    /** Whole-read exact-match shortcut; empty when not exact. */
-    PosList tryExactMatch(const Seq &read, std::span<const u64> keys);
+    /** The packed k-mer key at every offset of `read`. */
+    ArenaVector<u64> packKeys(const Seq &read);
+
+    /** The read offsets the exact-match shortcut looks up: 0, k,
+     *  2k, ... plus a final k-mer ending at the last base. */
+    ArenaVector<u32> exactOffsets(u32 len);
+
+    /** Whole-read exact-match shortcut over the hit lists of
+     *  exactOffsets(): the one whole-read SMEM of a read of `len`
+     *  bases at the pivots at or after `start`, or none. */
+    std::vector<Smem> tryExactMatch(std::span<const u32> offsets,
+                                    std::span<const Hits> offset_hits,
+                                    u32 len, u64 start);
+
+    /** The SMEMs of a read of `len` bases from the hit lists of its
+     *  read offsets, with positions relative to `start`. */
+    std::vector<Smem> smems(u32 len, std::span<const Hits> hits,
+                            u64 start);
 
     const SeedIndex &_index;
     SeedingConfig _cfg;

@@ -101,6 +101,9 @@ class AlignService
 
     u64 readsServed() const { return _engine->readsAligned(); }
 
+    /** The engine behind the service. */
+    const AlignEngine &engine() const { return *_engine; }
+
   private:
     explicit AlignService(std::unique_ptr<AlignEngine> engine);
 

@@ -187,22 +187,28 @@ selectAndFinish(const std::vector<ScoredCandidate> &cands,
 } // namespace
 
 BwaMemLike::BwaMemLike(const Seq &ref, const AlignerConfig &cfg)
-    : _ref(ref), _cfg(cfg),
-      _index(std::make_unique<SeedIndex>(ref, cfg.k, cfg.threads))
+    : _ref(ref), _cfg(cfg), _index(ref, cfg.k, cfg.threads)
 {
+}
+
+BwaMemLike::BwaMemLike(const Seq &ref, const AlignerConfig &cfg,
+                       SeedIndex index)
+    : _ref(ref), _cfg(cfg), _index(std::move(index))
+{
+    _cfg.k = _index.k();
 }
 
 Mapping
 BwaMemLike::alignRead(const Seq &read) const
 {
-    const auto cands = scoreReadCandidates(*_index, _ref, _cfg, read);
+    const auto cands = scoreReadCandidates(_index, _ref, _cfg, read);
     return selectAndFinish(cands, _cfg, read.size());
 }
 
 std::vector<Mapping>
 BwaMemLike::candidates(const Seq &read, u32 max_out) const
 {
-    const auto cands = scoreReadCandidates(*_index, _ref, _cfg, read);
+    const auto cands = scoreReadCandidates(_index, _ref, _cfg, read);
 
     // Deduplicate by (position, strand) keeping the first in insertion
     // order, then sort by the scalar path's key. After deduplication
@@ -257,7 +263,7 @@ BwaMemLike::alignAll(const std::vector<Seq> &reads) const
     std::vector<std::vector<ScoredCandidate>> all(reads.size());
     parallelFor(reads.size(), _cfg.threads, [&](u64 lo, u64 hi) {
         for (u64 i = lo; i < hi; ++i)
-            all[i] = buildReadCandidates(*_index, _ref, _cfg, reads[i]);
+            all[i] = buildReadCandidates(_index, _ref, _cfg, reads[i]);
     });
 
     std::vector<simd::ExtendJob> jobs;

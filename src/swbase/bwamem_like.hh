@@ -14,7 +14,6 @@
 #ifndef GENAX_SWBASE_BWAMEM_LIKE_HH
 #define GENAX_SWBASE_BWAMEM_LIKE_HH
 
-#include <memory>
 #include <vector>
 
 #include "align/mapping.hh"
@@ -43,6 +42,11 @@ class BwaMemLike
     /** Build the whole-genome index (the expensive offline step). */
     BwaMemLike(const Seq &ref, const AlignerConfig &cfg);
 
+    /** Align with `index`, an index of `ref` built elsewhere (an
+     *  index snapshot's borrowed view), instead of building one. Its
+     *  k replaces cfg.k. */
+    BwaMemLike(const Seq &ref, const AlignerConfig &cfg, SeedIndex index);
+
     /** Align one read (both strands), returning its best mapping. */
     Mapping alignRead(const Seq &read) const;
 
@@ -58,12 +62,12 @@ class BwaMemLike
                                     u32 max_out = 16) const;
 
     const AlignerConfig &config() const { return _cfg; }
-    const SeedIndex &index() const { return *_index; }
+    const SeedIndex &index() const { return _index; }
 
   private:
     const Seq &_ref;
     AlignerConfig _cfg;
-    std::unique_ptr<SeedIndex> _index;
+    SeedIndex _index;
 };
 
 } // namespace genax

@@ -710,10 +710,9 @@ TEST(ModelEquiv, PipelineInvariantUnderArmedFaults)
     // issue) faults armed, the keyed fault scopes must make every
     // firing decision a pure function of (segment, read) — so the SAM
     // bytes, outcome ledger and modelled report stay identical at any
-    // threads × batch combination even while faults bite. This is the
-    // pin for the two-phase seeding/extension split: each phase
-    // re-opens the read's scope, and the two sites hit in disjoint
-    // phases.
+    // threads × batch combination even while faults bite. One scope
+    // per (read, segment) covers both the seeding and the extension
+    // site, whose per-site ordinals do not interact.
     const Workload w = makeWorkload();
     FaultSpec lane;
     lane.probability = 0.25;
@@ -943,6 +942,125 @@ TEST(ModelEquiv, SegmentedSeedingGolden)
     EXPECT_GT(small.cam.overflowFallbacks, 0u);
     EXPECT_EQ(seg_hash, 0xed26733d18bd7399ULL) << std::hex << seg_hash;
     EXPECT_EQ(whole_hash, 0x7e8c18835876e3ecULL) << std::hex << whole_hash;
+}
+
+// ------------------------------------------- GenAx end to end
+
+/** FNV-1a over a run's SAM text, its outcome ledger and every field
+ *  of its GenAxPerf, the modelled doubles by their bits. */
+u64
+hashGenAxRun(const std::string &sam, const PipelineResult &res)
+{
+    u64 h = 0xcbf29ce484222325ULL;
+    for (const char c : sam) {
+        h ^= static_cast<u8>(c);
+        h *= 0x100000001b3ULL;
+    }
+    const GenAxPerf &p = res.perf;
+    for (const u64 v :
+         {res.reads, res.mapped, res.unmapped, res.degraded, res.failed,
+          p.reads, p.segments, p.extensionJobs, p.exactReads,
+          p.degradedJobs, p.laneFaults, p.dramFaults, p.lanes.jobs,
+          p.lanes.streamCycles, p.lanes.reduceCycles,
+          p.lanes.collectCycles, p.lanes.rerunCycles,
+          p.lanes.jobsWithRerun, p.lanes.reruns, p.lanes.issueFaults})
+        fnvWord(h, v);
+    for (const double d : {p.seedingSeconds, p.extensionSeconds,
+                           p.dramSeconds, p.totalSeconds}) {
+        u64 bits = 0;
+        std::memcpy(&bits, &d, sizeof(bits));
+        fnvWord(h, bits);
+    }
+    hashSeedingStats(h, p.seeding);
+    return h;
+}
+
+TEST(ModelEquiv, GenAxEndToEndGolden)
+{
+    // The GenAx engine end to end on a repeat-rich reference: SAM,
+    // ledger and modelled report at threads × batch × snapshot, and
+    // once with the CAM-overflow and lane-issue faults armed. The
+    // hashes were recorded while every segment still had its own
+    // k-mer index, so they pin seeding through windows of one index
+    // to the per-segment answers.
+    RefGenConfig rcfg;
+    rcfg.length = 256 * 1024;
+    rcfg.repeatFraction = 0.30;
+    rcfg.seed = 91;
+    ReadSimConfig rs;
+    rs.numReads = 240;
+    rs.seed = 92;
+    rs.baseErrorRate = 0.02;
+    rs.readIndelRate = 0.001;
+    rs.snpRate = 0.005;
+    Workload w;
+    w.ref.push_back({"chr1", generateReference(rcfg)});
+    for (const SimRead &r : simulateReads(w.ref[0].seq, rs))
+        w.reads.push_back(
+            {"r" + std::to_string(w.reads.size()), r.seq, r.qual});
+
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "genax_e2e_golden";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string snap = (dir / "ref.gxs").string();
+    SegmentConfig scfg;
+    scfg.k = 12;
+    scfg.segmentCount = 8;
+    scfg.overlap = 256;
+    ASSERT_TRUE(IndexSnapshot::build(snap, w.ref[0].seq,
+                                     {{"chr1", 0, w.ref[0].seq.size()}},
+                                     scfg)
+                    .ok());
+
+    const auto run = [&](unsigned threads, u64 batch, bool with_snap) {
+        PipelineOptions opts;
+        opts.engine = PipelineOptions::Engine::GenAx;
+        opts.k = 12;
+        opts.segments = 8;
+        opts.segmentOverlap = 256;
+        opts.threads = threads;
+        opts.batchReads = batch;
+        if (with_snap)
+            opts.indexSnapshot = snap;
+        std::ostringstream sam;
+        StatusOr<PipelineResult> res = PipelineResult{};
+        if (batch > 0) {
+            std::ostringstream fastq;
+            EXPECT_TRUE(writeFastq(fastq, w.reads).ok());
+            std::istringstream in(fastq.str());
+            FastqReader reader(in);
+            res = alignStreamToSam(w.ref, reader, sam, opts);
+        } else {
+            res = alignToSam(w.ref, w.reads, sam, opts);
+        }
+        EXPECT_TRUE(res.ok()) << res.status().str();
+        EXPECT_EQ(res.ok() && res->indexFromSnapshot, with_snap);
+        return res.ok() ? hashGenAxRun(sam.str(), *res) : u64{0};
+    };
+
+    for (const unsigned threads : {1u, 4u})
+        for (const u64 batch : {u64{0}, u64{7}})
+            for (const bool with_snap : {false, true}) {
+                const u64 h = run(threads, batch, with_snap);
+                EXPECT_EQ(h, 0x9194083bf78a7020ULL)
+                    << "threads " << threads << " batch " << batch
+                    << " snapshot " << with_snap << ": " << std::hex << h;
+            }
+
+    FaultSpec lane;
+    lane.probability = 0.2;
+    lane.seed = 93;
+    FaultSpec cam;
+    cam.probability = 0.1;
+    cam.seed = 94;
+    const ScopedFaultPlan plan{{fault::kLaneIssue, lane},
+                               {fault::kCamOverflow, cam}};
+    const u64 faulted = run(4, 7, true);
+    EXPECT_GT(FaultInjector::instance().fires(fault::kLaneIssue), 0u);
+    EXPECT_GT(FaultInjector::instance().fires(fault::kCamOverflow), 0u);
+    EXPECT_EQ(faulted, 0x9cc94f9d1745651cULL) << std::hex << faulted;
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

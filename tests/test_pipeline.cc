@@ -854,6 +854,91 @@ TEST_P(FrontEndPolicy, VersionOneSnapshotRebuildsWithIdenticalSam)
     std::filesystem::remove_all(dir);
 }
 
+TEST_P(FrontEndPolicy, BandBeyondTheMaximumIsInvalidInput)
+{
+    // Banded traceback memory grows with the band, so every front end
+    // refuses a band past kMaxBand on either engine, before any SAM.
+    const PolicyWorkload w = policyWorkload();
+    for (const auto engine : {PipelineOptions::Engine::GenAx,
+                              PipelineOptions::Engine::Software}) {
+        PipelineOptions opts = policyOptions();
+        opts.engine = engine;
+        opts.band = kMaxBand + 1;
+        const FrontEndRun run = runFrontEnd(GetParam(), w, opts);
+        EXPECT_EQ(run.status.code(), StatusCode::InvalidInput)
+            << run.status.str();
+        EXPECT_EQ(run.sam, "");
+    }
+}
+
+/** policyOptions() on the software engine. */
+PipelineOptions
+softwareOptions()
+{
+    PipelineOptions opts = policyOptions();
+    opts.engine = PipelineOptions::Engine::Software;
+    return opts;
+}
+
+TEST_P(FrontEndPolicy, SoftwareEngineRefusesASnapshotOfAnotherReference)
+{
+    const PolicyWorkload w = policyWorkload();
+    const auto dir = testScratchDir();
+    const std::string snap = (dir / "other.gxs").string();
+    buildSnapshot(snap, twoContigReference(30000, 20000, 56));
+
+    PipelineOptions opts = softwareOptions();
+    opts.indexSnapshot = snap;
+    const FrontEndRun run = runFrontEnd(GetParam(), w, opts);
+    EXPECT_EQ(run.status.code(), StatusCode::FailedPrecondition)
+        << run.status.str();
+    EXPECT_EQ(run.sam, "");
+    std::filesystem::remove_all(dir);
+}
+
+TEST_P(FrontEndPolicy, SoftwareEngineRebuildsPastACorruptOrVersionTwoSnapshot)
+{
+    // The software engine takes its index from an attached snapshot,
+    // so it follows the attach policy too: a corrupt file or one of
+    // the per-segment version 2 is rebuilt past, with the SAM of a
+    // run without a snapshot.
+    const PolicyWorkload w = policyWorkload();
+    const auto dir = testScratchDir();
+    const std::string current = (dir / "current.gxs").string();
+    buildSnapshot(current, w.ref);
+    const std::string corrupt = (dir / "corrupt.gxs").string();
+    std::filesystem::copy_file(current, corrupt);
+    {
+        std::fstream f(corrupt, std::ios::in | std::ios::out |
+                                    std::ios::binary);
+        f.seekg(0, std::ios::end);
+        const auto mid = f.tellg() / 2;
+        f.seekg(mid);
+        const char c = static_cast<char>(f.get() ^ 0x20);
+        f.seekp(mid);
+        f.put(c);
+    }
+    const std::string v2 = (dir / "v2.gxs").string();
+    ASSERT_TRUE(testing::rewriteStore(current, v2, 2).ok());
+
+    const std::string want =
+        runFrontEnd(oneBatchFrontEnd(GetParam()), w, softwareOptions()).sam;
+    for (const auto &[file, why] :
+         {std::pair{corrupt, "checksum"}, std::pair{v2, "format version 2"}}) {
+        PipelineOptions opts = softwareOptions();
+        opts.indexSnapshot = file;
+        const FrontEndRun run = runFrontEnd(GetParam(), w, opts);
+        ASSERT_TRUE(run.status.ok()) << run.status.str();
+        EXPECT_NE(run.indexNote.find("rebuilding from FASTA"),
+                  std::string::npos)
+            << run.indexNote;
+        EXPECT_NE(run.indexNote.find(why), std::string::npos)
+            << run.indexNote;
+        EXPECT_EQ(run.sam, want) << file;
+    }
+    std::filesystem::remove_all(dir);
+}
+
 INSTANTIATE_TEST_SUITE_P(FrontEnds, FrontEndPolicy,
                          ::testing::Values(FrontEnd::AlignToSam,
                                            FrontEnd::Stream,

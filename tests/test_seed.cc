@@ -495,9 +495,25 @@ TEST(FlatKmerIndex, GoldenBytesOfTheRecordedLayout)
     std::ifstream in(path, std::ios::binary);
     const std::string bytes((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
-    EXPECT_EQ(bytes.size(), 9659256u);
+    EXPECT_EQ(bytes.size(), 9651136u);
     EXPECT_EQ(storeChecksum(bytes.data(), bytes.size()),
-              0x782737fb9bec52ccULL);
+              0xe4267ae9071f8b6aULL)
+        << std::hex << storeChecksum(bytes.data(), bytes.size());
+
+    // The file stores the whole-reference index byte for byte.
+    const auto snap = IndexSnapshot::open(path);
+    ASSERT_TRUE(snap.ok()) << snap.status().str();
+    const FlatKmerIndex flat(ref, 12);
+    const FlatKmerIndex stored = snap->index();
+    EXPECT_TRUE(std::ranges::equal(stored.tableSpan(), flat.tableSpan(),
+                                   [](const auto &a, const auto &b) {
+                                       return a.key == b.key &&
+                                              a.offset == b.offset &&
+                                              a.count == b.count;
+                                   }));
+    EXPECT_TRUE(
+        std::ranges::equal(stored.positionsSpan(), flat.positionsSpan()));
+    EXPECT_TRUE(std::ranges::equal(stored.filterSpan(), flat.filterSpan()));
     fs::remove_all(dir);
 }
 
@@ -915,8 +931,9 @@ TEST(GenomeSegments, SeedingThroughSegmentsFindsGlobalPosition)
                    ref.begin() + static_cast<i64>(pos + 101));
 
     bool found = false;
+    const SeedIndex whole(ref, cfg.k);
     for (u64 i = 0; i < segs.count(); ++i) {
-        const SeedIndex index = segs.buildSeedIndex(i);
+        const SeedIndex index = whole.window(segs.start(i), segs.length(i));
         SmemEngine engine(index, {});
         for (const auto &smem : engine.seed(read)) {
             for (u32 local : smem.positions) {
@@ -940,9 +957,117 @@ TEST(GenomeSegments, FootprintFormulas)
     cfg.k = 9;
     GenomeSegments segs(ref, cfg);
     EXPECT_EQ(segs.indexTableBytes(), (u64{1} << 18) * 3);
-    const KmerIndex idx = segs.buildIndex(1);
+    const KmerIndex idx(segs.bases(1), cfg.k);
     EXPECT_EQ(segs.positionTableBytes(1), idx.positionTableBytes());
     EXPECT_EQ(segs.refBytes(1), (segs.length(1) + 3) / 4);
+}
+
+void
+expectSameSmems(const std::vector<Smem> &got,
+                const std::vector<Smem> &want, const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].qryBegin, want[i].qryBegin) << what;
+        EXPECT_EQ(got[i].qryEnd, want[i].qryEnd) << what;
+        EXPECT_TRUE(std::ranges::equal(got[i].positions, want[i].positions))
+            << what << " smem " << i;
+    }
+}
+
+void
+expectSameStats(const SeedingStats &got, const SeedingStats &want,
+                const std::string &what)
+{
+    EXPECT_EQ(got.reads, want.reads) << what;
+    EXPECT_EQ(got.exactMatchReads, want.exactMatchReads) << what;
+    EXPECT_EQ(got.indexLookups, want.indexLookups) << what;
+    EXPECT_EQ(got.smems, want.smems) << what;
+    EXPECT_EQ(got.hitsReported, want.hitsReported) << what;
+    EXPECT_EQ(got.cam.loads, want.cam.loads) << what;
+    EXPECT_EQ(got.cam.searches, want.cam.searches) << what;
+    EXPECT_EQ(got.cam.binarySteps, want.cam.binarySteps) << what;
+    EXPECT_EQ(got.cam.overflowFallbacks, want.cam.overflowFallbacks)
+        << what;
+}
+
+TEST(SegmentWindows, SeedingMatchesPerSegmentIndexes)
+{
+    // Seeding a segment as a window of the one whole-reference index
+    // — by an engine bound to the window, and from a read resolved
+    // once in the whole index — must equal seeding against an index
+    // built over the segment's own bases: every SMEM interval and
+    // position and every SeedingStats field, with a small CAM that
+    // reaches the overflow fallback too. The per-segment index lives
+    // on only as this oracle.
+    RefGenConfig rcfg;
+    rcfg.length = 12000;
+    rcfg.repeatFraction = 0.30;
+    rcfg.seed = 741;
+    Seq ref = generateReference(rcfg);
+    // A tandem repeat gives k-mers hit lists long enough for the
+    // small CAM's overflow fallback; the first reads start in it.
+    for (u64 p = 6000; p < 6700; ++p)
+        ref[p] = ref[6000 + (p - 6000) % 7];
+    Rng rng(742);
+    std::vector<Seq> oriented;
+    for (u64 i = 0; i < 12; ++i) {
+        const u64 pos = i < 2 ? 6050 + 500 * i : rng.below(ref.size() - 101);
+        Seq read(ref.begin() + static_cast<i64>(pos),
+                 ref.begin() + static_cast<i64>(pos + 101));
+        for (u64 e = 0; e < i % 4; ++e)
+            read[rng.below(read.size())] = static_cast<Base>(rng.below(4));
+        oriented.push_back(reverseComplement(read));
+        oriented.push_back(std::move(read));
+    }
+    SeedingConfig small_cam;
+    small_cam.camSize = 2;
+    small_cam.probeThreshold = 2;
+
+    u64 exact = 0, overflows = 0;
+    for (const u32 k : {10u, 12u}) {
+        const SeedIndex whole(ref, k);
+        std::vector<ResolvedRead> resolved(oriented.size());
+        for (size_t r = 0; r < oriented.size(); ++r)
+            SmemEngine(whole, {}).resolve(oriented[r], resolved[r]);
+        for (const u64 count : {u64{1}, u64{5}, u64{512}}) {
+            for (const u64 overlap : {u64{0}, u64{64}, u64{256}}) {
+                const GenomeSegments segs(ref, {count, overlap, k});
+                for (const SeedingConfig &cfg : {SeedingConfig{}, small_cam}) {
+                    for (u64 i = 0; i < segs.count(); ++i) {
+                        const std::string what =
+                            "k " + std::to_string(k) + " segments " +
+                            std::to_string(count) + " overlap " +
+                            std::to_string(overlap) + " cam " +
+                            std::to_string(cfg.camSize) + " segment " +
+                            std::to_string(i);
+                        const SeedIndex own(segs.bases(i), k);
+                        const SeedIndex window =
+                            whole.window(segs.start(i), segs.length(i));
+                        SmemEngine oracle(own, cfg), viewed(window, cfg),
+                            fused(whole, cfg);
+                        for (size_t r = 0; r < oriented.size(); ++r) {
+                            const auto want = oracle.seed(oriented[r]);
+                            expectSameSmems(viewed.seed(oriented[r]), want,
+                                            what + " (window engine)");
+                            expectSameSmems(fused.seed(resolved[r], window),
+                                            want, what + " (resolved)");
+                        }
+                        expectSameStats(viewed.stats(), oracle.stats(),
+                                        what + " (window engine)");
+                        expectSameStats(fused.stats(), oracle.stats(),
+                                        what + " (resolved)");
+                        exact += oracle.stats().exactMatchReads;
+                        overflows += oracle.stats().cam.overflowFallbacks;
+                    }
+                }
+            }
+        }
+    }
+    // The geometries reach the exact-match shortcut and the CAM
+    // overflow fallback.
+    EXPECT_GT(exact, 0u);
+    EXPECT_GT(overflows, 0u);
 }
 
 } // namespace

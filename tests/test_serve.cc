@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -331,6 +332,39 @@ TEST(AlignServiceTest, BatchMatchesOfflinePipelineByteForByte)
         served += line;
     EXPECT_EQ(served, offlineSam(w, w.reads));
     (*svc)->finish();
+}
+
+TEST(AlignServiceTest, SoftwareEngineBorrowsTheSnapshotIndex)
+{
+    // The daemon's software engine takes the snapshot's one index
+    // instead of building its own, and the snapshot's k wins.
+    const Workload w = makeWorkload();
+    const auto dir =
+        std::filesystem::temp_directory_path() / "genax_serve_borrow";
+    std::filesystem::create_directories(dir);
+    const std::string snap = (dir / "ref.gxs").string();
+    SegmentConfig scfg;
+    scfg.k = 11;
+    scfg.segmentCount = 6;
+    ASSERT_TRUE(IndexSnapshot::build(snap, w.ref[0].seq,
+                                     {{"serve_ref", 0, w.ref[0].seq.size()}},
+                                     scfg)
+                    .ok());
+
+    ServiceConfig cfg = serviceConfig();
+    cfg.engine = EngineOptions::Engine::Software;
+    for (const bool attach : {true, false}) {
+        cfg.indexSnapshot = attach ? snap : "";
+        auto svc = AlignService::create(w.ref, cfg);
+        ASSERT_TRUE(svc.ok()) << svc.status().str();
+        EXPECT_EQ((*svc)->indexAttachment().fromSnapshot, attach);
+        const BwaMemLike *sw = (*svc)->engine().softwareEngine();
+        ASSERT_NE(sw, nullptr);
+        EXPECT_EQ(sw->index().borrowed(), attach);
+        EXPECT_EQ(sw->config().k, attach ? 11u : cfg.k);
+        (*svc)->finish();
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(BatcherTest, ConcurrentClientsEachGetTheirOwnSliceInOrder)

@@ -31,6 +31,7 @@
 #include "io/store.hh"
 #include "seed/flat_kmer_index.hh"
 #include "seed/index_snapshot.hh"
+#include "serve/service.hh"
 #include "store_rewrite.hh"
 
 namespace genax {
@@ -461,29 +462,35 @@ TEST(IndexSnapshot, BuildOpenRoundTrip)
     EXPECT_EQ(snap->contigs()[1].start, 5000u);
     EXPECT_EQ(snap->referenceSequence(), ref);
 
-    // Per-segment views agree with freshly built indexes over the
-    // same geometry.
+    // The one stored index is the whole reference's.
+    const FlatKmerIndex whole(ref, cfg.k);
+    const FlatKmerIndex stored = snap->index();
+    EXPECT_TRUE(stored.borrowed());
+    EXPECT_EQ(stored.maxHitListSize(), whole.maxHitListSize());
+    EXPECT_EQ(stored.distinctKmers(), whole.distinctKmers());
+    EXPECT_TRUE(std::ranges::equal(stored.positionsSpan(),
+                                   whole.positionsSpan()));
+    EXPECT_TRUE(
+        std::ranges::equal(stored.filterSpan(), whole.filterSpan()));
+
+    // Each segment's window answers what an index built over the
+    // segment's bases answers, shifted by the segment's start.
     GenomeSegments segs(ref, cfg);
     ASSERT_EQ(segs.count(), snap->segmentCount());
     for (u64 i = 0; i < segs.count(); ++i) {
         EXPECT_EQ(snap->segmentStart(i), segs.start(i));
         EXPECT_EQ(snap->segmentLength(i), segs.length(i));
-        const Seq bases(ref.begin() + segs.start(i),
-                        ref.begin() + segs.start(i) +
-                            segs.length(i));
-        const FlatKmerIndex fresh(bases, cfg.k);
+        const FlatKmerIndex fresh(segs.bases(i), cfg.k);
         const FlatKmerIndex view = snap->segmentView(i);
         EXPECT_TRUE(view.borrowed());
-        EXPECT_EQ(view.maxHitListSize(), fresh.maxHitListSize());
-        EXPECT_TRUE(std::ranges::equal(view.filterSpan(),
-                                       fresh.filterSpan()));
+        EXPECT_EQ(view.windowStart(), segs.start(i));
         for (u64 key = 0; key < (u64{1} << (2 * cfg.k));
              key += 7) { // stride keeps the sweep fast
             const auto want = fresh.lookup(key);
             const auto got = view.lookup(key);
             ASSERT_EQ(got.size(), want.size());
-            ASSERT_TRUE(std::equal(got.begin(), got.end(),
-                                   want.begin()));
+            for (size_t j = 0; j < got.size(); ++j)
+                ASSERT_EQ(got[j], want[j] + segs.start(i));
         }
     }
 
@@ -554,24 +561,19 @@ TEST(IndexSnapshot, OtherFormatVersionsAreRejected)
     ASSERT_TRUE(store.ok());
     EXPECT_EQ(store->kindVersion(), kSnapshotKindVersion);
 
-    // A version-1 file (no filter sections) and a future version both
-    // fail open() with a clean InvalidInput naming the version.
-    const std::string old_path = (dir / "v1.gxs").string();
-    ASSERT_TRUE(testing::rewriteStore(
-                    path, old_path, 1,
-                    [](const std::string &name, std::string &) {
-                        return !name.ends_with(".flt");
-                    })
-                    .ok());
-    const std::string new_path = (dir / "v3.gxs").string();
-    ASSERT_TRUE(testing::rewriteStore(path, new_path, 3).ok());
-    for (const auto &[file, version] :
-         {std::pair{old_path, "format version 1"},
-          std::pair{new_path, "format version 3"}}) {
+    // Files of the per-segment versions 1 and 2 and of a future
+    // version all fail open() with a clean InvalidInput naming the
+    // version.
+    for (const u32 version : {1u, 2u, 4u}) {
+        const std::string file =
+            (dir / ("v" + std::to_string(version) + ".gxs")).string();
+        ASSERT_TRUE(testing::rewriteStore(path, file, version).ok());
         auto r = IndexSnapshot::open(file);
         ASSERT_FALSE(r.ok()) << file;
         EXPECT_EQ(r.status().code(), StatusCode::InvalidInput);
-        EXPECT_NE(r.status().str().find(version), std::string::npos)
+        EXPECT_NE(r.status().str().find("format version " +
+                                        std::to_string(version)),
+                  std::string::npos)
             << r.status().str();
     }
     fs::remove_all(dir);
@@ -584,21 +586,22 @@ TEST(IndexSnapshot, FilterBreakingItsRulesIsRejected)
     auto snap = IndexSnapshot::open(path);
     ASSERT_TRUE(snap.ok()) << snap.status().str();
 
-    // Clear the filter bits of one occupied key of segment 1: the
-    // checksums are recomputed, so only the filter walk can catch it.
-    const FlatKmerIndex view = snap->segmentView(1);
+    // Clear the filter bits of the last occupied key of the one
+    // index (its filter fits one slice, "flt0"): the checksums are
+    // recomputed, so only the filter walk can catch it.
+    const FlatKmerIndex index = snap->index();
     u64 key = FlatKmerIndex::kEmptyKey;
-    for (const FlatKmerIndex::Entry &e : view.tableSpan())
+    for (const FlatKmerIndex::Entry &e : index.tableSpan())
         if (e.key != FlatKmerIndex::kEmptyKey)
             key = e.key;
     ASSERT_NE(key, FlatKmerIndex::kEmptyKey);
     const auto probe =
-        FlatKmerIndex::filterProbe(key, view.filterSpan().size());
+        FlatKmerIndex::filterProbe(key, index.filterSpan().size());
     const std::string hole = (dir / "hole.gxs").string();
     ASSERT_TRUE(testing::rewriteStore(
                     path, hole, kSnapshotKindVersion,
                     [&](const std::string &name, std::string &bytes) {
-                        if (name == "seg1.flt") {
+                        if (name == "flt0") {
                             u64 w;
                             std::memcpy(&w, &bytes[8 * probe.word], 8);
                             w &= ~probe.bits;
@@ -610,7 +613,7 @@ TEST(IndexSnapshot, FilterBreakingItsRulesIsRejected)
     auto r = IndexSnapshot::open(hole);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::InvalidInput);
-    EXPECT_NE(r.status().str().find("segment 1: filter misses key"),
+    EXPECT_NE(r.status().str().find("filter misses key"),
               std::string::npos)
         << r.status().str();
 
@@ -619,7 +622,7 @@ TEST(IndexSnapshot, FilterBreakingItsRulesIsRejected)
     ASSERT_TRUE(testing::rewriteStore(
                     path, doubled, kSnapshotKindVersion,
                     [](const std::string &name, std::string &bytes) {
-                        if (name == "seg2.flt")
+                        if (name == "flt0")
                             bytes += bytes;
                         return true;
                     })
@@ -627,8 +630,7 @@ TEST(IndexSnapshot, FilterBreakingItsRulesIsRejected)
     r = IndexSnapshot::open(doubled);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::InvalidInput);
-    EXPECT_NE(r.status().str().find("segment 2: filter of"),
-              std::string::npos)
+    EXPECT_NE(r.status().str().find("section 'flt0'"), std::string::npos)
         << r.status().str();
     fs::remove_all(dir);
 }
@@ -707,6 +709,29 @@ runAligned(const SnapWorkload &w, const PipelineOptions &opts,
     return out;
 }
 
+/** The SAM the serving daemon's engine gives for `w`'s reads,
+ *  aligned in batches of `batch` reads (0 = one batch). */
+std::string
+servedSam(const SnapWorkload &w, const ServiceConfig &cfg, u64 batch)
+{
+    auto svc = AlignService::create(w.ref, cfg);
+    EXPECT_TRUE(svc.ok()) << svc.status().str();
+    if (!svc.ok())
+        return "";
+    std::string sam = (*svc)->headerText();
+    const u64 step = batch == 0 ? w.reads.size() : batch;
+    for (u64 lo = 0; lo < w.reads.size(); lo += step) {
+        const std::vector<FastqRecord> part(
+            w.reads.begin() + static_cast<i64>(lo),
+            w.reads.begin() +
+                static_cast<i64>(std::min<u64>(w.reads.size(), lo + step)));
+        for (const auto &line : (*svc)->alignBatch(part).samLines)
+            sam += line;
+    }
+    (*svc)->finish();
+    return sam;
+}
+
 TEST(IndexSnapshotPipeline, SamIdenticalAtAnyBatchAndThreads)
 {
     const fs::path dir = scratchDir("genax_snap_pipeline");
@@ -717,29 +742,45 @@ TEST(IndexSnapshotPipeline, SamIdenticalAtAnyBatchAndThreads)
     base.segments = 4;
     base.segmentOverlap = 256;
 
-    for (const unsigned threads : {1u, 8u}) {
-        PipelineOptions plain = base;
-        plain.threads = threads;
-        const RunOut want = runAligned(w, plain, 0);
-        EXPECT_FALSE(want.res.indexFromSnapshot);
+    for (const auto engine : {PipelineOptions::Engine::GenAx,
+                              PipelineOptions::Engine::Software}) {
+        base.engine = engine;
+        for (const unsigned threads : {1u, 4u, 8u}) {
+            PipelineOptions plain = base;
+            plain.threads = threads;
+            const RunOut want = runAligned(w, plain, 0);
+            EXPECT_FALSE(want.res.indexFromSnapshot);
+            const std::string what =
+                std::string(engine == PipelineOptions::Engine::GenAx
+                                ? "genax"
+                                : "sw") +
+                " threads " + std::to_string(threads);
 
-        for (const u64 batch : {u64{0}, u64{7}, u64{64}}) {
-            PipelineOptions snap = base;
-            snap.threads = threads;
-            snap.indexSnapshot = w.snapPath;
-            const RunOut got = runAligned(w, snap, batch);
-            EXPECT_EQ(got.sam, want.sam)
-                << "threads " << threads << " batch " << batch;
-            EXPECT_TRUE(got.res.indexFromSnapshot);
-            EXPECT_FALSE(got.res.indexFallback);
-            EXPECT_EQ(got.res.mapped, want.res.mapped);
-            EXPECT_EQ(got.res.failed, want.res.failed);
-            EXPECT_EQ(got.res.perf.totalSeconds,
-                      want.res.perf.totalSeconds)
-                << "modelled time must not depend on the index "
-                   "source";
-            EXPECT_EQ(got.res.perf.extensionJobs,
-                      want.res.perf.extensionJobs);
+            for (const u64 batch : {u64{0}, u64{7}, u64{64}}) {
+                PipelineOptions snap = base;
+                snap.threads = threads;
+                snap.indexSnapshot = w.snapPath;
+                const RunOut got = runAligned(w, snap, batch);
+                EXPECT_EQ(got.sam, want.sam)
+                    << what << " batch " << batch;
+                EXPECT_TRUE(got.res.indexFromSnapshot);
+                EXPECT_FALSE(got.res.indexFallback);
+                EXPECT_EQ(got.res.mapped, want.res.mapped);
+                EXPECT_EQ(got.res.failed, want.res.failed);
+                EXPECT_EQ(got.res.perf.totalSeconds,
+                          want.res.perf.totalSeconds)
+                    << "modelled time must not depend on the index "
+                       "source";
+                EXPECT_EQ(got.res.perf.extensionJobs,
+                          want.res.perf.extensionJobs);
+
+                // Served, with and without the snapshot.
+                EXPECT_EQ(servedSam(w, snap, batch), want.sam)
+                    << what << " batch " << batch << " served";
+                EXPECT_EQ(servedSam(w, plain, batch), want.sam)
+                    << what << " batch " << batch
+                    << " served without a snapshot";
+            }
         }
     }
     fs::remove_all(dir);

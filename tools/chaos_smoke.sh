@@ -36,17 +36,18 @@ err() {
 # truncated at EOF.
 # ------------------------------------------------------------------
 bases=(A C G T)
-state=20180601
-seq=""
-for ((i = 0; i < 1200; i++)); do
-    state=$(((state * 1103515245 + 12345) % 2147483648))
-    seq+="${bases[$(((state >> 16) % 4))]}"
-done
-
-{
-    echo ">chr1 chaos smoke contig"
-    fold -w 70 <<<"$seq"
-} >"$tmp/ref.fa"
+lcg_bases() { # lcg_bases <count> <seed>: deterministic bases into $seq
+    local state=$2
+    seq=""
+    for ((i = 0; i < $1; i++)); do
+        state=$(((state * 1103515245 + 12345) % 2147483648))
+        seq+="${bases[$(((state >> 16) % 4))]}"
+    done
+}
+lcg_bases 20000 20190601
+printf '>chr1 wide segmentation\n%s\n' "$(fold -w 70 <<<"$seq")" >"$tmp/ref20k.fa"
+lcg_bases 1200 20180601
+printf '>chr1 chaos smoke contig\n%s\n' "$(fold -w 70 <<<"$seq")" >"$tmp/ref.fa"
 
 qual=$(printf 'I%.0s' {1..80})
 {
@@ -150,7 +151,8 @@ bad_value() { # bad_value "<flag value ...>" <tool> <args...>
     [[ ! -e "$tmp/bad.out" ]] || err "$what: wrote an output file"
 }
 for v in "--segments -1" "--segments 0" "--segments 200000" "--k 0" \
-    "--k 20" "--k 12x" "--engine sw --k 0" "--band 0"; do
+    "--k 20" "--k 12x" "--engine sw --k 0" "--band 0" "--band 8193" \
+    "--engine sw --band 4294967295"; do
     bad_value "$v" "$bin" --ref "$tmp/ref.fa" --reads "$tmp/reads.fq"
 done
 if [[ -x "$index_bin" ]]; then
@@ -200,6 +202,23 @@ if [[ -n "$index_bin" ]]; then
         cmp -s "$tmp/nosnap.sam" "$tmp/degraded.sam" ||
             err "degraded-rebuild SAM differs from in-memory SAM"
     fi
+fi
+
+# 6b. Segment count and overlap are snapshot metadata: the most
+#     segments with the widest overlap still build one index, so a
+#     20 kbp reference indexes and verifies within a 1 GB address
+#     space. A sanitizer build cannot start under that limit; it runs
+#     the leg without one.
+if [[ -x "$index_bin" ]]; then
+    limit="ulimit -v 1048576;"
+    { (ulimit -v 1048576 && "$index_bin" --help) >/dev/null 2>&1; } 2>/dev/null ||
+        limit=""
+    for args in "--ref $tmp/ref20k.fa --out $tmp/wide.gxs --segments 100000 --overlap 2147483648" \
+        "--verify $tmp/wide.gxs"; do
+        bash -c "$limit \"\$@\"" _ "$index_bin" $args >/dev/null 2>&1
+        status=$?
+        ((status == 0)) || err "genax_index $args under 1 GB: exit $status, want 0"
+    done
 fi
 
 # 7. Paired-end leg: FR mates cut from the contig (fragment 300,

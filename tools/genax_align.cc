@@ -58,13 +58,13 @@ printHelp(const char *prog, std::FILE *to)
         "  --engine genax|sw  accelerator model or software baseline\n"
         "                     (default genax)\n"
         "  --k K              seeding k-mer length, 1..13 (default 12)\n"
-        "  --band K           edit bound / extension band, >= 1\n"
+        "  --band K           edit bound / extension band, 1..8192\n"
         "                     (default 40); beyond the SillaX maximum\n"
         "                     the run degrades to the software engine\n"
         "  --segments N       GenAx genome segments, 1..100000\n"
         "                     (default 8)\n"
         "  --threads N        worker threads for either engine and\n"
-        "                     its index builds (default 1; 0 = all\n"
+        "                     its index build (default 1; 0 = all\n"
         "                     hardware threads); output is identical\n"
         "                     at any width\n"
         "  --batch-reads N    stream reads (read pairs with --reads2)\n"
@@ -74,8 +74,8 @@ printHelp(const char *prog, std::FILE *to)
         "                     0 = all reads as one batch); output is\n"
         "                     identical at any batch size\n"
         "  --index FILE       prebuilt index snapshot from genax_index;\n"
-        "                     mmapped zero-copy, skipping the per-run\n"
-        "                     index build. The snapshot's k/segments/\n"
+        "                     either engine mmaps it zero-copy and\n"
+        "                     builds no index. The snapshot's k/segments/\n"
         "                     overlap override the flags above. A\n"
         "                     corrupt snapshot degrades to rebuild-\n"
         "                     from-FASTA (exit 1); one built from a\n"
@@ -169,7 +169,7 @@ main(int argc, char **argv)
         } else if (arg == "--k") {
             opts.k = static_cast<u32>(number(1, kMaxFlagK));
         } else if (arg == "--band") {
-            opts.band = static_cast<u32>(number(1, UINT32_MAX));
+            opts.band = static_cast<u32>(number(1, kMaxBand));
         } else if (arg == "--segments") {
             opts.segments = number(1, kMaxFlagSegments);
         } else if (arg == "--threads") {

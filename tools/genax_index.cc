@@ -6,11 +6,11 @@
  *               [--segments 8] [--overlap 256]
  *   genax_index --verify FILE
  *
- * Builds the per-segment k-mer tables offline (the offline step of
- * Section V) into a crash-safe "GXSNAP" store: the concatenated
- * reference, the contig map and one flat per-segment index, all
- * checksummed and written atomically — genax_align --index and
- * genax_serve --index mmap it and skip the per-run index build.
+ * Builds the k-mer tables offline (the offline step of Section V)
+ * into a crash-safe "GXSNAP" store: the concatenated reference, the
+ * contig map, the segmentation and one flat whole-reference index,
+ * all checksummed and written atomically — genax_align --index and
+ * genax_serve --index mmap it and build no index, on either engine.
  *
  * `--verify` opens any store container, replays the full checksum
  * walk and prints a section report; it is the CI chaos harness's
@@ -49,7 +49,7 @@ printHelp(const char *prog, std::FILE *to)
         "          [--segments 8] [--overlap 256]\n"
         "       %s --verify FILE\n"
         "\n"
-        "Build the checksummed per-segment index snapshot that\n"
+        "Build the checksummed whole-reference index snapshot that\n"
         "genax_align --index attaches, or verify an existing on-disk\n"
         "store.\n"
         "\n"

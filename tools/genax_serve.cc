@@ -83,7 +83,7 @@ printHelp(const char *prog, std::FILE *to)
         "                      baseline (default genax)\n"
         "  --k K               seeding k-mer length, 1..13\n"
         "                      (default 12)\n"
-        "  --band K            edit bound, >= 1 (default 40)\n"
+        "  --band K            edit bound, 1..8192 (default 40)\n"
         "  --segments N        GenAx genome segments, 1..100000\n"
         "                      (default 8)\n"
         "  --threads N         engine worker threads (default 1;\n"
@@ -161,7 +161,7 @@ main(int argc, char **argv)
         } else if (arg == "--k") {
             cfg.k = static_cast<u32>(number(1, kMaxFlagK));
         } else if (arg == "--band") {
-            cfg.band = static_cast<u32>(number(1, UINT32_MAX));
+            cfg.band = static_cast<u32>(number(1, kMaxBand));
         } else if (arg == "--segments") {
             cfg.segments = number(1, kMaxFlagSegments);
         } else if (arg == "--threads") {

@@ -328,11 +328,12 @@ cmdKillsave(const char *self, const std::string &dir)
 }
 
 /** Clear one bit of one occupied key's presence-filter word in the
- *  middle segment, rewrite the store through StoreWriter so every
- *  section, table and header checksum matches again, and demand that
- *  IndexSnapshot::open rejects it — both mapped and owned — while the
- *  bare store still opens: only the filter walk can catch a filter
- *  that would hide a present key. */
+ *  snapshot's one filter (stored in slices "flt0", "flt1", ...),
+ *  rewrite the store through StoreWriter so every section, table and
+ *  header checksum matches again, and demand that IndexSnapshot::open
+ *  rejects it — both mapped and owned — while the bare store still
+ *  opens: only the filter walk can catch a filter that would hide a
+ *  present key. */
 int
 cmdFilterhole(const std::string &path)
 {
@@ -347,37 +348,38 @@ cmdFilterhole(const std::string &path)
                          .c_str());
         return kExitError;
     }
-    const u64 seg = snap->segmentCount() / 2;
-    const FlatKmerIndex view = snap->segmentView(seg);
+    const FlatKmerIndex index = snap->index();
     u64 key = FlatKmerIndex::kEmptyKey;
-    for (const FlatKmerIndex::Entry &e : view.tableSpan()) {
+    for (const FlatKmerIndex::Entry &e : index.tableSpan()) {
         if (e.key != FlatKmerIndex::kEmptyKey) {
             key = e.key;
             break;
         }
     }
     if (key == FlatKmerIndex::kEmptyKey) {
-        std::fprintf(stderr, "store_chaos: filterhole: segment %llu "
-                             "holds no key\n",
-                     static_cast<unsigned long long>(seg));
+        std::fprintf(stderr, "store_chaos: filterhole: the index holds "
+                             "no key\n");
         return kExitError;
     }
     const auto probe =
-        FlatKmerIndex::filterProbe(key, view.filterSpan().size());
+        FlatKmerIndex::filterProbe(key, index.filterSpan().size());
     const u64 bit = probe.bits & (~probe.bits + 1); // lowest of them
-    const std::string filter = "seg" + std::to_string(seg) + ".flt";
 
     StoreWriter w(store->kind(), store->kindVersion());
     std::vector<std::string> payloads;
     payloads.reserve(store->sections().size());
+    u64 at = 8 * probe.word; // the word's offset past the slices seen
     for (const StoreFile::Section &s : store->sections()) {
         const auto raw = store->section(s.name);
         payloads.emplace_back(raw->begin(), raw->end());
-        if (s.name == filter) {
+        if (s.name.starts_with("flt") && at < s.bytes) {
             u64 word;
-            std::memcpy(&word, &payloads.back()[8 * probe.word], 8);
+            std::memcpy(&word, &payloads.back()[at], 8);
             word &= ~bit;
-            std::memcpy(&payloads.back()[8 * probe.word], &word, 8);
+            std::memcpy(&payloads.back()[at], &word, 8);
+            at = ~u64{0}; // done: no later slice holds it
+        } else if (s.name.starts_with("flt")) {
+            at -= s.bytes;
         }
         w.addSection(s.name, payloads.back().data(),
                      payloads.back().size());
@@ -400,11 +402,9 @@ cmdFilterhole(const std::string &path)
                       r.status().str());
     }
     fs::remove(scratch);
-    std::fprintf(stderr,
-                 "store_chaos: filterhole: key %llu of segment %llu, "
-                 "%d violations\n",
-                 static_cast<unsigned long long>(key),
-                 static_cast<unsigned long long>(seg), g_violations);
+    std::fprintf(stderr, "store_chaos: filterhole: key %llu, %d "
+                         "violations\n",
+                 static_cast<unsigned long long>(key), g_violations);
     return g_violations ? kExitViolation : kExitOk;
 }
 
