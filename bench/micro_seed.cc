@@ -315,7 +315,7 @@ BM_BwaMemLikeAlignRead(benchmark::State &state)
     const auto &reads = benchReads();
     size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(aligner.alignRead(reads[i].seq));
+        benchmark::DoNotOptimize(aligner.alignAll({reads[i].seq}));
         i = (i + 1) % reads.size();
     }
     state.SetItemsProcessed(state.iterations());

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <vector>
 
 #include "align/cigar.hh"
 #include "common/types.hh"
@@ -28,6 +29,21 @@ struct Mapping
 };
 
 /**
+ * The rank rule both engines order a read's placements by: the higher
+ * score first, then the forward strand, then the lower position. A
+ * strict total order over distinct (position, strand) placements.
+ */
+inline bool
+ranksBefore(const Mapping &a, const Mapping &b)
+{
+    if (a.score != b.score)
+        return a.score > b.score;
+    if (a.reverse != b.reverse)
+        return !a.reverse;
+    return a.pos < b.pos;
+}
+
+/**
  * Margin-based mapping quality of the best-scoring placement against
  * the runner-up's score `second` (INT32_MIN when there is none): 60
  * for a lone placement, 0 for a tie, else min(60, 6 * margin).
@@ -40,6 +56,15 @@ marginMapq(i32 best, i32 second)
     if (second >= best)
         return 0;
     return static_cast<u8>(std::min<i32>(60, 6 * (best - second)));
+}
+
+/** MAPQ of the head of a non-empty list of distinct placements in
+ *  rank order: its margin over the runner-up. */
+inline u8
+rankedMapq(const std::vector<Mapping> &ranked)
+{
+    return marginMapq(ranked[0].score,
+                      ranked.size() > 1 ? ranked[1].score : INT32_MIN);
 }
 
 } // namespace genax

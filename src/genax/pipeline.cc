@@ -14,7 +14,6 @@
 #include "common/check.hh"
 #include "common/faultinject.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "common/threadpool.hh"
 #include "io/sam.hh"
 #include "seed/index_snapshot.hh"
@@ -322,13 +321,8 @@ AlignEngine::batchCandidates(const std::vector<Seq> &seqs,
             _system->streamBatchCandidates(seqs, _base, max_candidates);
         out.degraded = _system->degradedReads();
     } else if (_aligner) {
-        out.candidates.resize(seqs.size());
-        parallelFor(seqs.size(), _aligner->config().threads,
-                    [&](u64 lo, u64 hi) {
-                        for (u64 i = lo; i < hi; ++i)
-                            out.candidates[i] = _aligner->candidates(
-                                seqs[i], max_candidates);
-                    });
+        out.candidates =
+            _aligner->alignAllCandidates(seqs, max_candidates);
         out.degraded.assign(seqs.size(), _softwareFallback ? 1 : 0);
     }
     _base += seqs.size();

@@ -237,8 +237,8 @@ class AlignEngine
     Batch batch(const std::vector<Seq> &seqs);
 
     /** The candidates form of batch(): each read's distinct
-     *  placements (at most `max_candidates`, by descending score,
-     *  MAPQ unset), the input of a stage downstream of the engine
+     *  placements (at most `max_candidates`, in rank order, MAPQ
+     *  unset), the input of a stage downstream of the engine
      *  such as pairing (swbase/paired.hh). Shares batch()'s read
      *  indexing, so the two may be mixed within one stream. */
     struct CandidateBatch

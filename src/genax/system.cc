@@ -415,22 +415,15 @@ GenAxSystem::streamBatchCandidates(const std::vector<Seq> &reads,
             }
         });
 
-    // Finalize: sort candidates by descending score with the same
-    // deterministic tie-break as the software aligner. Per-read and
-    // independent, so this also shards cleanly.
+    // Finalize: sort candidates by the rank rule, as the software
+    // engine does. Per-read and independent, so this also shards
+    // cleanly.
     std::vector<std::vector<Mapping>> out(reads.size());
     ThreadPool::global().parallelFor(
         reads.size(), st.width, [&](unsigned, u64 lo, u64 hi) {
             for (u64 r = lo; r < hi; ++r) {
                 auto &c = cands[r].list;
-                std::sort(c.begin(), c.end(),
-                          [](const Mapping &a, const Mapping &b) {
-                              if (a.score != b.score)
-                                  return a.score > b.score;
-                              if (a.reverse != b.reverse)
-                                  return !a.reverse;
-                              return a.pos < b.pos;
-                          });
+                std::sort(c.begin(), c.end(), ranksBefore);
                 if (c.size() > max_candidates)
                     c.resize(max_candidates);
                 out[r] = std::move(c);
@@ -455,8 +448,7 @@ GenAxSystem::streamBatch(const std::vector<Seq> &reads,
         if (c.empty())
             continue;
         out[r] = c[0];
-        out[r].mapq =
-            marginMapq(c[0].score, c.size() > 1 ? c[1].score : INT32_MIN);
+        out[r].mapq = rankedMapq(c);
     }
     return out;
 }

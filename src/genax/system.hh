@@ -218,8 +218,8 @@ class GenAxSystem
 
     /**
      * Like alignAll() but return each read's distinct candidate
-     * mappings (deduplicated by position/strand, sorted by
-     * descending score) — the input the paired-end resolver needs.
+     * mappings (deduplicated by position/strand, in rank order,
+     * ranksBefore) — the input the paired-end resolver needs.
      */
     std::vector<std::vector<Mapping>>
     alignAllCandidates(const std::vector<Seq> &reads,

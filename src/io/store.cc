@@ -145,6 +145,28 @@ alignUp(u64 v)
     return (v + (kStoreAlign - 1)) & ~(kStoreAlign - 1);
 }
 
+/** storeChecksum of every section, on every core and largest first
+ *  so no big section starts last: the writer's and open()'s one walk.
+ *  Call it from a caller thread, never from inside a pool region. */
+std::vector<u64>
+sectionChecksums(const std::vector<std::span<const u8>> &sections)
+{
+    const u64 n = sections.size();
+    std::vector<u64> order(n);
+    std::iota(order.begin(), order.end(), u64{0});
+    std::stable_sort(order.begin(), order.end(), [&](u64 x, u64 y) {
+        return sections[x].size() > sections[y].size();
+    });
+    std::vector<u64> sums(n);
+    parallelFor(n, 0, [&](u64 lo, u64 hi) {
+        for (u64 j = lo; j < hi; ++j) {
+            const auto &s = sections[order[j]];
+            sums[order[j]] = storeChecksum(s.data(), s.size());
+        }
+    });
+    return sums;
+}
+
 StatusOr<std::vector<u8>>
 readWholeFile(const std::string &path)
 {
@@ -404,6 +426,11 @@ StoreWriter::writeFile(const std::string &path) const
     const u64 n = _pending.size();
     GENAX_CHECK(n <= kStoreMaxSections, "too many sections: ", n);
 
+    std::vector<std::span<const u8>> payloads;
+    for (const Pending &p : _pending)
+        payloads.emplace_back(static_cast<const u8 *>(p.data), p.bytes);
+    const std::vector<u64> sums = sectionChecksums(payloads);
+
     std::vector<StoreSectionEntry> table(n);
     u64 cur = alignUp(sizeof(StoreHeader) +
                       n * sizeof(StoreSectionEntry));
@@ -414,7 +441,7 @@ StoreWriter::writeFile(const std::string &path) const
                     _pending[i].name.size());
         e.offset = cur;
         e.bytes = _pending[i].bytes;
-        e.checksum = storeChecksum(_pending[i].data, _pending[i].bytes);
+        e.checksum = sums[i];
         cur = alignUp(cur + e.bytes);
     }
 
@@ -552,25 +579,14 @@ StoreFile::open(const std::string &path, std::string_view expect_kind,
     for (u64 i = 0; i < hdr.sectionCount && table_error.ok(); ++i)
         table_error = entry(i);
 
-    // The checksums of the sections before it, on every core and
-    // largest first so no big section starts last. The lowest-index
+    // The checksums of the sections before it. The lowest-index
     // failure wins, as in a serial walk.
-    const u64 n = f._sections.size();
-    std::vector<u64> order(n);
-    std::iota(order.begin(), order.end(), u64{0});
-    std::stable_sort(order.begin(), order.end(), [&](u64 x, u64 y) {
-        return f._sections[x].bytes > f._sections[y].bytes;
-    });
-    std::vector<u8> bad(n, 0);
-    parallelFor(n, 0, [&](u64 lo, u64 hi) {
-        for (u64 j = lo; j < hi; ++j) {
-            const Section &s = f._sections[order[j]];
-            bad[order[j]] =
-                storeChecksum(b.data() + s.offset, s.bytes) != s.checksum;
-        }
-    });
-    for (u64 i = 0; i < n; ++i)
-        if (bad[i])
+    std::vector<std::span<const u8>> payloads;
+    for (const Section &s : f._sections)
+        payloads.push_back(b.subspan(s.offset, s.bytes));
+    const std::vector<u64> sums = sectionChecksums(payloads);
+    for (u64 i = 0; i < sums.size(); ++i)
+        if (sums[i] != f._sections[i].checksum)
             return corrupt("section '" + f._sections[i].name +
                            "' checksum mismatch (bit rot or torn "
                            "write)");

@@ -219,7 +219,10 @@ class MmapRegion
  * Collects named sections (borrowed pointers — the caller keeps the
  * payloads alive until writeFile returns) and emits the whole store
  * atomically. Section order in the file is the order of addSection
- * calls; names must be unique, 1..15 bytes.
+ * calls; names must be unique, 1..15 bytes. writeFile checksums the
+ * sections on every core of ThreadPool::global(), as StoreFile::open
+ * does: call it from a caller thread, never from inside a pool
+ * region. The bytes do not depend on the width.
  */
 class StoreWriter
 {
@@ -321,9 +324,9 @@ class StoreFile
     std::vector<u8> _owned;
     std::span<const u8> _bytes;
     std::vector<Section> _sections;
-    /** Index into _sections by name: a snapshot looks up three
-     *  sections per segment, so a scan would make open() quadratic
-     *  in the segment count. */
+    /** Index into _sections by name: a snapshot looks up one
+     *  section per 8 MiB slice of its table, postings and filter,
+     *  so a scan would make open() quadratic in the slice count. */
     std::map<std::string, size_t, std::less<>> _byName;
 };
 

@@ -76,7 +76,7 @@ inline constexpr u64 kFlatIndexHashSeed = 0x9e3779b97f4a7c15ULL;
 /** Seed of the presence filter's hash (a murmur3 finalizer, so a
  *  key's filter word is unrelated to its slot). Snapshots store the
  *  filter bits, so this and FlatKmerIndex::filterProbe are part of the
- *  GXSNAP format (kind version 2). */
+ *  GXSNAP format (kSnapshotKindVersion). */
 inline constexpr u64 kFlatFilterHashSeed = 0x2545f4914f6cdd1dULL;
 
 /** Open-addressing k-mer index of a reference, or a window of one. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * The seeding lookup structure every consumer (SmemEngine, BwaMemLike,
- * GenomeSegments::buildSeedIndex) compiles against: the
+ * GenAxSystem and its per-segment windows) compiles against: the
  * cache-conscious FlatKmerIndex.
  *
  * The dense CSR KmerIndex stays a first-class type: it models the

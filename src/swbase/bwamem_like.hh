@@ -30,8 +30,8 @@ struct AlignerConfig
     AnchorConfig anchors;
     Scoring scoring;
     u32 band = 16;         //!< extension band (the edit bound K)
-    /** Worker threads for the index build and alignAll(); 0 = all
-     *  hardware threads. Results are identical at any width. */
+    /** Worker threads for the index build and the batch calls; 0 =
+     *  all hardware threads. Results are identical at any width. */
     unsigned threads = 1;
 };
 
@@ -47,19 +47,16 @@ class BwaMemLike
      *  k replaces cfg.k. */
     BwaMemLike(const Seq &ref, const AlignerConfig &cfg, SeedIndex index);
 
-    /** Align one read (both strands), returning its best mapping. */
-    Mapping alignRead(const Seq &read) const;
-
-    /** Align a batch of reads using cfg.threads workers. */
+    /** Each read's best mapping (both strands), on cfg.threads
+     *  workers; a read's result does not depend on the batch. */
     std::vector<Mapping> alignAll(const std::vector<Seq> &reads) const;
 
-    /**
-     * All distinct candidate mappings of a read (both strands),
-     * deduplicated by (position, strand) and sorted by descending
-     * score. Used by the paired-end rescuer. MAPQ fields are unset.
-     */
-    std::vector<Mapping> candidates(const Seq &read,
-                                    u32 max_out = 16) const;
+    /** Each read's distinct placements (deduplicated by position and
+     *  strand, at most `max_candidates`, in rank order, MAPQ unset),
+     *  for pairing: the twin of GenAxSystem::alignAllCandidates. */
+    std::vector<std::vector<Mapping>>
+    alignAllCandidates(const std::vector<Seq> &reads,
+                       u32 max_candidates = 16) const;
 
     const AlignerConfig &config() const { return _cfg; }
     const SeedIndex &index() const { return _index; }

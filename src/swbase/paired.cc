@@ -37,13 +37,6 @@ pairPenalty(const Mapping &a, const Mapping &b, const PairedConfig &cfg,
                          static_cast<i32>(std::lround(z * z / 2.0)));
 }
 
-/** Single-end MAPQ from a sorted candidate list. */
-u8
-soloMapq(const std::vector<Mapping> &c)
-{
-    return marginMapq(c[0].score, c.size() > 1 ? c[1].score : INT32_MIN);
-}
-
 } // namespace
 
 PairMapping
@@ -57,11 +50,11 @@ resolvePair(const std::vector<Mapping> &c1,
         // Only one mate maps: single-end resolution for it.
         if (!c1.empty()) {
             out.r1 = c1[0];
-            out.r1.mapq = soloMapq(c1);
+            out.r1.mapq = rankedMapq(c1);
         }
         if (!c2.empty()) {
             out.r2 = c2[0];
-            out.r2.mapq = soloMapq(c2);
+            out.r2.mapq = rankedMapq(c2);
         }
         return out;
     }

@@ -39,10 +39,10 @@ struct PairMapping
 };
 
 /**
- * Resolve a mate pair from per-mate candidate lists (sorted by
- * descending score, as produced by BwaMemLike::candidates or
- * GenAxSystem::alignAllCandidates). Engine-independent: this is the
- * pairing stage that sits downstream of any single-end aligner.
+ * Resolve a mate pair from per-mate lists of distinct placements in
+ * rank order (ranksBefore), as either engine's alignAllCandidates
+ * produces them. Engine-independent: this is the pairing stage that
+ * sits downstream of any single-end aligner.
  */
 PairMapping resolvePair(const std::vector<Mapping> &c1,
                         const std::vector<Mapping> &c2,

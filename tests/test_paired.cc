@@ -103,8 +103,8 @@ class PairedAlignerTest : public ::testing::Test
 PairMapping
 alignPair(const BwaMemLike &aligner, const Seq &r1, const Seq &r2)
 {
-    return resolvePair(aligner.candidates(r1, 16),
-                       aligner.candidates(r2, 16), {});
+    const auto cands = aligner.alignAllCandidates({r1, r2});
+    return resolvePair(cands[0], cands[1], {});
 }
 
 TEST_F(PairedAlignerTest, CleanPairsResolveProper)
@@ -173,10 +173,10 @@ TEST_F(PairedAlignerTest, MateRescuesRepetitiveRead)
                            static_cast<i64>(frag_start + 101));
 
     // Alone, R1 is ambiguous: two equal-scoring placements.
-    const auto solo = dup_aligner.candidates(r1, 8);
+    const auto solo = dup_aligner.alignAllCandidates({r1}, 8)[0];
     ASSERT_GE(solo.size(), 2u);
     EXPECT_EQ(solo[0].score, solo[1].score);
-    EXPECT_EQ(dup_aligner.alignRead(r1).mapq, 0);
+    EXPECT_EQ(dup_aligner.alignAll({r1})[0].mapq, 0);
 
     // Paired with the forward mate, the src copy must win.
     // Library geometry: fwd_mate is R1-forward, r1 acts as the

@@ -233,6 +233,31 @@ pairedWorkload()
     return w;
 }
 
+/** About 2,000 FR pairs of the divergent-repeats read model (2%
+ *  substitutions, 0.1% indels, 0.5% donor SNPs) on a 1 Mbp reference
+ *  with 30% repeats: mates whose candidate lists are long and tied. */
+PairedWorkload
+divergentPairedWorkload()
+{
+    RefGenConfig rcfg;
+    rcfg.length = 1'000'000;
+    rcfg.seed = 2201;
+    rcfg.repeatFraction = 0.30;
+    PairedWorkload w;
+    w.ref.push_back({"chr1", generateReference(rcfg)});
+    ReadSimConfig rs;
+    rs.numReads = 2000;
+    rs.seed = 2202;
+    rs.baseErrorRate = 0.02;
+    rs.readIndelRate = 0.001;
+    rs.snpRate = 0.005;
+    for (const auto &p : simulatePairs(w.ref[0].seq, rs)) {
+        w.r1.push_back({p.r1.name, p.r1.seq, p.r1.qual});
+        w.r2.push_back({p.r2.name, p.r2.seq, p.r2.qual});
+    }
+    return w;
+}
+
 /** FNV-1a 64 over the SAM text, then over the eight little-endian
  *  bytes of each ledger count. */
 u64
@@ -402,6 +427,37 @@ TEST(Pipeline, PairedSoftwareSamMatchesTheRecordedGolden)
                     << std::hex << samLedgerHash(sam, *res) << std::dec
                     << " inject " << inject << " batch " << batch
                     << " threads " << threads;
+            }
+        }
+    }
+    std::filesystem::remove_all(dir);
+
+    // The second input, on both engines, recorded at fd073cb: the
+    // same bytes at any thread count and batch size.
+    const PairedWorkload div = divergentPairedWorkload();
+    const PairedPaths div_files =
+        writePairedFiles(dir, div.ref, div.r1, div.r2);
+    opts.k = 12;
+    opts.band = 40;
+    using Engine = PipelineOptions::Engine;
+    for (const auto &[engine, want] :
+         {std::pair{Engine::Software, 0x7a6abb0b1e694943ull},
+          std::pair{Engine::GenAx, 0xc44c5140774d1e94ull}}) {
+        opts.engine = engine;
+        for (const unsigned threads : {1u, 4u}) {
+            for (const u64 batch : {u64{0}, u64{7}, u64{4096}}) {
+                opts.threads = threads;
+                opts.batchReads = batch;
+                const auto res = alignPairFiles(
+                    div_files.ref, div_files.r1, div_files.r2,
+                    div_files.sam, opts);
+                ASSERT_TRUE(res.ok()) << res.status().str();
+                EXPECT_EQ(res->reads, 4000u);
+                const std::string sam = fileText(div_files.sam);
+                EXPECT_EQ(samLedgerHash(sam, *res), want)
+                    << std::hex << samLedgerHash(sam, *res) << std::dec
+                    << " engine " << static_cast<int>(engine)
+                    << " batch " << batch << " threads " << threads;
             }
         }
     }

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <iterator>
+#include <set>
+#include <sstream>
 #include <utility>
 
 #include "common/rng.hh"
@@ -163,6 +165,15 @@ TEST_F(ExtendAnchorTest, ClipsAtReferenceStart)
 
 // ------------------------------------------------------- BwaMemLike
 
+std::vector<Seq>
+seqsOf(const std::vector<SimRead> &reads)
+{
+    std::vector<Seq> out;
+    for (const auto &r : reads)
+        out.push_back(r.seq);
+    return out;
+}
+
 class BwaMemLikeTest : public ::testing::Test
 {
   protected:
@@ -193,9 +204,10 @@ TEST_F(BwaMemLikeTest, ErrorFreeReadsMapExactly)
     rs.readIndelRate = 0;
     rs.sampleReverse = false;
     const auto reads = simulateReads(ref, rs);
-    for (const auto &r : reads) {
-        const auto m = aligner->alignRead(r.seq);
-        ASSERT_TRUE(m.mapped) << r.name;
+    const auto maps = aligner->alignAll(seqsOf(reads));
+    for (size_t i = 0; i < reads.size(); ++i) {
+        const Mapping &m = maps[i];
+        ASSERT_TRUE(m.mapped) << reads[i].name;
         EXPECT_EQ(m.score, 101);
         EXPECT_FALSE(m.reverse);
         // Repeats can yield a different-but-equal placement; the
@@ -209,9 +221,11 @@ TEST_F(BwaMemLikeTest, MutatedReadsMapNearTruth)
     ReadSimConfig rs;
     rs.numReads = 200;
     const auto reads = simulateReads(ref, rs);
+    const auto maps = aligner->alignAll(seqsOf(reads));
     u64 correct = 0;
-    for (const auto &r : reads) {
-        const auto m = aligner->alignRead(r.seq);
+    for (size_t i = 0; i < reads.size(); ++i) {
+        const SimRead &r = reads[i];
+        const Mapping &m = maps[i];
         if (!m.mapped)
             continue;
         const i64 delta = static_cast<i64>(m.pos) -
@@ -231,9 +245,11 @@ TEST_F(BwaMemLikeTest, ReverseStrandRecovered)
     rs.baseErrorRate = 0;
     rs.readIndelRate = 0;
     const auto reads = simulateReads(ref, rs);
+    const auto maps = aligner->alignAll(seqsOf(reads));
     bool saw_reverse = false;
-    for (const auto &r : reads) {
-        const auto m = aligner->alignRead(r.seq);
+    for (size_t i = 0; i < reads.size(); ++i) {
+        const SimRead &r = reads[i];
+        const Mapping &m = maps[i];
         ASSERT_TRUE(m.mapped);
         EXPECT_EQ(m.reverse, r.reverse);
         EXPECT_EQ(m.score, 101);
@@ -249,7 +265,7 @@ TEST_F(BwaMemLikeTest, GarbageReadIsUnmapped)
     Seq junk;
     for (int i = 0; i < 101; ++i)
         junk.push_back(i % 2 == 0 ? kBaseA : kBaseC);
-    const auto m = aligner->alignRead(junk);
+    const Mapping m = aligner->alignAll({junk})[0];
     // Either unmapped or a weak partial alignment.
     if (m.mapped) {
         EXPECT_LT(m.score, 60);
@@ -260,10 +276,7 @@ TEST_F(BwaMemLikeTest, MultithreadedMatchesSingleThreaded)
 {
     ReadSimConfig rs;
     rs.numReads = 80;
-    const auto sim = simulateReads(ref, rs);
-    std::vector<Seq> reads;
-    for (const auto &r : sim)
-        reads.push_back(r.seq);
+    const auto reads = seqsOf(simulateReads(ref, rs));
 
     const auto single = aligner->alignAll(reads);
     AlignerConfig mt_cfg = cfg;
@@ -283,7 +296,7 @@ TEST_F(BwaMemLikeTest, MapqReflectsUniqueness)
 {
     // A read from a unique region has high MAPQ.
     const Seq unique(ref.begin() + 12345, ref.begin() + 12446);
-    const auto m = aligner->alignRead(unique);
+    const Mapping m = aligner->alignAll({unique})[0];
     ASSERT_TRUE(m.mapped);
     EXPECT_GT(m.mapq, 20);
 
@@ -293,16 +306,84 @@ TEST_F(BwaMemLikeTest, MapqReflectsUniqueness)
                    ref.begin() + 50500);
     BwaMemLike dup_aligner(dup_ref, cfg);
     const Seq rep(ref.begin() + 50100, ref.begin() + 50201);
-    const auto dm = dup_aligner.alignRead(rep);
+    const Mapping dm = dup_aligner.alignAll({rep})[0];
     ASSERT_TRUE(dm.mapped);
     EXPECT_EQ(dm.mapq, 0);
 }
 
-// alignAll scores the pooled extension jobs in shards of whole 16-lane
-// groups. Read counts around one lane group, one shard-sized batch and
-// a serving batch put partial groups and a shard's scalar tail at
-// every width; each mapping must equal the read's own alignRead().
-TEST(BwaMemLikeShards, AlignAllMatchesAlignReadAtEveryShardBoundary)
+/** Every field of `got` equals `want`'s. */
+::testing::AssertionResult
+sameMapping(const Mapping &got, const Mapping &want)
+{
+    if (got.mapped == want.mapped && got.pos == want.pos &&
+        got.reverse == want.reverse && got.score == want.score &&
+        got.mapq == want.mapq && got.cigar == want.cigar)
+        return ::testing::AssertionSuccess();
+    const auto str = [](const Mapping &m) {
+        std::ostringstream os;
+        os << (m.mapped ? "" : "unmapped ") << m.pos
+           << (m.reverse ? '-' : '+') << " score " << m.score << " mapq "
+           << static_cast<int>(m.mapq) << " " << m.cigar.str();
+        return os.str();
+    };
+    return ::testing::AssertionFailure()
+           << "got " << str(got) << ", want " << str(want);
+}
+
+// A read's candidate list holds distinct placements in rank order,
+// and its head is alignAll's winner (MAPQ aside): of the candidates at
+// one placement the best-scoring, earliest one survives, which is the
+// one the winner fold picks.
+TEST(BwaMemLikeCandidates, DistinctRankedAndLedByTheWinner)
+{
+    RefGenConfig rcfg;
+    rcfg.length = 200'000;
+    rcfg.seed = 22;
+    rcfg.repeatFraction = 0.30;
+    const Seq ref = generateReference(rcfg);
+    ReadSimConfig rs;
+    rs.numReads = 600;
+    rs.seed = 22;
+    rs.baseErrorRate = 0.02;
+    rs.readIndelRate = 0.001;
+    const auto reads = seqsOf(simulateReads(ref, rs));
+
+    AlignerConfig cfg;
+    cfg.k = 12;
+    cfg.threads = 2;
+    const BwaMemLike aligner(ref, cfg);
+    const auto maps = aligner.alignAll(reads);
+    const auto cands = aligner.alignAllCandidates(reads, 1000);
+    u64 multi = 0;
+    for (size_t i = 0; i < reads.size(); ++i) {
+        const auto &c = cands[i];
+        ASSERT_EQ(c.empty(), !maps[i].mapped) << "read " << i;
+        if (c.empty())
+            continue;
+        multi += c.size() > 1;
+        Mapping head = c[0];
+        head.mapq = maps[i].mapq;
+        EXPECT_TRUE(sameMapping(head, maps[i])) << "read " << i;
+        for (size_t j = 0; j + 1 < c.size(); ++j)
+            EXPECT_TRUE(ranksBefore(c[j], c[j + 1]))
+                << "read " << i << ", candidate " << j;
+        std::set<std::pair<Pos, bool>> places;
+        for (const Mapping &m : c)
+            EXPECT_TRUE(places.insert({m.pos, m.reverse}).second)
+                << "read " << i << " repeats " << m.pos;
+        const auto capped = aligner.alignAllCandidates({reads[i]}, 2)[0];
+        ASSERT_EQ(capped.size(), std::min<size_t>(2, c.size()));
+        EXPECT_EQ(capped[0].pos, c[0].pos);
+    }
+    EXPECT_GT(multi, 100u); // the repeats give most reads a list
+}
+
+// Both batch calls score the pooled extension jobs in shards of whole
+// 16-lane groups. Read counts around one lane group, one shard-sized
+// batch and a serving batch put partial groups and a shard's scalar
+// tail at every width; each read's mapping and candidate list must
+// equal its one-read batch's.
+TEST(BwaMemLikeShards, BatchesMatchOneReadBatchesAtEveryShardBoundary)
 {
     RefGenConfig rcfg;
     rcfg.length = 200'000;
@@ -315,16 +396,17 @@ TEST(BwaMemLikeShards, AlignAllMatchesAlignReadAtEveryShardBoundary)
     rs.baseErrorRate = 0.02;
     rs.readIndelRate = 0.001;
     rs.snpRate = 0.005;
-    std::vector<Seq> reads;
-    for (auto &r : simulateReads(ref, rs))
-        reads.push_back(std::move(r.seq));
+    const auto reads = seqsOf(simulateReads(ref, rs));
 
     AlignerConfig cfg;
     cfg.k = 12;
     const BwaMemLike serial(ref, cfg);
     std::vector<Mapping> expect;
-    for (const Seq &read : reads)
-        expect.push_back(serial.alignRead(read));
+    std::vector<std::vector<Mapping>> expect_cands;
+    for (const Seq &read : reads) {
+        expect.push_back(serial.alignAll({read})[0]);
+        expect_cands.push_back(serial.alignAllCandidates({read})[0]);
+    }
 
     for (const unsigned width : {1u, 2u, 3u, 0u}) {
         cfg.threads = width;
@@ -333,19 +415,20 @@ TEST(BwaMemLikeShards, AlignAllMatchesAlignReadAtEveryShardBoundary)
             const std::vector<Seq> batch(
                 reads.begin(), reads.begin() + static_cast<i64>(n));
             const auto got = aligner.alignAll(batch);
+            const auto got_cands = aligner.alignAllCandidates(batch);
             ASSERT_EQ(got.size(), n);
+            ASSERT_EQ(got_cands.size(), n);
             for (size_t i = 0; i < n; ++i) {
-                const Mapping &e = expect[i];
-                const Mapping &g = got[i];
                 const auto where = ::testing::Message()
                                    << "width " << width << ", " << n
                                    << " reads, read " << i;
-                ASSERT_EQ(g.mapped, e.mapped) << where;
-                ASSERT_EQ(g.pos, e.pos) << where;
-                ASSERT_EQ(g.reverse, e.reverse) << where;
-                ASSERT_EQ(g.score, e.score) << where;
-                ASSERT_EQ(g.mapq, e.mapq) << where;
-                ASSERT_EQ(g.cigar, e.cigar) << where;
+                ASSERT_TRUE(sameMapping(got[i], expect[i])) << where;
+                ASSERT_EQ(got_cands[i].size(), expect_cands[i].size())
+                    << where;
+                for (size_t c = 0; c < got_cands[i].size(); ++c)
+                    ASSERT_TRUE(sameMapping(got_cands[i][c],
+                                            expect_cands[i][c]))
+                        << where << ", candidate " << c;
             }
         }
     }

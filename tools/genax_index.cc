@@ -30,6 +30,7 @@
 #include "genax/pipeline.hh"
 #include "io/store.hh"
 #include "seed/index_snapshot.hh"
+#include "seed/segment.hh"
 
 using namespace genax;
 
@@ -193,13 +194,16 @@ main(int argc, char **argv)
         std::fprintf(stderr, "genax_index: %s\n", st.str().c_str());
         return kExitError;
     }
+    // The stored count: segments that would start past the end of the
+    // reference are dropped.
+    const u64 stored = GenomeSegments(contigs.sequence(), cfg).count();
     std::fprintf(stderr,
                  "snapshot: %llu bp, k=%u, %llu segment%s "
                  "(overlap %llu) -> %s\n",
                  static_cast<unsigned long long>(
                      contigs.sequence().size()),
-                 k, static_cast<unsigned long long>(segments),
-                 segments == 1 ? "" : "s",
+                 k, static_cast<unsigned long long>(stored),
+                 stored == 1 ? "" : "s",
                  static_cast<unsigned long long>(overlap),
                  out_path.c_str());
     return ref_stats.malformed > 0 ? kExitPartial : kExitOk;
