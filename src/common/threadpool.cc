@@ -2,23 +2,21 @@
 
 #include <algorithm>
 
-#include "common/check.hh"
-
 namespace genax {
 
 ThreadPool::ThreadPool(unsigned workers)
 {
     workers = std::max(1u, workers);
-    _queues.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i)
-        _queues.push_back(std::make_unique<WorkerQueue>());
     _threads.reserve(workers);
     try {
         for (unsigned i = 0; i < workers; ++i)
-            _threads.emplace_back([this, i]() { workerLoop(i); });
+            _threads.emplace_back([this]() { workerLoop(); });
     } catch (...) {
         // Thread spawn failed part-way: shut down what started.
-        _stop.store(true);
+        {
+            const MutexLock lk(_mu);
+            _stop = true;
+        }
         _cv.notifyAll();
         for (auto &t : _threads)
             t.join();
@@ -30,7 +28,7 @@ ThreadPool::~ThreadPool()
 {
     {
         const MutexLock lk(_mu);
-        _stop.store(true);
+        _stop = true;
     }
     _cv.notifyAll();
     for (auto &t : _threads)
@@ -62,69 +60,106 @@ ThreadPool::resolveWidth(unsigned requested)
 }
 
 void
-ThreadPool::submit(std::function<void()> task)
+ThreadPool::Region::work(unsigned slot)
 {
-    GENAX_CHECK(task != nullptr, "null task submitted to thread pool");
-    const u64 victim = _rr.fetch_add(1, std::memory_order_relaxed) %
-                       _queues.size();
-    {
-        const MutexLock lk(_queues[victim]->mu);
-        _queues[victim]->tasks.push_back(std::move(task));
-    }
-    {
-        // The increment must synchronize with the sleep mutex:
-        // otherwise it can land inside a worker's locked
-        // predicate-check window and the notify is lost.
-        const MutexLock lk(_mu);
-        _pending.fetch_add(1);
-    }
-    _cv.notifyOne();
-}
-
-std::function<void()>
-ThreadPool::grab(unsigned self)
-{
-    // Own deque first (front: oldest local work keeps FIFO fairness
-    // for fire-and-forget tasks) ...
-    {
-        WorkerQueue &own = *_queues[self];
-        const MutexLock lk(own.mu);
-        if (!own.tasks.empty()) {
-            auto task = std::move(own.tasks.front());
-            own.tasks.pop_front();
-            return task;
+    for (;;) {
+        const u64 lo = cursor.fetch_add(chunk, std::memory_order_relaxed);
+        if (lo >= n)
+            return;
+        try {
+            fn(slot, lo, std::min(n, lo + chunk));
+        } catch (...) {
+            const MutexLock g(mu);
+            if (!error)
+                error = std::current_exception();
         }
     }
-    // ... then steal from the back of the other deques.
-    for (size_t i = 1; i < _queues.size(); ++i) {
-        WorkerQueue &victim = *_queues[(self + i) % _queues.size()];
-        const MutexLock lk(victim.mu);
-        if (!victim.tasks.empty()) {
-            auto task = std::move(victim.tasks.back());
-            victim.tasks.pop_back();
-            return task;
-        }
-    }
-    return nullptr;
 }
 
 void
-ThreadPool::workerLoop(unsigned id)
+ThreadPool::parallelFor(u64 n, unsigned width, const ChunkFn &fn,
+                        u64 chunk_hint)
+{
+    width = static_cast<unsigned>(std::min<u64>(std::max(1u, width), n));
+    if (width <= 1) {
+        if (n > 0)
+            fn(0, 0, n);
+        return;
+    }
+    Region rg(fn, n,
+              chunk_hint != 0 ? chunk_hint
+                              : std::max<u64>(1, n / (u64{8} * width)));
+    const unsigned seats = width - 1;
+    unsigned wake = 0;
+    {
+        const MutexLock lk(_mu);
+        _open.push_back({&rg, seats, 0});
+        wake = std::min(seats, _idle);
+    }
+    for (unsigned i = 0; i < wake; ++i)
+        _cv.notifyOne();
+
+    rg.work(0);
+
+    // Close the region: a worker that has not taken a seat by now
+    // never will, so only the helpers that joined are waited for.
+    unsigned joined = seats;
+    {
+        const MutexLock lk(_mu);
+        const auto it =
+            std::find_if(_open.begin(), _open.end(),
+                         [&](const Seats &s) { return s.region == &rg; });
+        if (it != _open.end()) {
+            joined = it->taken;
+            _open.erase(it);
+        }
+    }
+    const MutexLock lk(rg.mu);
+    while (rg.left != joined)
+        rg.cv.wait(rg.mu);
+    if (rg.error)
+        std::rethrow_exception(rg.error);
+}
+
+std::vector<ThreadPool::Seats>::iterator
+ThreadPool::joinable()
+{
+    // A region whose cursor has run out stays open until its caller
+    // closes it, but a seat there would only add a helper to wait for.
+    return std::find_if(_open.begin(), _open.end(), [](const Seats &s) {
+        return s.region->cursor.load(std::memory_order_relaxed) <
+               s.region->n;
+    });
+}
+
+void
+ThreadPool::workerLoop()
 {
     for (;;) {
-        if (auto task = grab(id)) {
-            _pending.fetch_sub(1);
-            task();
-            continue;
+        Region *rg = nullptr;
+        unsigned slot = 0;
+        {
+            const MutexLock lk(_mu);
+            auto it = joinable();
+            while (!_stop && it == _open.end()) {
+                ++_idle;
+                _cv.wait(_mu);
+                --_idle;
+                it = joinable();
+            }
+            if (_stop)
+                return;
+            rg = it->region;
+            slot = ++it->taken;
+            if (it->taken == it->total)
+                _open.erase(it);
         }
-        const MutexLock lk(_mu);
-        while (!_stop.load() &&
-               _pending.load(std::memory_order_relaxed) == 0)
-            _cv.wait(_mu);
-        // On shutdown keep draining until every queue is empty so no
-        // submitted task is silently dropped.
-        if (_stop.load() && _pending.load() == 0)
-            return;
+        rg->work(slot);
+        // Notify under the lock: once `left` reaches the joined count
+        // the caller may return and destroy the region.
+        const MutexLock lk(rg->mu);
+        ++rg->left;
+        rg->cv.notifyOne();
     }
 }
 

@@ -1,41 +1,35 @@
 /**
  * @file
- * Persistent work-stealing thread pool.
+ * Fork-join regions on a persistent thread pool.
  *
  * One pool outlives many parallel regions, so repeated batch calls
  * (the aligner's alignAll, the GenAx system's per-segment read loop)
  * pay thread-spawn cost once per process instead of once per call.
  *
- * Structure:
+ * The pool runs regions, not tasks. A region is an atomic chunk
+ * cursor over [0, n) plus width - 1 seats. Publishing it wakes at
+ * most that many idle workers; each takes a seat (slot 1 .. width-1)
+ * and pulls chunks, while the caller pulls chunks as slot 0. When the
+ * cursor runs out the caller closes the region to late helpers and
+ * waits only for the helpers that joined. So a region never waits on
+ * a worker that is busy elsewhere: the caller just runs more of its
+ * own chunks, and regions may nest or run from several threads at
+ * once.
  *
- *  - Each worker owns a deque of tasks. submit() distributes tasks
- *    round-robin; a worker pops its own deque from the front and
- *    steals from the back of a victim's deque when its own is empty.
- *  - parallelFor() implements chunked dynamic scheduling on top of
- *    the task layer: `width` runners (the caller plus width-1 pool
- *    tasks) pull fixed-size chunks from a shared atomic cursor, so
- *    skewed per-item cost rebalances automatically instead of
- *    serializing on the unluckiest static chunk.
- *  - Exceptions thrown by chunk bodies are captured; every chunk is
- *    still attempted, and the first captured exception is rethrown to
- *    the caller once the region has fully drained (the same contract
- *    the old spawn-per-call parallelFor had).
- *
- * The process-wide default pool is created lazily on first use with
- * one worker per hardware thread and lives until process exit.
- * Callers that need per-runner state (per-worker lanes, stat shards)
- * receive a stable slot index in [0, width); a slot is only ever
- * active on one thread at a time, so per-slot state needs no locking.
+ * Chunks are dynamic, so skewed per-item cost rebalances instead of
+ * serializing on the unluckiest static share. Exceptions thrown by
+ * chunk bodies are captured; every chunk is still attempted, and the
+ * first captured exception is rethrown to the caller once the region
+ * has drained. A slot is active on one thread at a time, so per-slot
+ * state (per-worker lanes, stat shards) needs no locking.
  */
 
 #ifndef GENAX_COMMON_THREADPOOL_HH
 #define GENAX_COMMON_THREADPOOL_HH
 
 #include <atomic>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -47,24 +41,20 @@ namespace genax {
 class ThreadPool
 {
   public:
-    /** Spawn `workers` persistent worker threads (at least one, so a
-     *  parallel region's helper tasks always make progress). */
+    /** One chunk body: fn(slot, lo, hi). */
+    using ChunkFn = std::function<void(unsigned, u64, u64)>;
+
+    /** Spawn `workers` persistent worker threads (at least one). */
     explicit ThreadPool(unsigned workers);
 
-    /** Drains every queued task, then joins the workers. */
+    /** Joins the workers; no region may be running on the pool. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    unsigned
-    workerCount() const
-    {
-        return static_cast<unsigned>(_threads.size());
-    }
-
     /** Lazily-created process-wide pool (hardware_concurrency
-     *  workers). */
+     *  workers) behind the free parallelFor. */
     static ThreadPool &global();
 
     /** Resolve a requested parallel width: 0 means "all hardware
@@ -73,103 +63,81 @@ class ThreadPool
      *  short-circuits parallelFor to the serial path). */
     static unsigned resolveWidth(unsigned requested);
 
-    /** Enqueue one fire-and-forget task. */
-    void submit(std::function<void()> task);
-
     /**
-     * Run fn(slot, lo, hi) over [0, n) with chunked dynamic
-     * scheduling across `width` concurrent runners. Runner `slot` 0
-     * is the calling thread; slots 1..width-1 are pool tasks. Blocks
-     * until the whole range has been processed; rethrows the first
-     * exception captured from a chunk body (all chunks are still
-     * attempted). `chunk_hint` overrides the chunk size (0 picks
-     * n / (8 * width), clamped to at least 1).
+     * Run fn over [0, n) as one region of up to `width` runners: the
+     * caller as slot 0 plus whichever of the width - 1 seats idle
+     * workers take. Returns once every chunk was attempted and every
+     * helper that joined has left, rethrowing the first exception a
+     * chunk threw. `chunk_hint` overrides the chunk size (0 picks
+     * max(1, n / (8 * width))). A width of 1, after clamping to n,
+     * runs fn(0, 0, n) inline.
      */
-    template <typename Fn>
-    void
-    parallelFor(u64 n, unsigned width, Fn &&fn, u64 chunk_hint = 0)
-    {
-        if (n == 0)
-            return;
-        width = static_cast<unsigned>(
-            std::min<u64>(std::max(1u, width), n));
-        if (width == 1) {
-            fn(0u, u64{0}, n);
-            return;
-        }
-        Region rg;
-        rg.n = n;
-        rg.chunk = chunk_hint != 0
-                       ? chunk_hint
-                       : std::max<u64>(1, n / (u64{8} * width));
-
-        auto runner = [&rg, &fn](unsigned slot) {
-            for (;;) {
-                const u64 lo = rg.cursor.fetch_add(
-                    rg.chunk, std::memory_order_relaxed);
-                if (lo >= rg.n)
-                    return;
-                const u64 hi = std::min(rg.n, lo + rg.chunk);
-                try {
-                    fn(slot, lo, hi);
-                } catch (...) {
-                    const MutexLock g(rg.mu);
-                    if (!rg.error)
-                        rg.error = std::current_exception();
-                }
-            }
-        };
-
-        const unsigned helpers = width - 1;
-        for (unsigned s = 1; s <= helpers; ++s) {
-            submit([&rg, runner, s]() {
-                runner(s);
-                const MutexLock g(rg.mu);
-                ++rg.done;
-                rg.cv.notifyOne();
-            });
-        }
-        runner(0);
-        const MutexLock lk(rg.mu);
-        while (rg.done != helpers)
-            rg.cv.wait(rg.mu);
-        if (rg.error)
-            std::rethrow_exception(rg.error);
-    }
+    void parallelFor(u64 n, unsigned width, const ChunkFn &fn,
+                     u64 chunk_hint = 0);
 
   private:
-    /** Shared state of one parallelFor region (lives on the caller's
-     *  stack; the caller blocks until every helper has finished). */
+    /** One region's shared state; it lives on the caller's stack. */
     struct Region
     {
+        Region(const ChunkFn &body, u64 items, u64 chunk_size)
+            : fn(body), n(items), chunk(chunk_size)
+        {
+        }
+
+        const ChunkFn &fn;
+        const u64 n;
+        const u64 chunk;
         std::atomic<u64> cursor{0};
-        u64 n = 0;
-        u64 chunk = 1;
         Mutex mu;
-        CondVar cv;
+        CondVar cv; //!< signalled as each helper leaves
+        unsigned left GENAX_GUARDED_BY(mu) = 0;
         std::exception_ptr error GENAX_GUARDED_BY(mu);
-        unsigned done GENAX_GUARDED_BY(mu) = 0;
+
+        /** Pull chunks as `slot` until the cursor passes n. */
+        void work(unsigned slot);
     };
 
-    struct WorkerQueue
+    /** A published region's seats: it stays in _open until all are
+     *  taken or its caller closes it. */
+    struct Seats
     {
-        Mutex mu;
-        std::deque<std::function<void()>> tasks GENAX_GUARDED_BY(mu);
+        Region *region;
+        unsigned total;
+        unsigned taken;
     };
 
-    void workerLoop(unsigned id);
+    /** The first open region with chunks left, else _open.end(). */
+    std::vector<Seats>::iterator joinable() GENAX_REQUIRES(_mu);
 
-    /** Pop from own deque front, else steal from a victim's back. */
-    std::function<void()> grab(unsigned self);
+    void workerLoop();
 
-    std::vector<std::unique_ptr<WorkerQueue>> _queues;
+    Mutex _mu;
+    CondVar _cv; //!< wakes idle workers
+    std::vector<Seats> _open GENAX_GUARDED_BY(_mu);
+    unsigned _idle GENAX_GUARDED_BY(_mu) = 0;
+    bool _stop GENAX_GUARDED_BY(_mu) = false;
     std::vector<std::thread> _threads;
-    Mutex _mu; //!< sleep/wake
-    CondVar _cv;
-    std::atomic<u64> _pending{0};
-    std::atomic<bool> _stop{false};
-    std::atomic<u64> _rr{0}; //!< round-robin submit cursor
 };
+
+/**
+ * Run fn(slot, lo, hi) over [0, n) on up to `threads` runners of
+ * ThreadPool::global() (0 = all hardware threads; see
+ * ThreadPool::resolveWidth). The calls get disjoint subranges whose
+ * union is exactly [0, n), and slot < the resolved width; `chunk`
+ * overrides the chunk size. At width 1, or for n = 1, fn(0, 0, n)
+ * runs inline and the pool is never created; n = 0 calls nothing. A
+ * region may be entered from inside another one.
+ */
+template <typename Fn>
+void
+parallelFor(u64 n, unsigned threads, Fn &&fn, u64 chunk = 0)
+{
+    const unsigned width = ThreadPool::resolveWidth(threads);
+    if (width > 1 && n > 1)
+        ThreadPool::global().parallelFor(n, width, std::ref(fn), chunk);
+    else if (n > 0)
+        fn(0u, u64{0}, n);
+}
 
 } // namespace genax
 

@@ -297,7 +297,7 @@ GenAxSystem::streamBatchCandidates(const std::vector<Seq> &reads,
     // anchors. Each read's candidates are inserted segment-major,
     // then strand-major, exact matches before anchors — the sequence
     // the set's insertion-order-sensitive prune is pinned to.
-    ThreadPool::global().parallelFor(
+    parallelFor(
         reads.size(), st.width, [&](unsigned slot, u64 lo, u64 hi) {
             WorkerShard &ws = st.shards[slot];
             // The index is shared read-only; each chunk gets its own
@@ -419,7 +419,7 @@ GenAxSystem::streamBatchCandidates(const std::vector<Seq> &reads,
     // engine does. Per-read and independent, so this also shards
     // cleanly.
     std::vector<std::vector<Mapping>> out(reads.size());
-    ThreadPool::global().parallelFor(
+    parallelFor(
         reads.size(), st.width, [&](unsigned, u64 lo, u64 hi) {
             for (u64 r = lo; r < hi; ++r) {
                 auto &c = cands[r].list;
@@ -470,7 +470,7 @@ GenAxSystem::streamEnd()
     std::vector<Cycle> sim_cycles;
     if (_cfg.simulateSeedingLanes) {
         sim_cycles.assign(_segments.count(), 0);
-        ThreadPool::global().parallelFor(
+        parallelFor(
             _segments.count(), st.width,
             [&](unsigned, u64 lo, u64 hi) {
                 for (u64 seg = lo; seg < hi; ++seg) {

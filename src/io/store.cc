@@ -16,7 +16,7 @@
 
 #include "common/check.hh"
 #include "common/faultinject.hh"
-#include "common/parallel.hh"
+#include "common/threadpool.hh"
 
 // The on-disk format is little-endian POD aliased in place; a
 // big-endian port would need byte-swapping loads, not just a
@@ -146,8 +146,7 @@ alignUp(u64 v)
 }
 
 /** storeChecksum of every section, on every core and largest first
- *  so no big section starts last: the writer's and open()'s one walk.
- *  Call it from a caller thread, never from inside a pool region. */
+ *  so no big section starts last: the writer's and open()'s one walk. */
 std::vector<u64>
 sectionChecksums(const std::vector<std::span<const u8>> &sections)
 {
@@ -158,7 +157,7 @@ sectionChecksums(const std::vector<std::span<const u8>> &sections)
         return sections[x].size() > sections[y].size();
     });
     std::vector<u64> sums(n);
-    parallelFor(n, 0, [&](u64 lo, u64 hi) {
+    parallelFor(n, 0, [&](unsigned, u64 lo, u64 hi) {
         for (u64 j = lo; j < hi; ++j) {
             const auto &s = sections[order[j]];
             sums[order[j]] = storeChecksum(s.data(), s.size());

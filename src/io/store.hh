@@ -26,9 +26,7 @@
  * io.store.mmap_fail fault site drives that path in tests). All
  * structural validation and the full checksum walk happen at open —
  * a successfully opened store hands out infallible section spans.
- * The walk checksums sections concurrently on ThreadPool::global(),
- * so open() is called from a caller thread, never from inside a pool
- * region.
+ * The walk checksums sections concurrently on every core.
  *
  * Fault sites (DESIGN.md "On-disk stores & durability"):
  * io.store.short_write / io.store.eio / io.store.enospc on the write
@@ -220,9 +218,8 @@ class MmapRegion
  * payloads alive until writeFile returns) and emits the whole store
  * atomically. Section order in the file is the order of addSection
  * calls; names must be unique, 1..15 bytes. writeFile checksums the
- * sections on every core of ThreadPool::global(), as StoreFile::open
- * does: call it from a caller thread, never from inside a pool
- * region. The bytes do not depend on the width.
+ * sections on every core, as StoreFile::open does. The bytes do not
+ * depend on the width.
  */
 class StoreWriter
 {

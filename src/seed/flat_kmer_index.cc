@@ -123,20 +123,6 @@ prefetchForWrite(const void *p)
 #endif
 }
 
-/** fn(slot, lo, hi) over [0, n) on `width` runners of the global
- *  pool; width 1 runs inline and never creates the pool. */
-template <typename Fn>
-void
-runRegion(u64 n, unsigned width, Fn &&fn, u64 chunk = 0)
-{
-    if (width <= 1) {
-        if (n > 0)
-            fn(0u, u64{0}, n);
-        return;
-    }
-    ThreadPool::global().parallelFor(n, width, fn, chunk);
-}
-
 /**
  * The key word a slot holds while the table fills: from the top, the
  * key's first occurrence cut to kPriorityBits (its top bits out of the
@@ -237,7 +223,7 @@ struct FlatKmerIndex::Builder
         // cursor[r * buckets + b]: where range r writes bucket b's next
         // word. Ranges write in range order within a bucket.
         std::vector<u32> cursor(ranges * buckets, 0);
-        runRegion(ranges, width, [&](unsigned, u64 lo, u64 hi) {
+        parallelFor(ranges, width, [&](unsigned, u64 lo, u64 hi) {
             for (u64 r = lo; r < hi; ++r) {
                 u32 *count = &cursor[r * buckets];
                 const auto [p0, p1] = rangeOf(r);
@@ -259,7 +245,7 @@ struct FlatKmerIndex::Builder
         }
         bucket_start[buckets] = at;
         std::vector<u64, UninitAllocator<u64>> words(kmers);
-        runRegion(ranges, width, [&](unsigned, u64 lo, u64 hi) {
+        parallelFor(ranges, width, [&](unsigned, u64 lo, u64 hi) {
             for (u64 r = lo; r < hi; ++r) {
                 u32 *next = &cursor[r * buckets];
                 const auto [p0, p1] = rangeOf(r);
@@ -283,7 +269,7 @@ struct FlatKmerIndex::Builder
         if (lowBits == 0)
             return; // a bucket holds one key
         std::vector<std::vector<u64>> scratch(width);
-        runRegion(buckets, width, [&](unsigned slot, u64 lo, u64 hi) {
+        parallelFor(buckets, width, [&](unsigned slot, u64 lo, u64 hi) {
             for (u64 b = lo; b < hi; ++b) {
                 u64 *first = words + bucket_start[b];
                 const u64 m = bucket_start[b + 1] - bucket_start[b];
@@ -324,7 +310,7 @@ struct FlatKmerIndex::Builder
     extractPostings(const u64 *words)
     {
         idx._positions.resize(kmers);
-        runRegion(starts.size(), width, [&](unsigned, u64 lo, u64 hi) {
+        parallelFor(starts.size(), width, [&](unsigned, u64 lo, u64 hi) {
             for (u64 w = lo; w < hi; ++w) {
                 u64 bits = 0;
                 const u64 end = std::min(kmers, 64 * w + 64);
@@ -437,7 +423,7 @@ struct FlatKmerIndex::Builder
             fillRange<false>(fw, 0, starts.size());
             return;
         }
-        runRegion(starts.size(), width, [&](unsigned, u64 lo, u64 hi) {
+        parallelFor(starts.size(), width, [&](unsigned, u64 lo, u64 hi) {
             fillRange<true>(fw, lo, hi);
         });
     }
@@ -466,8 +452,8 @@ struct FlatKmerIndex::Builder
     {
         const FillWords fw(idx._k, kmers, idx._positions.data());
         std::vector<u32> max_hits(width, 0);
-        runRegion(idx._table.size(), width,
-                  [&](unsigned slot, u64 lo, u64 hi) {
+        parallelFor(idx._table.size(), width,
+                    [&](unsigned slot, u64 lo, u64 hi) {
             u32 max_hit = max_hits[slot];
             for (u64 s = lo; s < hi; ++s) {
                 Entry &e = idx._table[s];
@@ -517,12 +503,12 @@ FlatKmerIndex::FlatKmerIndex(const Seq &ref, u32 k, unsigned threads)
     const u64 slots = std::bit_ceil(std::max<u64>(16, 2 * kmers));
     _table.resize(slots);
     _mask = slots - 1;
-    runRegion(slots, b.width, [&](unsigned, u64 lo, u64 hi) {
+    parallelFor(slots, b.width, [&](unsigned, u64 lo, u64 hi) {
         std::fill(_table.begin() + static_cast<i64>(lo),
                   _table.begin() + static_cast<i64>(hi), Entry{});
     });
     _filter.resize(filterWords(_distinct));
-    runRegion(_filter.size(), b.width, [&](unsigned, u64 lo, u64 hi) {
+    parallelFor(_filter.size(), b.width, [&](unsigned, u64 lo, u64 hi) {
         std::fill(_filter.begin() + static_cast<i64>(lo),
                   _filter.begin() + static_cast<i64>(hi), u64{0});
     });

@@ -88,9 +88,8 @@ class FlatKmerIndex
      *
      * @param ref     the reference's bases (at most 2^31 of them)
      * @param k       k-mer length (1..13; the paper uses 12)
-     * @param threads build width on ThreadPool::global(); 0 means all
-     *                hardware threads. Call from a caller thread,
-     *                never from inside a pool region.
+     * @param threads build width (parallelFor); 0 means all
+     *                hardware threads
      */
     FlatKmerIndex(const Seq &ref, u32 k, unsigned threads = 1);
 

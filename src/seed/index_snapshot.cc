@@ -6,7 +6,7 @@
 #include <numeric>
 
 #include "common/check.hh"
-#include "common/parallel.hh"
+#include "common/threadpool.hh"
 
 namespace genax {
 
@@ -117,7 +117,7 @@ validateTable(const std::string &path,
     const u64 chunks = (table.size() + kWalkEntries - 1) / kWalkEntries;
     std::vector<Status> errors(chunks);
     std::vector<u64> occupied(chunks, 0);
-    parallelFor(chunks, 0, [&](u64 lo, u64 hi) {
+    parallelFor(chunks, 0, [&](unsigned, u64 lo, u64 hi) {
         for (u64 c = lo; c < hi; ++c) {
             const u64 end = std::min(table.size(), (c + 1) * kWalkEntries);
             u64 n = 0; // counted locally: runners share occupied's lines

@@ -96,12 +96,10 @@ class IndexSnapshot
     /**
      * Build a snapshot of `ref` under `cfg` and write it atomically
      * to `path`. Builds the whole-reference FlatKmerIndex in memory
-     * first (O(reference) peak), at every hardware thread on
-     * ThreadPool::global() — so call it from a caller thread, never
-     * from inside a pool region. The bytes do not depend on the
-     * width. The segment count and overlap are recorded for the
-     * GenAx engine; `contigs` describe the concatenated layout for
-     * SAM headers.
+     * first (O(reference) peak), at every hardware thread. The bytes
+     * do not depend on the width. The segment count and overlap are
+     * recorded for the GenAx engine; `contigs` describe the
+     * concatenated layout for SAM headers.
      */
     static Status build(const std::string &path, const Seq &ref,
                         const std::vector<SnapshotContig> &contigs,
@@ -111,10 +109,8 @@ class IndexSnapshot
      * Open and fully validate a snapshot (mmap preferred; owned read
      * on mmap failure). The table, postings and filter are stored in
      * fixed-size slices, so the checksum walk and the table walk
-     * both run on every core of ThreadPool::global(): call it from a
-     * caller thread, never from inside a pool region. Corruption and
-     * any format version but kSnapshotKindVersion are InvalidInput;
-     * OS trouble is IoError.
+     * both run on every core. Corruption and any format version but
+     * kSnapshotKindVersion are InvalidInput; OS trouble is IoError.
      */
     static StatusOr<IndexSnapshot> open(const std::string &path,
                                         bool prefer_mmap = true);

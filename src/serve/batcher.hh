@@ -33,8 +33,9 @@
  * Locking (DESIGN.md lock-order inventory): one leaf Mutex `_mu`
  * guards the queue, the histograms and the ledgers. The engine runs
  * strictly outside the lock, so producers keep queueing while a
- * batch aligns. The worker's engine calls may take the ThreadPool's
- * internal locks; `_mu` is never held across them.
+ * batch aligns. The worker's engine calls may run pool regions, which
+ * take only the pool's own leaf locks; `_mu` is never held across
+ * them.
  */
 
 #ifndef GENAX_SERVE_BATCHER_HH

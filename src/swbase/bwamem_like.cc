@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "align/simd/batch_score.hh"
-#include "common/parallel.hh"
+#include "common/threadpool.hh"
 #include "seed/smem_engine.hh"
 
 namespace genax {
@@ -170,7 +170,7 @@ scorePooled(const SeedIndex &index, const Seq &ref,
             Finish &&finish)
 {
     std::vector<std::vector<ScoredCandidate>> all(reads.size());
-    parallelFor(reads.size(), cfg.threads, [&](u64 lo, u64 hi) {
+    parallelFor(reads.size(), cfg.threads, [&](unsigned, u64 lo, u64 hi) {
         for (u64 i = lo; i < hi; ++i)
             all[i] = buildReadCandidates(index, ref, cfg, reads[i]);
     });
@@ -198,7 +198,7 @@ scorePooled(const SeedIndex &index, const Seq &ref,
     }
     constexpr u64 kLaneGroup = 16;
     const u64 groups = (jobs.size() + kLaneGroup - 1) / kLaneGroup;
-    parallelFor(groups, cfg.threads, [&](u64 lo, u64 hi) {
+    parallelFor(groups, cfg.threads, [&](unsigned, u64 lo, u64 hi) {
         const u64 first = lo * kLaneGroup;
         const u64 last = std::min<u64>(jobs.size(), hi * kLaneGroup);
         const auto scores = simd::scoreCandidateBatch(
@@ -209,7 +209,7 @@ scorePooled(const SeedIndex &index, const Seq &ref,
             *hints[j] = scores[j - first];
     });
 
-    parallelFor(reads.size(), cfg.threads, [&](u64 lo, u64 hi) {
+    parallelFor(reads.size(), cfg.threads, [&](unsigned, u64 lo, u64 hi) {
         for (u64 i = lo; i < hi; ++i) {
             // Both hints fix a candidate's score and position.
             for (ScoredCandidate &c : all[i]) {

@@ -1,13 +1,12 @@
 /**
  * @file
  * Edge cases, failure injection and death tests across modules:
- * logging contracts, parallel helper coverage, degenerate sequences,
- * boundary-sized inputs, and invariant violations that must abort.
+ * logging contracts, degenerate sequences, boundary-sized inputs, and
+ * invariant violations that must abort.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 
 #include "align/cigar.hh"
@@ -15,7 +14,6 @@
 #include "align/gotoh.hh"
 #include "align/myers.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "genax/dram_model.hh"
 #include "seed/smem_engine.hh"
@@ -48,45 +46,6 @@ TEST(LoggingDeath, AssertFiresOnlyWhenFalse)
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     GENAX_ASSERT(1 + 1 == 2, "fine");
     EXPECT_DEATH(GENAX_ASSERT(1 + 1 == 3, "math"), "assertion failed");
-}
-
-// ----------------------------------------------------------- parallel
-
-TEST(Parallel, CoversEveryIndexExactlyOnce)
-{
-    std::vector<std::atomic<int>> hits(1000);
-    parallelFor(1000, 4, [&](u64 lo, u64 hi) {
-        for (u64 i = lo; i < hi; ++i)
-            hits[i].fetch_add(1);
-    });
-    for (const auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Parallel, MoreThreadsThanWork)
-{
-    std::atomic<u64> sum{0};
-    parallelFor(3, 16, [&](u64 lo, u64 hi) {
-        for (u64 i = lo; i < hi; ++i)
-            sum.fetch_add(i + 1);
-    });
-    EXPECT_EQ(sum.load(), 6u);
-}
-
-TEST(Parallel, ZeroItemsIsNoop)
-{
-    bool called_nonempty = false;
-    parallelFor(0, 4, [&](u64 lo, u64 hi) {
-        called_nonempty |= hi > lo;
-    });
-    EXPECT_FALSE(called_nonempty);
-}
-
-TEST(Parallel, SingleThreadRunsInline)
-{
-    u64 total = 0; // no atomics needed inline
-    parallelFor(100, 1, [&](u64 lo, u64 hi) { total += hi - lo; });
-    EXPECT_EQ(total, 100u);
 }
 
 // -------------------------------------------------------------- cigar

@@ -19,7 +19,6 @@
  * 2 on a usage error, 3 on an unrecoverable error.
  */
 
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -27,7 +26,6 @@
 #include <string>
 
 #include "align/simd/dispatch.hh"
-#include "common/faultinject.hh"
 #include "flags.hh"
 #include "genax/pipeline.hh"
 
@@ -37,7 +35,6 @@ namespace {
 
 constexpr int kExitOk = 0;
 constexpr int kExitPartial = 1;
-constexpr int kExitUsage = 2;
 constexpr int kExitError = 3;
 
 void
@@ -100,14 +97,6 @@ printHelp(const char *prog, std::FILE *to)
         prog);
 }
 
-[[noreturn]] void
-usageError(const char *prog, const char *msg)
-{
-    std::fprintf(stderr, "%s: %s\n", prog, msg);
-    printHelp(prog, stderr);
-    std::exit(kExitUsage);
-}
-
 void
 printParseTrouble(const char *label, const ReaderStats &stats)
 {
@@ -135,85 +124,39 @@ main(int argc, char **argv)
     std::string ref, reads, reads2, out, inject;
     PipelineOptions opts;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usageError(argv[0],
-                           ("missing value for " + arg).c_str());
-            return argv[++i];
-        };
-        auto number = [&](u64 lo, u64 hi) {
-            const auto v = parseFlagValue<u64>(arg, next(), lo, hi);
-            if (!v.ok())
-                usageError(argv[0], v.status().message().c_str());
-            return *v;
-        };
+    FlagParser flags(argc, argv, printHelp);
+    while (flags.next()) {
+        const std::string &arg = flags.arg();
         if (arg == "--ref") {
-            ref = next();
+            ref = flags.value();
         } else if (arg == "--reads") {
-            reads = next();
+            reads = flags.value();
         } else if (arg == "--reads2") {
-            reads2 = next();
+            reads2 = flags.value();
         } else if (arg == "--out") {
-            out = next();
-        } else if (arg == "--engine") {
-            const std::string e = next();
-            if (e == "genax") {
-                opts.engine = PipelineOptions::Engine::GenAx;
-            } else if (e == "sw") {
-                opts.engine = PipelineOptions::Engine::Software;
-            } else {
-                usageError(argv[0], "--engine must be genax or sw");
-            }
-        } else if (arg == "--k") {
-            opts.k = static_cast<u32>(number(1, kMaxFlagK));
-        } else if (arg == "--band") {
-            opts.band = static_cast<u32>(number(1, kMaxBand));
-        } else if (arg == "--segments") {
-            opts.segments = number(1, kMaxFlagSegments);
-        } else if (arg == "--threads") {
-            opts.threads = static_cast<unsigned>(number(0, UINT_MAX));
+            out = flags.value();
         } else if (arg == "--batch-reads") {
-            opts.batchReads = number(0, UINT64_MAX);
-        } else if (arg == "--index") {
-            opts.indexSnapshot = next();
+            opts.batchReads = flags.number(0, UINT64_MAX);
         } else if (arg == "--kernel") {
-            const std::string tier = next();
+            const std::string tier = flags.value();
             if (const Status st = simd::setKernelTierByName(tier);
                 !st.ok())
-                usageError(argv[0],
-                           ("--kernel " + tier + ": " + st.str())
-                               .c_str());
+                flags.usageError("--kernel " + tier + ": " + st.str());
         } else if (arg == "--max-malformed") {
-            opts.maxMalformed = number(0, UINT64_MAX);
+            opts.maxMalformed = flags.number(0, UINT64_MAX);
         } else if (arg == "--inject") {
-            inject = next();
+            inject = flags.value();
         } else if (arg == "--help" || arg == "-h") {
             printHelp(argv[0], stdout);
             return kExitOk;
-        } else {
-            usageError(argv[0],
-                       ("unknown option: " + arg).c_str());
+        } else if (!flags.engineFlag(opts)) {
+            flags.usageError("unknown option: " + arg);
         }
     }
     if (ref.empty() || reads.empty() || out.empty())
-        usageError(argv[0], "--ref, --reads and --out are required");
-
-    if (const Status st = FaultInjector::instance().configureFromEnv();
-        !st.ok()) {
-        std::fprintf(stderr, "GENAX_FAULT_INJECT: %s\n",
-                     st.str().c_str());
+        flags.usageError("--ref, --reads and --out are required");
+    if (!armFaultInjection(inject))
         return kExitUsage;
-    }
-    if (!inject.empty()) {
-        if (const Status st =
-                FaultInjector::instance().configure(inject);
-            !st.ok()) {
-            std::fprintf(stderr, "--inject: %s\n", st.str().c_str());
-            return kExitUsage;
-        }
-    }
 
     const auto result =
         reads2.empty() ? alignFiles(ref, reads, out, opts)

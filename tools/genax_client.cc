@@ -48,7 +48,6 @@ using namespace genax;
 namespace {
 
 constexpr int kExitOk = 0;
-constexpr int kExitUsage = 2;
 constexpr int kExitError = 3;
 
 void
@@ -85,14 +84,6 @@ printHelp(const char *prog, std::FILE *to)
         prog);
 }
 
-[[noreturn]] void
-usageError(const char *prog, const char *msg)
-{
-    std::fprintf(stderr, "%s: %s\n", prog, msg);
-    printHelp(prog, stderr);
-    std::exit(kExitUsage);
-}
-
 /** Split `reads` into slices of `per` for request framing. */
 std::vector<std::vector<FastqRecord>>
 sliceRequests(const std::vector<FastqRecord> &reads, u64 per)
@@ -118,55 +109,39 @@ main(int argc, char **argv)
     double timeout = 5.0;
     bool want_stats = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usageError(argv[0],
-                           ("missing value for " + arg).c_str());
-            return argv[++i];
-        };
-        auto number = [&](u64 lo, u64 hi) {
-            const auto v = parseFlagValue<u64>(arg, next(), lo, hi);
-            if (!v.ok())
-                usageError(argv[0], v.status().message().c_str());
-            return *v;
-        };
+    FlagParser flags(argc, argv, printHelp);
+    while (flags.next()) {
+        const std::string &arg = flags.arg();
         if (arg == "--connect") {
-            connect = next();
+            connect = flags.value();
         } else if (arg == "--reads") {
-            reads_path = next();
+            reads_path = flags.value();
         } else if (arg == "--out") {
-            out_path = next();
+            out_path = flags.value();
         } else if (arg == "--reads-per-request") {
-            per_request = number(1, UINT64_MAX);
+            per_request = flags.number(1, UINT64_MAX);
         } else if (arg == "--tenant") {
-            tenant = next();
+            tenant = flags.value();
         } else if (arg == "--clients") {
-            clients = number(0, UINT64_MAX);
+            clients = flags.number(0, UINT64_MAX);
         } else if (arg == "--repeat") {
-            repeat = number(0, UINT64_MAX);
+            repeat = flags.number(0, UINT64_MAX);
         } else if (arg == "--timeout") {
-            const auto s = parseFlagValue<double>(arg, next(), 0.0);
-            if (!s.ok())
-                usageError(argv[0], s.status().message().c_str());
-            timeout = *s;
+            timeout = flags.number<double>(0.0);
         } else if (arg == "--stats") {
             want_stats = true;
         } else if (arg == "--help" || arg == "-h") {
             printHelp(argv[0], stdout);
             return kExitOk;
         } else {
-            usageError(argv[0],
-                       ("unknown option: " + arg).c_str());
+            flags.usageError("unknown option: " + arg);
         }
     }
     if (connect.empty() || reads_path.empty())
-        usageError(argv[0], "--connect and --reads are required");
+        flags.usageError("--connect and --reads are required");
     if (out_path.empty() && clients == 0)
-        usageError(argv[0],
-                   "either --out (single client) or --clients N "
-                   "(load generator) is required");
+        flags.usageError("either --out (single client) or --clients N "
+                         "(load generator) is required");
 
     const auto endpoint = Endpoint::parse(connect);
     if (!endpoint.ok()) {

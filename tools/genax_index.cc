@@ -38,7 +38,6 @@ namespace {
 
 constexpr int kExitOk = 0;
 constexpr int kExitPartial = 1;
-constexpr int kExitUsage = 2;
 constexpr int kExitError = 3;
 
 void
@@ -71,14 +70,6 @@ printHelp(const char *prog, std::FILE *to)
         "exit codes: 0 success; 1 malformed reference records were\n"
         "skipped; 2 usage error; 3 unrecoverable error\n",
         prog, prog);
-}
-
-[[noreturn]] void
-usageError(const char *prog, const char *msg)
-{
-    std::fprintf(stderr, "%s: %s\n", prog, msg);
-    printHelp(prog, stderr);
-    std::exit(kExitUsage);
 }
 
 /** --verify: open any store kind, print the section table. The open
@@ -122,43 +113,32 @@ main(int argc, char **argv)
     u32 k = 12;
     u64 segments = 8;
     u64 overlap = 256;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usageError(argv[0],
-                           ("missing value for " + arg).c_str());
-            return argv[++i];
-        };
-        auto number = [&](u64 lo, u64 hi) {
-            const auto v = parseFlagValue<u64>(arg, next(), lo, hi);
-            if (!v.ok())
-                usageError(argv[0], v.status().message().c_str());
-            return *v;
-        };
+    FlagParser flags(argc, argv, printHelp);
+    while (flags.next()) {
+        const std::string &arg = flags.arg();
         if (arg == "--ref") {
-            ref_path = next();
+            ref_path = flags.value();
         } else if (arg == "--out") {
-            out_path = next();
+            out_path = flags.value();
         } else if (arg == "--k") {
-            k = static_cast<u32>(number(1, kMaxFlagK));
+            k = static_cast<u32>(flags.number(1, kMaxFlagK));
         } else if (arg == "--segments") {
-            segments = number(1, kMaxFlagSegments);
+            segments = flags.number(1, kMaxFlagSegments);
         } else if (arg == "--overlap") {
-            overlap = number(0, u64{1} << 31);
+            overlap = flags.number(0, u64{1} << 31);
         } else if (arg == "--verify") {
-            verify_path = next();
+            verify_path = flags.value();
         } else if (arg == "--help" || arg == "-h") {
             printHelp(argv[0], stdout);
             return kExitOk;
         } else {
-            usageError(argv[0], ("unknown option: " + arg).c_str());
+            flags.usageError("unknown option: " + arg);
         }
     }
     if (!verify_path.empty())
         return verifyStore(verify_path);
     if (ref_path.empty() || out_path.empty())
-        usageError(argv[0], "--ref and --out are required");
+        flags.usageError("--ref and --out are required");
 
     ReaderStats ref_stats;
     const auto ref = readFastaFile(ref_path, {}, &ref_stats);

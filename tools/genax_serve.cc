@@ -30,7 +30,6 @@
  */
 
 #include <chrono>
-#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -39,7 +38,6 @@
 #include <string>
 #include <thread>
 
-#include "common/faultinject.hh"
 #include "flags.hh"
 #include "io/reader.hh"
 #include "serve/server.hh"
@@ -49,7 +47,6 @@ using namespace genax;
 namespace {
 
 constexpr int kExitOk = 0;
-constexpr int kExitUsage = 2;
 constexpr int kExitError = 3;
 
 volatile std::sig_atomic_t g_stop = 0;
@@ -111,14 +108,6 @@ printHelp(const char *prog, std::FILE *to)
         prog);
 }
 
-[[noreturn]] void
-usageError(const char *prog, const char *msg)
-{
-    std::fprintf(stderr, "%s: %s\n", prog, msg);
-    printHelp(prog, stderr);
-    std::exit(kExitUsage);
-}
-
 } // namespace
 
 int
@@ -129,83 +118,36 @@ main(int argc, char **argv)
     BatcherConfig bcfg;
     u64 max_malformed = 1000;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usageError(argv[0],
-                           ("missing value for " + arg).c_str());
-            return argv[++i];
-        };
-        auto number = [&](u64 lo, u64 hi) {
-            const auto v = parseFlagValue<u64>(arg, next(), lo, hi);
-            if (!v.ok())
-                usageError(argv[0], v.status().message().c_str());
-            return *v;
-        };
+    FlagParser flags(argc, argv, printHelp);
+    while (flags.next()) {
+        const std::string &arg = flags.arg();
         if (arg == "--ref") {
-            ref = next();
+            ref = flags.value();
         } else if (arg == "--listen") {
-            listen = next();
-        } else if (arg == "--index") {
-            cfg.indexSnapshot = next();
-        } else if (arg == "--engine") {
-            const std::string e = next();
-            if (e == "genax") {
-                cfg.engine = PipelineOptions::Engine::GenAx;
-            } else if (e == "sw") {
-                cfg.engine = PipelineOptions::Engine::Software;
-            } else {
-                usageError(argv[0], "--engine must be genax or sw");
-            }
-        } else if (arg == "--k") {
-            cfg.k = static_cast<u32>(number(1, kMaxFlagK));
-        } else if (arg == "--band") {
-            cfg.band = static_cast<u32>(number(1, kMaxBand));
-        } else if (arg == "--segments") {
-            cfg.segments = number(1, kMaxFlagSegments);
-        } else if (arg == "--threads") {
-            cfg.threads = static_cast<unsigned>(number(0, UINT_MAX));
+            listen = flags.value();
         } else if (arg == "--batch-reads") {
-            bcfg.batchReads = number(1, UINT64_MAX);
+            bcfg.batchReads = flags.number(1, UINT64_MAX);
         } else if (arg == "--batch-wait-ms") {
-            const auto ms = parseFlagValue<double>(arg, next(), 0.0);
-            if (!ms.ok())
-                usageError(argv[0], ms.status().message().c_str());
-            bcfg.batchWaitSeconds = *ms / 1e3;
+            bcfg.batchWaitSeconds = flags.number<double>(0.0) / 1e3;
         } else if (arg == "--queue-reads") {
-            bcfg.queueReads = number(0, UINT64_MAX);
+            bcfg.queueReads = flags.number(0, UINT64_MAX);
         } else if (arg == "--reject-when-full") {
             bcfg.rejectWhenFull = true;
         } else if (arg == "--max-malformed") {
-            max_malformed = number(0, UINT64_MAX);
+            max_malformed = flags.number(0, UINT64_MAX);
         } else if (arg == "--inject") {
-            inject = next();
+            inject = flags.value();
         } else if (arg == "--help" || arg == "-h") {
             printHelp(argv[0], stdout);
             return kExitOk;
-        } else {
-            usageError(argv[0],
-                       ("unknown option: " + arg).c_str());
+        } else if (!flags.engineFlag(cfg)) {
+            flags.usageError("unknown option: " + arg);
         }
     }
     if (ref.empty() || listen.empty())
-        usageError(argv[0], "--ref and --listen are required");
-
-    if (const Status st = FaultInjector::instance().configureFromEnv();
-        !st.ok()) {
-        std::fprintf(stderr, "GENAX_FAULT_INJECT: %s\n",
-                     st.str().c_str());
+        flags.usageError("--ref and --listen are required");
+    if (!armFaultInjection(inject))
         return kExitUsage;
-    }
-    if (!inject.empty()) {
-        if (const Status st =
-                FaultInjector::instance().configure(inject);
-            !st.ok()) {
-            std::fprintf(stderr, "--inject: %s\n", st.str().c_str());
-            return kExitUsage;
-        }
-    }
 
     const auto endpoint = Endpoint::parse(listen);
     if (!endpoint.ok()) {
