@@ -1,8 +1,9 @@
 /**
  * @file
  * Microbenchmarks for the alignment substrate: full vs banded Gotoh,
- * score-only kernels, Myers bit-vector and the classic Levenshtein
- * automaton, on 101 bp Illumina-like pairs.
+ * the batched SIMD scoring and Myers kernels per dispatch tier, Myers
+ * bit-vector, WFA and the classic Levenshtein automaton, on
+ * Illumina-like pairs.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,7 +15,6 @@
 #include "align/simd/batch_score.hh"
 #include "align/simd/dispatch.hh"
 #include "align/simd/myers_batch.hh"
-#include "align/simd/striped.hh"
 #include "align/wfa.hh"
 #include "common/rng.hh"
 
@@ -69,20 +69,6 @@ BM_GotohBandedExtend(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GotohBandedExtend)->Arg(16)->Arg(40);
-
-void
-BM_GotohBandedScoreOnly(benchmark::State &state)
-{
-    const auto p = makePair(3, 101, 3);
-    const Scoring sc;
-    const u32 band = static_cast<u32>(state.range(0));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            gotohBandedScoreOnly(p.ref, p.qry, sc, band));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_GotohBandedScoreOnly)->Arg(16)->Arg(40);
 
 void
 BM_EditDistanceDp(benchmark::State &state)
@@ -173,21 +159,6 @@ BM_BatchExtendScore(benchmark::State &state)
                             static_cast<i64>(b.ext.size()));
 }
 BENCHMARK(BM_BatchExtendScore)->Arg(0)->Arg(1)->Arg(2);
-
-void
-BM_StripedLocalScore(benchmark::State &state)
-{
-    if (!forceTierOrSkip(state))
-        return;
-    const auto p = makePair(9, 400, 8);
-    const Scoring sc;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            simd::stripedLocalScore(p.ref, p.qry, sc));
-    simd::clearKernelTierOverride();
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_StripedLocalScore)->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_MyersBatch(benchmark::State &state)

@@ -194,35 +194,6 @@ BENCHMARK(BM_SillaTracebackJobs)
     ->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
 
-void
-BM_EditMachineNaive(benchmark::State &state)
-{
-    const auto p = makePair(12, 101,
-                            static_cast<unsigned>(state.range(1)));
-    StructuralEditMachine hw(static_cast<u32>(state.range(0)));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(hw.distanceNaive(p.ref, p.qry));
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EditMachineNaive)->Args({16, 3})->Args({40, 3});
-
-void
-BM_EditMachineEvent(benchmark::State &state)
-{
-    const auto p = makePair(12, 101,
-                            static_cast<unsigned>(state.range(1)));
-    StructuralEditMachine hw(static_cast<u32>(state.range(0)));
-    if (hw.distanceNaive(p.ref, p.qry) !=
-        hw.distanceEvent(p.ref, p.qry)) {
-        state.SkipWithError("event path disagrees with naive oracle");
-        return;
-    }
-    for (auto _ : state)
-        benchmark::DoNotOptimize(hw.distanceEvent(p.ref, p.qry));
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EditMachineEvent)->Args({16, 3})->Args({40, 3});
-
 } // namespace
 } // namespace genax
 

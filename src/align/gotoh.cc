@@ -436,67 +436,6 @@ gotohBandedExtendScoreImpl(const RefT &ref, const Seq &qry,
     return {best.score, best.i, best.j};
 }
 
-template <typename RefT>
-i32
-gotohBandedScoreOnlyImpl(const RefT &ref, const Seq &qry,
-                         const Scoring &sc, u32 band)
-{
-    const i64 n = static_cast<i64>(ref.size());
-    const i64 m = static_cast<i64>(qry.size());
-    const i64 w = band;
-    const i64 width = 2 * w + 1;
-
-    std::vector<i32> hPrev(width, kNegInf), hCur(width, kNegInf);
-    std::vector<i32> fPrev(width, kNegInf), fCur(width, kNegInf);
-
-    i32 best = 0;
-    for (i64 j = 0; j <= std::min(m, w); ++j) {
-        hPrev[j + w] = j == 0 ? 0 : sc.gapCost(static_cast<i32>(j));
-        best = std::max(best, hPrev[j + w]);
-    }
-    for (i64 i = 1; i <= n; ++i) {
-        std::fill(hCur.begin(), hCur.end(), kNegInf);
-        std::fill(fCur.begin(), fCur.end(), kNegInf);
-        const i64 jlo = std::max<i64>(0, i - w);
-        const i64 jhi = std::min(m, i + w);
-        i32 e = kNegInf;
-        for (i64 j = jlo; j <= jhi; ++j) {
-            const i64 col = j - i + w;
-            if (j == 0) {
-                hCur[col] = sc.gapCost(static_cast<i32>(i));
-                best = std::max(best, hCur[col]);
-                continue;
-            }
-            i32 eBest = kNegInf;
-            if (col - 1 >= 0) {
-                if (hCur[col - 1] != kNegInf)
-                    eBest = hCur[col - 1] - sc.gapOpen - sc.gapExtend;
-                if (e != kNegInf)
-                    eBest = std::max(eBest, e - sc.gapExtend);
-            }
-            e = eBest;
-            i32 fBest = kNegInf;
-            if (col + 1 < width) {
-                if (hPrev[col + 1] != kNegInf)
-                    fBest = hPrev[col + 1] - sc.gapOpen - sc.gapExtend;
-                if (fPrev[col + 1] != kNegInf)
-                    fBest = std::max(fBest, fPrev[col + 1] - sc.gapExtend);
-            }
-            fCur[col] = fBest;
-            i32 h = kNegInf;
-            if (hPrev[col] != kNegInf)
-                h = hPrev[col] + sc.sub(ref[i - 1], qry[j - 1]);
-            h = std::max({h, e, fBest});
-            hCur[col] = h;
-            if (h > best)
-                best = h;
-        }
-        std::swap(hPrev, hCur);
-        std::swap(fPrev, fCur);
-    }
-    return best;
-}
-
 } // namespace
 
 AlignResult
@@ -511,20 +450,6 @@ gotohBanded(const PackedSeq &ref, const Seq &qry, const Scoring &sc,
             AlignMode mode, u32 band)
 {
     return gotohBandedImpl(ref, qry, sc, mode, band);
-}
-
-i32
-gotohBandedScoreOnly(const Seq &ref, const Seq &qry, const Scoring &sc,
-                     u32 band)
-{
-    return gotohBandedScoreOnlyImpl(ref, qry, sc, band);
-}
-
-i32
-gotohBandedScoreOnly(const PackedSeq &ref, const Seq &qry,
-                     const Scoring &sc, u32 band)
-{
-    return gotohBandedScoreOnlyImpl(ref, qry, sc, band);
 }
 
 BandedExtendScore

@@ -80,18 +80,6 @@ AlignResult gotohBanded(const PackedSeq &ref, const Seq &qry,
                         const Scoring &sc, AlignMode mode, u32 band);
 
 /**
- * Score-only banded Gotoh Extend pass (no traceback storage).
- * This is the software throughput baseline kernel (SeqAn stand-in)
- * used by the Figure 14 bench.
- */
-i32 gotohBandedScoreOnly(const Seq &ref, const Seq &qry, const Scoring &sc,
-                         u32 band);
-
-/** Score-only banded Extend against a 2-bit packed reference. */
-i32 gotohBandedScoreOnly(const PackedSeq &ref, const Seq &qry,
-                         const Scoring &sc, u32 band);
-
-/**
  * The (score, refEnd, qryEnd) triple of a banded Extend alignment —
  * exactly the fields gotohBanded(..., Extend, band) would report,
  * without computing a traceback. Feeding the triple back into a

@@ -3,9 +3,9 @@
  * One-time runtime CPU dispatch for the vectorized alignment kernels.
  *
  * Tier ladder: AVX2 > SSE4.1 > scalar. The best tier both compiled in
- * and supported by the running CPU is detected once; every batch
- * entry point (scoreCandidateBatch, stripedLocalScore,
- * myersEditDistanceBatch) routes through the active tier. All tiers
+ * and supported by the running CPU is detected once; every kernel
+ * entry point (scoreCandidateBatch, myersEditDistanceBatch and the
+ * SillaTraceback row sweep) routes through the active tier. All tiers
  * are bit-identical by contract — the scalar kernels are the
  * reference oracle — so tier selection is purely a speed choice and
  * never changes any pipeline output.

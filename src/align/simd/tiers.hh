@@ -1,10 +1,10 @@
 /**
  * @file
  * Internal per-tier entry points of the SIMD kernel subsystem. Only
- * the dispatch glue (batch_score.cc, striped.cc, myers_batch.cc)
- * includes this; each declaration is compiled into its own
- * translation unit with the matching -m flags and exists only when
- * the corresponding GENAX_SIMD_* macro is defined for the target.
+ * the dispatch glue (batch_score.cc, myers_batch.cc) includes this;
+ * each declaration is compiled into its own translation unit with the
+ * matching -m flags and exists only when the corresponding
+ * GENAX_SIMD_* macro is defined for the target.
  */
 
 #ifndef GENAX_ALIGN_SIMD_TIERS_HH
@@ -23,17 +23,6 @@ namespace genax::simd::detail {
 void scoreExtendBatchSse41(const ExtendJob *jobs, const u32 *idx,
                            size_t count, const Scoring &sc, u32 band,
                            BandedExtendScore *out);
-
-/**
- * 128-bit striped (Farrar) local Smith-Waterman score: 8-bit
- * saturating first pass, 16-bit re-run on overflow. Returns -1 when
- * even 16 bits cannot hold the score (caller falls back to scalar).
- * Used by both SIMD tiers — the striped byte shifts do not cross
- * 128-bit AVX2 lane boundaries cheaply, so there is no 256-bit
- * variant (see DESIGN.md "Kernel dispatch").
- */
-i32 stripedLocalScoreSse41(const Seq &ref, const Seq &qry,
-                           const Scoring &sc);
 #endif
 
 #if defined(GENAX_SIMD_AVX2)

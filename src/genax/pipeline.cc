@@ -344,6 +344,9 @@ AlignEngine::end()
 
 namespace {
 
+/** Ranked placements the engine keeps per mate for resolvePair. */
+constexpr u32 kCandidatesPerMate = 16;
+
 /** One read stream of the driver: a FASTQ reader drained in batches,
  *  or one batch the caller already holds in memory (exactly one is
  *  set). */
@@ -417,7 +420,6 @@ drive(AlignEngine &engine, const ReadSource &src, const ReadSource *mates,
     res.indexMapped = att.mapped;
     res.indexFallback = att.fallback;
     res.indexNote = att.note;
-    const PairedConfig pairing;
 
     const u64 batch_size =
         opts.batchReads == 0 ? ~u64{0} : opts.batchReads;
@@ -610,8 +612,8 @@ drive(AlignEngine &engine, const ReadSource &src, const ReadSource *mates,
         AlignEngine::CandidateBatch paired;
         timed([&] {
             if (mates)
-                paired = engine.batchCandidates(
-                    seqs, pairing.candidatesPerMate);
+                paired = engine.batchCandidates(seqs,
+                                                kCandidatesPerMate);
             else
                 single = engine.batch(seqs);
         });
@@ -632,7 +634,7 @@ drive(AlignEngine &engine, const ReadSource &src, const ReadSource *mates,
             PairMapping pair;
             if (!failed[t]) {
                 pair = resolvePair(paired.candidates[live],
-                                   paired.candidates[live + 1], pairing);
+                                   paired.candidates[live + 1]);
                 tally(pair.r1, paired.degraded[live]);
                 tally(pair.r2, paired.degraded[live + 1]);
                 live += 2;

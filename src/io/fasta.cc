@@ -34,7 +34,7 @@ Status
 FastaReader::recordMalformed(u64 line, std::string message)
 {
     ++_stats.malformed;
-    if (_stats.errors.size() < _opts.maxErrorsKept)
+    if (_stats.errors.size() < kMaxParseErrorsKept)
         _stats.errors.push_back({line, message});
     if (_stats.malformed > _opts.maxMalformed) {
         return invalidInputError(
@@ -125,8 +125,9 @@ FastaReader::next()
             bad = "record '" + rec.name + "' with empty sequence";
             bad_line = header_line;
         }
-        if (bad.empty() && _opts.rejectDuplicateNames &&
-            !_seenNames.insert(rec.name).second) {
+        // A duplicate name would silently corrupt ContigMap
+        // coordinates.
+        if (bad.empty() && !_seenNames.insert(rec.name).second) {
             bad = "duplicate record name '" + rec.name + "'";
             bad_line = header_line;
         }

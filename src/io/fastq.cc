@@ -44,7 +44,7 @@ Status
 FastqReader::recordMalformed(u64 line, std::string message)
 {
     ++_stats.malformed;
-    if (_stats.errors.size() < _opts.maxErrorsKept)
+    if (_stats.errors.size() < kMaxParseErrorsKept)
         _stats.errors.push_back({line, message});
     if (_stats.malformed > _opts.maxMalformed) {
         return invalidInputError(

@@ -30,15 +30,11 @@ struct ReaderOptions
      * error. Production pipelines raise this (PipelineOptions).
      */
     u64 maxMalformed = 0;
-
-    /** Parse errors retained in ReaderStats::errors (all are counted,
-     *  only the first few kept, so a rotten file cannot OOM us). */
-    u64 maxErrorsKept = 16;
-
-    /** FASTA: treat a duplicate record name as a malformed record
-     *  (duplicates would silently corrupt ContigMap coordinates). */
-    bool rejectDuplicateNames = true;
 };
+
+/** Parse errors retained in ReaderStats::errors (all are counted,
+ *  only the first few kept, so a rotten file cannot OOM us). */
+constexpr u64 kMaxParseErrorsKept = 16;
 
 /** One diagnosed input problem. */
 struct ParseError
@@ -52,7 +48,7 @@ struct ReaderStats
 {
     u64 records = 0;   //!< well-formed records returned
     u64 malformed = 0; //!< malformed records skipped
-    std::vector<ParseError> errors; //!< first maxErrorsKept diagnoses
+    std::vector<ParseError> errors; //!< first kMaxParseErrorsKept diagnoses
 };
 
 } // namespace genax

@@ -17,9 +17,10 @@
  * that match nothing (including each other), so trailing indels are
  * explored exactly as in the functional automaton.
  *
- * This model exists to validate the datapath property structurally;
- * the equivalence with direct retro comparisons is asserted in the
- * tests and exploited by StructuralEditMachine.
+ * The structural edit and scoring machines read their comparisons
+ * off this array. The Silla automata and the traceback machine the
+ * lanes run compare the strings directly, which the identity above
+ * licenses; the tests assert it.
  */
 
 #ifndef GENAX_SILLAX_COMPARATOR_ARRAY_HH

@@ -21,52 +21,13 @@ StructuralEditMachine::StructuralEditMachine(u32 k)
 }
 
 std::optional<u32>
-StructuralEditMachine::distanceNaive(const Seq &r, const Seq &q)
-{
-    _cmps.reset();
-    const u64 n = r.size(), m = q.size();
-    return distanceImpl(
-        r, q,
-        [&](u64 c) {
-            // Stream the cycle's characters into the comparator
-            // array (pad symbols past the string ends).
-            _cmps.step(c < n ? r[c] : ComparatorArray::kPadR,
-                       c < m ? q[c] : ComparatorArray::kPadQ);
-        },
-        [&](u32 i, u32 d, u64) {
-            // The latched systolic comparison, not a direct string
-            // lookup.
-            return _cmps.compare(i, d);
-        });
-}
-
-std::optional<u32>
-StructuralEditMachine::distanceEvent(const Seq &r, const Seq &q)
-{
-    const u64 n = r.size(), m = q.size();
-    return distanceImpl(
-        r, q, [](u64) {},
-        [&](u32 i, u32 d, u64 c) {
-            // Latched-datapath identity: after streaming characters
-            // 0..c, state (i, d) sees R[c-i] == Q[c-d], with pads —
-            // characters past either string's end — matching
-            // nothing. The caller only asks with c - i <= n and
-            // c - d <= m, so the range checks are exactly the pad
-            // semantics.
-            const u64 cr = c - i, cq = c - d;
-            return cr < n && cq < m && r[cr] == q[cq];
-        });
-}
-
-template <typename StepFn, typename CmpFn>
-std::optional<u32>
-StructuralEditMachine::distanceImpl(const Seq &r, const Seq &q,
-                                    StepFn &&step, CmpFn &&cmp)
+StructuralEditMachine::distance(const Seq &r, const Seq &q)
 {
     const u64 n = r.size(), m = q.size();
     _stats = {};
     if (n > m + _k || m > n + _k)
         return std::nullopt;
+    _cmps.reset();
 
     // Both buffer generations are all-zero outside the active lists
     // (the sweep re-zeroes each consumed generation), so clearing
@@ -94,7 +55,10 @@ StructuralEditMachine::distanceImpl(const Seq &r, const Seq &q,
     const u64 max_cycle = std::min(n, m) + _k;
     u64 c = 0;
     for (; c <= max_cycle; ++c) {
-        step(c);
+        // Stream the cycle's characters into the comparator array
+        // (pad symbols past the string ends).
+        _cmps.step(c < n ? r[c] : ComparatorArray::kPadR,
+                   c < m ? q[c] : ComparatorArray::kPadQ);
 
         _activeNext.clear();
         u64 active = 0;
@@ -123,7 +87,9 @@ StructuralEditMachine::distanceImpl(const Seq &r, const Seq &q,
                 if (c - i > n || c - d > m)
                     continue;
                 any = true;
-                if (cmp(i, d, c)) {
+                // The latched systolic comparison, not a direct
+                // string lookup.
+                if (_cmps.compare(i, d)) {
                     mark(s);
                     (layer == 0 ? _next0 : _next1)[s] = 1;
                     continue;

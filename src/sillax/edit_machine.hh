@@ -28,27 +28,12 @@ class StructuralEditMachine
     explicit StructuralEditMachine(u32 k);
 
     /**
-     * Min edit distance between r and q if <= K, else nullopt.
-     *
-     * Two implementations are bit-identical (result and stats): the
-     * naive oracle streams every cycle's character pair through the
-     * systolic ComparatorArray exactly as the hardware would; the
-     * event path exploits the latched-datapath identity
-     * cmp(i,d)@c == R[c-i] == Q[c-d] (pads never match) to read the
-     * comparisons straight off the strings, skipping the O(K²)
-     * per-cycle latch shuffle. This is distanceEvent().
+     * Min edit distance between r and q if <= K, else nullopt. Each
+     * cycle streams one character pair through the systolic
+     * ComparatorArray, and the live PEs read their retro comparisons
+     * off its latches, as the hardware would.
      */
-    std::optional<u32>
-    distance(const Seq &r, const Seq &q)
-    {
-        return distanceEvent(r, q);
-    }
-
-    /** The systolic-array oracle (always available, e.g. to the
-     *  equivalence tests and benches). */
-    std::optional<u32> distanceNaive(const Seq &r, const Seq &q);
-    /** The direct-comparison event path (always available). */
-    std::optional<u32> distanceEvent(const Seq &r, const Seq &q);
+    std::optional<u32> distance(const Seq &r, const Seq &q);
 
     u32 k() const { return _k; }
     const SillaRunStats &lastStats() const { return _stats; }
@@ -58,12 +43,6 @@ class StructuralEditMachine
 
   private:
     size_t idx(u32 i, u32 d) const { return i * (_k + 1) + d; }
-
-    /** The shared sparse sweep; `cmp(i, d, c)` supplies the retro
-     *  comparison and `step(c)` advances whatever produces it. */
-    template <typename StepFn, typename CmpFn>
-    std::optional<u32> distanceImpl(const Seq &r, const Seq &q,
-                                    StepFn &&step, CmpFn &&cmp);
 
     u32 _k;
     ComparatorArray _cmps;

@@ -14,11 +14,11 @@
 #ifndef GENAX_SILLAX_SCORING_MACHINE_HH
 #define GENAX_SILLAX_SCORING_MACHINE_HH
 
+#include <utility>
 #include <vector>
 
 #include "silla/silla_score.hh"
 #include "sillax/comparator_array.hh"
-#include "sillax/scoring_row.hh"
 
 namespace genax {
 
@@ -29,27 +29,12 @@ class StructuralScoringMachine
     StructuralScoringMachine(u32 k, const Scoring &sc);
 
     /**
-     * Clipped best extension score of q against r (anchored).
-     *
-     * Two implementations are bit-identical (result, clipping
-     * registers, cycle counts): the naive oracle streams the
-     * comparator array and dense-fills the grid every cycle as the
-     * hardware would; the event path reads comparisons straight off
-     * the strings (latched-datapath identity), resets only the fresh
-     * anti-diagonal frontier, and sweeps lean interior rows through
-     * the AVX2 row kernel when the dispatch tier allows. This is
-     * runEvent().
+     * Clipped best extension score of q against r (anchored). Each
+     * cycle streams one character pair through the comparator array
+     * and updates every live PE from its latched comparison and its
+     * upstream neighbours, as the hardware would.
      */
-    SillaScoreResult
-    run(const Seq &r, const Seq &q)
-    {
-        return runEvent(r, q);
-    }
-
-    /** The systolic/dense oracle (always available to tests). */
-    SillaScoreResult runNaive(const Seq &r, const Seq &q);
-    /** The event path (always available to tests). */
-    SillaScoreResult runEvent(const Seq &r, const Seq &q);
+    SillaScoreResult run(const Seq &r, const Seq &q);
 
     /**
      * Phase 2 of Section IV-B, structurally: after run(), each PE
@@ -59,15 +44,8 @@ class StructuralScoringMachine
      * upstream neighbours). Returns the value read out at (0,0) and
      * the cycles the reduction took — always equal to run().best and
      * at most 2K cycles (asserted in the tests).
-     *
-     * Computed in closed form (one reverse sweep over the grid — the
-     * pass count is 1 + the largest Chebyshev distance from a PE to
-     * the nearest maximiser of its upper-right quadrant).
      */
     std::pair<i32, Cycle> backPropagateBest();
-
-    /** Lock-step reference for backPropagateBest() (the oracle). */
-    std::pair<i32, Cycle> backPropagateBestNaive();
 
     u32 k() const { return _k; }
     u32 comparatorCount() const { return _cmps.comparatorCount(); }
@@ -80,9 +58,6 @@ class StructuralScoringMachine
     ComparatorArray _cmps;
     std::vector<i32> _hCur, _hNext, _eCur, _eNext, _fCur, _fNext;
     std::vector<i32> _bestSeen; //!< per-PE clipping registers
-    /** Event staging for the vector row kernel, reused across
-     *  sweeps. */
-    std::vector<detail::ScoringRowEvent> _rowEvents;
 };
 
 } // namespace genax

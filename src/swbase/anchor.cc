@@ -8,6 +8,13 @@
 
 namespace genax {
 
+namespace {
+
+/** BWA-MEM's minimum seed length: shorter SMEMs anchor nothing. */
+constexpr u32 kMinSeedLen = 19;
+
+} // namespace
+
 std::vector<Anchor>
 makeAnchors(const std::vector<Smem> &smems, u64 seg_start, bool reverse,
             const AnchorConfig &cfg)
@@ -20,7 +27,7 @@ makeAnchors(const std::vector<Smem> &smems, u64 seg_start, bool reverse,
     // traffic was.
     std::vector<i64> diagonals;
     for (const auto &smem : smems) {
-        if (smem.length() < cfg.minSeedLen)
+        if (smem.length() < kMinSeedLen)
             continue; // too short to be a reliable anchor
         if (smem.positions.size() > cfg.maxHitsPerSmem)
             continue; // ultra-repetitive seed: uninformative

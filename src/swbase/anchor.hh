@@ -45,7 +45,6 @@ struct Anchor
 /** Anchor-generation limits. */
 struct AnchorConfig
 {
-    u32 minSeedLen = 19;      //!< BWA-MEM's minimum seed length
     u32 maxHitsPerSmem = 256; //!< drop ultra-repetitive seeds
     u32 maxAnchors = 32;      //!< cap per read and strand
 };

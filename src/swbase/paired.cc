@@ -7,18 +7,25 @@ namespace genax {
 
 namespace {
 
+// The pairing model: a Gaussian prior on the fragment length, pairs
+// beyond kMaxZ standard deviations improper, and a score cost for
+// leaving the mates unpaired.
+constexpr double kInsertMean = 300;
+constexpr double kInsertSd = 30;
+constexpr double kMaxZ = 4.0;
+constexpr i32 kUnpairedPenalty = 17;
+
 /**
  * Gaussian insert-size score penalty for a candidate pair; sets
  * `proper` and `tlen` as side results.
  */
 i32
-pairPenalty(const Mapping &a, const Mapping &b, const PairedConfig &cfg,
-            bool &proper, i64 &tlen)
+pairPenalty(const Mapping &a, const Mapping &b, bool &proper, i64 &tlen)
 {
     proper = false;
     tlen = 0;
     if (!a.mapped || !b.mapped || a.reverse == b.reverse)
-        return cfg.unpairedPenalty;
+        return kUnpairedPenalty;
 
     const Mapping &fwd = a.reverse ? b : a;
     const Mapping &rev = a.reverse ? a : b;
@@ -26,14 +33,14 @@ pairPenalty(const Mapping &a, const Mapping &b, const PairedConfig &cfg,
         static_cast<i64>(rev.pos) + static_cast<i64>(rev.cigar.refLen());
     tlen = frag_end - static_cast<i64>(fwd.pos);
     if (tlen <= 0)
-        return cfg.unpairedPenalty;
+        return kUnpairedPenalty;
 
     const double z =
-        (static_cast<double>(tlen) - cfg.insertMean) / cfg.insertSd;
-    if (std::abs(z) > cfg.maxZ)
-        return cfg.unpairedPenalty;
+        (static_cast<double>(tlen) - kInsertMean) / kInsertSd;
+    if (std::abs(z) > kMaxZ)
+        return kUnpairedPenalty;
     proper = true;
-    return std::min<i32>(cfg.unpairedPenalty,
+    return std::min<i32>(kUnpairedPenalty,
                          static_cast<i32>(std::lround(z * z / 2.0)));
 }
 
@@ -41,7 +48,7 @@ pairPenalty(const Mapping &a, const Mapping &b, const PairedConfig &cfg,
 
 PairMapping
 resolvePair(const std::vector<Mapping> &c1,
-            const std::vector<Mapping> &c2, const PairedConfig &cfg)
+            const std::vector<Mapping> &c2)
 {
     PairMapping out;
     if (c1.empty() && c2.empty())
@@ -67,8 +74,7 @@ resolvePair(const std::vector<Mapping> &c1,
         for (size_t j = 0; j < c2.size(); ++j) {
             bool proper;
             i64 tlen;
-            const i32 pen =
-                pairPenalty(c1[i], c2[j], cfg, proper, tlen);
+            const i32 pen = pairPenalty(c1[i], c2[j], proper, tlen);
             const i32 total = c1[i].score + c2[j].score - pen;
             if (total > best_total) {
                 second_total = best_total;

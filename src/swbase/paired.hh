@@ -19,16 +19,6 @@
 
 namespace genax {
 
-/** Pairing model parameters. */
-struct PairedConfig
-{
-    double insertMean = 300;  //!< expected fragment length
-    double insertSd = 30;
-    double maxZ = 4.0;        //!< |z| beyond which a pair is improper
-    i32 unpairedPenalty = 17; //!< score cost of leaving mates unpaired
-    u32 candidatesPerMate = 16;
-};
-
 /** A resolved read pair. */
 struct PairMapping
 {
@@ -45,8 +35,7 @@ struct PairMapping
  * sits downstream of any single-end aligner.
  */
 PairMapping resolvePair(const std::vector<Mapping> &c1,
-                        const std::vector<Mapping> &c2,
-                        const PairedConfig &cfg);
+                        const std::vector<Mapping> &c2);
 
 } // namespace genax
 

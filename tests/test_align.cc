@@ -374,24 +374,6 @@ TEST(GotohBanded, GlobalInvalidWhenBandTooSmall)
     EXPECT_FALSE(r.valid);
 }
 
-TEST(GotohBanded, ScoreOnlyMatchesTracebackVersion)
-{
-    const Scoring sc;
-    Rng rng(35);
-    for (int t = 0; t < 50; ++t) {
-        const Seq ref = randomSeq(rng, 50 + rng.below(100));
-        const Seq qry = mutateSeq(rng, ref,
-                                  static_cast<unsigned>(rng.below(8)));
-        for (u32 band : {5u, 12u, 40u}) {
-            const auto full = gotohBanded(ref, qry, sc, AlignMode::Extend,
-                                          band);
-            const i32 score = gotohBandedScoreOnly(ref, qry, sc, band);
-            ASSERT_TRUE(full.valid);
-            EXPECT_EQ(score, full.score) << "band=" << band;
-        }
-    }
-}
-
 // ------------------------------------------------------------- Myers
 
 TEST(Myers, HandCases)

@@ -105,22 +105,19 @@ TEST(Fuzz, SevenEditDistanceImplementationsAgree)
 
         const auto s2 = silla.distance(a, b);
         const auto s3 = silla3d.distance(a, b);
-        const auto hw = structural.distanceNaive(a, b);
-        const auto hw_event = structural.distanceEvent(a, b);
+        const auto hw = structural.distance(a, b);
         const auto u = ula.distance(a, b);
         if (truth <= k) {
-            ASSERT_TRUE(s2 && s3 && hw && hw_event && u)
+            ASSERT_TRUE(s2 && s3 && hw && u)
                 << "a=" << decode(a) << " b=" << decode(b);
             EXPECT_EQ(*s2, truth);
             EXPECT_EQ(*s3, truth);
             EXPECT_EQ(*hw, truth);
-            EXPECT_EQ(*hw_event, truth);
             EXPECT_EQ(*u, truth);
         } else {
             EXPECT_FALSE(s2.has_value());
             EXPECT_FALSE(s3.has_value());
             EXPECT_FALSE(hw.has_value());
-            EXPECT_FALSE(hw_event.has_value());
             EXPECT_FALSE(u.has_value());
         }
 
@@ -162,15 +159,13 @@ TEST(Fuzz, ScoringMachinesAgreeUnderRandomSchemes)
         SillaTraceback traceback(k, sc);
 
         const auto s = score.run(ref, qry);
-        const auto h = structural.runNaive(ref, qry);
-        const auto h_event = structural.runEvent(ref, qry);
+        const auto h = structural.run(ref, qry);
         const auto tb = traceback.align(ref, qry);
         EXPECT_EQ(s.best, oracle.score)
             << "t=" << t << " k=" << k << " match=" << sc.match
             << " mis=" << sc.mismatch << " go=" << sc.gapOpen
             << " ge=" << sc.gapExtend;
         EXPECT_EQ(h.best, oracle.score);
-        EXPECT_EQ(h_event.best, oracle.score);
         EXPECT_EQ(tb.score, oracle.score);
 
         // The recovered path must re-score to exactly the claim.

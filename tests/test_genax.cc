@@ -191,7 +191,7 @@ TEST_F(GenAxSystemTest, PairedEndRescueThroughAccelerator)
     const auto c1 = dup_system.alignAllCandidates({r1_unique}, 16);
     const auto c2 =
         dup_system.alignAllCandidates({reverseComplement(r2_inner)}, 16);
-    const auto pair = resolvePair(c1[0], c2[0], {});
+    const auto pair = resolvePair(c1[0], c2[0]);
     ASSERT_TRUE(pair.r1.mapped);
     ASSERT_TRUE(pair.r2.mapped);
     EXPECT_TRUE(pair.proper);

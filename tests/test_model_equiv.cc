@@ -1,14 +1,16 @@
 /**
  * @file
  * Model-equivalence pins for the event-driven accelerator model: the
- * optimized closed-form / event-driven implementations must be
- * bit-identical to their lock-step oracles, and the end-to-end
- * modelled numbers must be invariant to every host-execution knob
- * (threads, batch size). The oracle and the production path are both
- * always compiled, and this file diffs them directly; the golden pins
- * hold results recorded from the oracles, so a later bug that both
- * paths share still fails. The per-machine suites (test_seeding_sim,
- * test_sillax, test_fuzz) run each of their assertions on both paths.
+ * seeding-lane simulator's and the traceback machine's event paths
+ * must be bit-identical to their lock-step oracles, and the
+ * end-to-end modelled numbers must be invariant to every
+ * host-execution knob (threads, batch size). The oracle and the
+ * production path are both always compiled, and this file diffs them
+ * directly; the golden pins hold results recorded from the oracles,
+ * so a later bug that both paths share still fails. The structural
+ * edit and scoring machines have one implementation each, pinned
+ * here by golden results. test_seeding_sim runs each of its
+ * assertions on both seeding-lane paths.
  */
 
 #include <gtest/gtest.h>
@@ -155,7 +157,7 @@ TEST(ModelEquiv, SeedingSimSeedSensitivity)
            "differently";
 }
 
-// ------------------------------------- scoring-machine back-propagation
+// ---------------------------------------------- extension machines
 
 Seq
 randomSeq(Rng &rng, size_t len)
@@ -166,40 +168,6 @@ randomSeq(Rng &rng, size_t len)
         s.push_back(static_cast<Base>(rng.below(4)));
     return s;
 }
-
-TEST(ModelEquiv, BackPropagateClosedFormMatchesNaive)
-{
-    // The closed-form reduction (one reverse sweep) and the
-    // lock-step nearest-neighbour reference must agree on both the
-    // reduced value and the cycle count, for every PE-grid state a
-    // run() can leave behind.
-    const Scoring sc;
-    Rng rng(1331);
-    for (const u32 k : {4u, 8u, 16u}) {
-        // One machine per path, so neither reduction can disturb the
-        // other's register state: the event run feeds the closed
-        // form, the lock-step run feeds the reference.
-        StructuralScoringMachine closed(k, sc), naive(k, sc);
-        for (int t = 0; t < 20; ++t) {
-            const Seq ref = randomSeq(rng, 40 + rng.below(80));
-            Seq qry = ref;
-            for (u64 e = rng.below(8); e > 0 && !qry.empty(); --e)
-                qry[rng.below(qry.size())] =
-                    static_cast<Base>(rng.below(4));
-            const auto a = closed.runEvent(ref, qry);
-            const auto b = naive.runNaive(ref, qry);
-            ASSERT_EQ(a.best, b.best);
-
-            const auto [cv, cc] = closed.backPropagateBest();
-            const auto [nv, nc] = naive.backPropagateBestNaive();
-            EXPECT_EQ(cv, nv) << "k=" << k << " t=" << t;
-            EXPECT_EQ(cc, nc) << "k=" << k << " t=" << t;
-            EXPECT_EQ(cv, a.best);
-        }
-    }
-}
-
-// --------------------------------- extension-machine equivalence
 
 /** Mutate `qry` in place with `edits` random substitutions and
  *  occasional single-base indels — enough path diversity to exercise
@@ -294,31 +262,61 @@ mutateEvenly(Rng &rng, const Seq &s, unsigned edits)
     return out;
 }
 
+constexpr u64 kFnvBasis = 0xcbf29ce484222325ULL;
+
+/** One FNV-1a step. */
+void
+hashByte(u64 &h, u8 b)
+{
+    h ^= b;
+    h *= 0x100000001b3ULL;
+}
+
+/** FNV-1a over the eight bytes of v, low byte first. */
+void
+hashWord(u64 &h, u64 v)
+{
+    for (int b = 0; b < 8; ++b)
+        hashByte(h, static_cast<u8>(v >> (8 * b)));
+}
+
 /** FNV-1a over every result field of an alignment: score, both ends,
  *  the CIGAR string and all five SillaTraceStats fields. */
 void
 hashAlignment(u64 &h, const SillaAlignment &a)
 {
-    const auto byte = [&h](u8 b) {
-        h ^= b;
-        h *= 0x100000001b3ULL;
-    };
-    const auto word = [&byte](u64 v) {
-        for (int b = 0; b < 8; ++b)
-            byte(static_cast<u8>(v >> (8 * b)));
-    };
-    word(static_cast<u64>(static_cast<i64>(a.score)));
-    word(a.refEnd);
-    word(a.qryEnd);
+    hashWord(h, static_cast<u64>(static_cast<i64>(a.score)));
+    hashWord(h, a.refEnd);
+    hashWord(h, a.qryEnd);
     const std::string cigar = a.cigar.str();
-    word(cigar.size());
+    hashWord(h, cigar.size());
     for (const char ch : cigar)
-        byte(static_cast<u8>(ch));
-    word(a.stats.streamCycles);
-    word(a.stats.reduceCycles);
-    word(a.stats.collectCycles);
-    word(a.stats.reruns);
-    word(a.stats.rerunCycles);
+        hashByte(h, static_cast<u8>(ch));
+    hashWord(h, a.stats.streamCycles);
+    hashWord(h, a.stats.reduceCycles);
+    hashWord(h, a.stats.collectCycles);
+    hashWord(h, a.stats.reruns);
+    hashWord(h, a.stats.rerunCycles);
+}
+
+/** FNV-1a over a scoring-machine run — every SillaScoreResult field —
+ *  and the value and cycle count of the back-propagation after it. */
+void
+hashScoringRun(u64 &h, StructuralScoringMachine &m, const Seq &ref,
+               const Seq &qry)
+{
+    const SillaScoreResult r = m.run(ref, qry);
+    hashWord(h, static_cast<u64>(static_cast<i64>(r.best)));
+    hashWord(h, r.winnerI);
+    hashWord(h, r.winnerD);
+    hashWord(h, r.bestCycle);
+    hashWord(h, r.refEnd);
+    hashWord(h, r.qryEnd);
+    hashWord(h, r.streamCycles);
+    const auto [best, cycles] = m.backPropagateBest();
+    EXPECT_EQ(best, r.best);
+    hashWord(h, static_cast<u64>(static_cast<i64>(best)));
+    hashWord(h, cycles);
 }
 
 TEST(ModelEquiv, TracebackGoldenResults)
@@ -361,7 +359,7 @@ TEST(ModelEquiv, TracebackGoldenResults)
              testing::JobWorkload::DivergentRepeats, 5, 48))
         jobs.emplace_back(std::move(job.ref), std::move(job.qry));
 
-    u64 naive_hash = 0xcbf29ce484222325ULL;
+    u64 naive_hash = kFnvBasis;
     u64 event_hash = naive_hash;
     u64 with_rerun = 0;
     for (const Scoring &sc : {Scoring{}, Scoring{2, 3, 5, 2},
@@ -379,6 +377,70 @@ TEST(ModelEquiv, TracebackGoldenResults)
     EXPECT_GT(with_rerun, 0u) << "the golden set must exercise reruns";
     EXPECT_EQ(naive_hash, 0x9cce3656494e4656ULL) << std::hex << naive_hash;
     EXPECT_EQ(event_hash, 0x9cce3656494e4656ULL) << std::hex << event_hash;
+}
+
+TEST(ModelEquiv, ScoringMachineGoldenResults)
+{
+    // The structural scoring machine's results and modelled cycles,
+    // back-propagation included, pinned over two job sets: random
+    // substitutions and indels at k 8/16/40, and substitution-only
+    // pairs at k 4/8/16.
+    u64 mixed_hash = kFnvBasis;
+    Rng rng(8642);
+    for (const u32 k : {8u, 16u, 40u}) {
+        StructuralScoringMachine m(k, Scoring{});
+        for (int t = 0; t < 16; ++t) {
+            const Seq ref = randomSeq(rng, 30 + rng.below(120));
+            Seq qry = ref;
+            mutate(rng, qry, static_cast<unsigned>(rng.below(10)));
+            hashScoringRun(mixed_hash, m, ref, qry);
+        }
+    }
+    u64 sub_hash = kFnvBasis;
+    Rng sub_rng(1331);
+    for (const u32 k : {4u, 8u, 16u}) {
+        StructuralScoringMachine m(k, Scoring{});
+        for (int t = 0; t < 20; ++t) {
+            const Seq ref = randomSeq(sub_rng, 40 + sub_rng.below(80));
+            Seq qry = ref;
+            for (u64 e = sub_rng.below(8); e > 0 && !qry.empty(); --e)
+                qry[sub_rng.below(qry.size())] =
+                    static_cast<Base>(sub_rng.below(4));
+            hashScoringRun(sub_hash, m, ref, qry);
+        }
+    }
+    EXPECT_EQ(mixed_hash, 0x4bb091c92e82dd87ULL) << std::hex << mixed_hash;
+    EXPECT_EQ(sub_hash, 0x7811822dce1924f1ULL) << std::hex << sub_hash;
+}
+
+TEST(ModelEquiv, EditMachineGoldenResults)
+{
+    // The structural edit machine's distances and run stats (cycles,
+    // peak and total activations), pinned over pairs with up to k + 3
+    // random edits at k 4/8/16/40, so both in-bound and out-of-bound
+    // pairs are covered.
+    u64 hash = kFnvBasis;
+    u64 within = 0, total = 0;
+    Rng rng(1357);
+    for (const u32 k : {4u, 8u, 16u, 40u}) {
+        StructuralEditMachine m(k);
+        for (int t = 0; t < 24; ++t) {
+            const Seq ref = randomSeq(rng, 20 + rng.below(130));
+            Seq qry = ref;
+            mutate(rng, qry, static_cast<unsigned>(rng.below(k + 4)));
+            const std::optional<u32> d = m.distance(ref, qry);
+            within += d.has_value();
+            ++total;
+            hashWord(hash, d ? *d : ~u64{0});
+            const SillaRunStats &s = m.lastStats();
+            hashWord(hash, s.cycles);
+            hashWord(hash, s.peakActive);
+            hashWord(hash, s.totalActivations);
+        }
+    }
+    EXPECT_GT(within, 0u);
+    EXPECT_LT(within, total);
+    EXPECT_EQ(hash, 0xffb64e60524403bbULL) << std::hex << hash;
 }
 
 /** Runs fn(tier name) once per kernel tier of the traceback row sweep
@@ -492,63 +554,12 @@ TEST(ModelEquiv, TracebackEventMatchesNaiveAcrossSchemes)
     });
 }
 
-TEST(ModelEquiv, EditMachineEventMatchesNaive)
-{
-    // Result and run stats (cycles, activation counts) must agree —
-    // the event path reads comparisons off the strings but models the
-    // same machine.
-    Rng rng(1357);
-    for (const u32 k : {4u, 8u, 16u, 40u}) {
-        StructuralEditMachine m(k);
-        for (int t = 0; t < 24; ++t) {
-            const Seq ref = randomSeq(rng, 20 + rng.below(130));
-            Seq qry = ref;
-            mutate(rng, qry, static_cast<unsigned>(rng.below(k + 4)));
-            const auto a = m.distanceNaive(ref, qry);
-            const SillaRunStats sa = m.lastStats();
-            const auto b = m.distanceEvent(ref, qry);
-            const SillaRunStats sb = m.lastStats();
-            const std::string what =
-                "k=" + std::to_string(k) + " t=" + std::to_string(t);
-            EXPECT_EQ(a, b) << what;
-            EXPECT_EQ(sa.cycles, sb.cycles) << what;
-            EXPECT_EQ(sa.peakActive, sb.peakActive) << what;
-            EXPECT_EQ(sa.totalActivations, sb.totalActivations) << what;
-        }
-    }
-}
-
-TEST(ModelEquiv, ScoringMachineEventMatchesNaive)
-{
-    Rng rng(8642);
-    for (const u32 k : {8u, 16u, 40u}) {
-        StructuralScoringMachine naive_m(k, Scoring{}),
-            event_m(k, Scoring{});
-        for (int t = 0; t < 16; ++t) {
-            const Seq ref = randomSeq(rng, 30 + rng.below(120));
-            Seq qry = ref;
-            mutate(rng, qry, static_cast<unsigned>(rng.below(10)));
-            const auto a = naive_m.runNaive(ref, qry);
-            const auto b = event_m.runEvent(ref, qry);
-            const std::string what =
-                "k=" + std::to_string(k) + " t=" + std::to_string(t);
-            EXPECT_EQ(a.best, b.best) << what;
-            EXPECT_EQ(a.winnerI, b.winnerI) << what;
-            EXPECT_EQ(a.winnerD, b.winnerD) << what;
-            EXPECT_EQ(a.bestCycle, b.bestCycle) << what;
-            EXPECT_EQ(a.refEnd, b.refEnd) << what;
-            EXPECT_EQ(a.qryEnd, b.qryEnd) << what;
-            EXPECT_EQ(a.streamCycles, b.streamCycles) << what;
-        }
-    }
-}
-
 TEST(ModelEquiv, KernelTierSweepAvx2MatchesScalar)
 {
-    // The AVX2 row kernels must be bit-identical to the scalar
-    // reference through the public machines — forced-tier runs of the
-    // event paths are diffed field by field. Skipped (not silently
-    // passed) when the host or build cannot run AVX2.
+    // The traceback machine's AVX2 row kernel must be bit-identical
+    // to the scalar reference through the public machine — forced-tier
+    // runs of the event path are diffed field by field. Skipped (not
+    // silently passed) when the host or build cannot run AVX2.
     namespace simd = genax::simd;
     if (!simd::kernelTierSupported(simd::KernelTier::Avx2))
         GTEST_SKIP() << "AVX2 tier not compiled or not supported here";
@@ -569,36 +580,18 @@ TEST(ModelEquiv, KernelTierSweepAvx2MatchesScalar)
     auto run_tier = [&](simd::KernelTier tier) {
         GENAX_CHECK(simd::setKernelTier(tier).ok(),
                     "forcing tier must succeed");
-        std::vector<SillaScoreResult> scores;
         std::vector<SillaAlignment> aligns;
-        std::vector<std::optional<u32>> dists;
-        StructuralScoringMachine score_m(40, Scoring{});
         SillaTraceback trace_m(40, Scoring{});
-        StructuralEditMachine edit_m(40);
-        for (const auto &[ref, qry] : jobs) {
-            scores.push_back(score_m.runEvent(ref, qry));
+        for (const auto &[ref, qry] : jobs)
             aligns.push_back(trace_m.alignEvent(ref, qry));
-            dists.push_back(edit_m.distanceEvent(ref, qry));
-        }
-        return std::tuple(std::move(scores), std::move(aligns),
-                          std::move(dists));
+        return aligns;
     };
 
     const auto scalar = run_tier(simd::KernelTier::Scalar);
     const auto avx2 = run_tier(simd::KernelTier::Avx2);
-    for (size_t j = 0; j < jobs.size(); ++j) {
-        const auto &sa = std::get<0>(scalar)[j];
-        const auto &sb = std::get<0>(avx2)[j];
-        EXPECT_EQ(sa.best, sb.best) << "job " << j;
-        EXPECT_EQ(sa.streamCycles, sb.streamCycles) << "job " << j;
-        EXPECT_EQ(sa.refEnd, sb.refEnd) << "job " << j;
-        EXPECT_EQ(sa.qryEnd, sb.qryEnd) << "job " << j;
-        expectSameAlignment(std::get<1>(scalar)[j],
-                            std::get<1>(avx2)[j],
+    for (size_t j = 0; j < jobs.size(); ++j)
+        expectSameAlignment(scalar[j], avx2[j],
                             "job " + std::to_string(j));
-        EXPECT_EQ(std::get<2>(scalar)[j], std::get<2>(avx2)[j])
-            << "job " << j;
-    }
 }
 
 // ------------------------------------------- end-to-end invariance

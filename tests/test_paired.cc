@@ -104,7 +104,7 @@ PairMapping
 alignPair(const BwaMemLike &aligner, const Seq &r1, const Seq &r2)
 {
     const auto cands = aligner.alignAllCandidates({r1, r2});
-    return resolvePair(cands[0], cands[1], {});
+    return resolvePair(cands[0], cands[1]);
 }
 
 TEST_F(PairedAlignerTest, CleanPairsResolveProper)

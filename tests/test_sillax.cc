@@ -104,99 +104,60 @@ TEST(ComparatorArray, ComparatorCountIs2KPlus1)
 }
 
 // --------------------------------------------- structural edit machine
-//
-// Every assertion on a structural machine runs on both of its paths:
-// the lock-step systolic oracle and the event path the model uses.
-
-struct EditPath
-{
-    const char *name;
-    std::optional<u32> (StructuralEditMachine::*distance)(const Seq &,
-                                                          const Seq &);
-};
-
-constexpr EditPath kEditPaths[] = {
-    {"naive", &StructuralEditMachine::distanceNaive},
-    {"event", &StructuralEditMachine::distanceEvent},
-};
 
 TEST(StructuralEditMachine, MatchesFunctionalSilla)
 {
-    for (const EditPath &path : kEditPaths) {
-        SCOPED_TRACE(path.name);
-        Rng rng(601);
-        for (u32 k : {0u, 1u, 2u, 4u, 8u}) {
-            StructuralEditMachine hw(k);
-            SillaEdit sw(k);
-            for (int t = 0; t < 30; ++t) {
-                const Seq a = randomSeq(rng, 5 + rng.below(60));
-                const Seq b = mutateSeq(
-                    rng, a, static_cast<unsigned>(rng.below(k + 3)));
-                EXPECT_EQ((hw.*path.distance)(a, b), sw.distance(a, b))
-                    << "k=" << k << " a=" << decode(a)
-                    << " b=" << decode(b);
-            }
+    Rng rng(601);
+    for (u32 k : {0u, 1u, 2u, 4u, 8u}) {
+        StructuralEditMachine hw(k);
+        SillaEdit sw(k);
+        for (int t = 0; t < 30; ++t) {
+            const Seq a = randomSeq(rng, 5 + rng.below(60));
+            const Seq b = mutateSeq(
+                rng, a, static_cast<unsigned>(rng.below(k + 3)));
+            EXPECT_EQ(hw.distance(a, b), sw.distance(a, b))
+                << "k=" << k << " a=" << decode(a)
+                << " b=" << decode(b);
         }
     }
 }
 
 TEST(StructuralEditMachine, MatchesDpOracle)
 {
-    for (const EditPath &path : kEditPaths) {
-        SCOPED_TRACE(path.name);
-        Rng rng(602);
-        StructuralEditMachine hw(6);
-        for (int t = 0; t < 40; ++t) {
-            const Seq a = randomSeq(rng, 40);
-            const Seq b =
-                mutateSeq(rng, a, static_cast<unsigned>(rng.below(9)));
-            const auto oracle = editDistanceBounded(a, b, 6);
-            const auto got = (hw.*path.distance)(a, b);
-            ASSERT_EQ(got.has_value(), oracle.has_value());
-            if (oracle) {
-                EXPECT_EQ(static_cast<u64>(*got), *oracle);
-            }
+    Rng rng(602);
+    StructuralEditMachine hw(6);
+    for (int t = 0; t < 40; ++t) {
+        const Seq a = randomSeq(rng, 40);
+        const Seq b =
+            mutateSeq(rng, a, static_cast<unsigned>(rng.below(9)));
+        const auto oracle = editDistanceBounded(a, b, 6);
+        const auto got = hw.distance(a, b);
+        ASSERT_EQ(got.has_value(), oracle.has_value());
+        if (oracle) {
+            EXPECT_EQ(static_cast<u64>(*got), *oracle);
         }
     }
 }
 
 // ------------------------------------------- structural scoring machine
 
-struct ScoringPath
-{
-    const char *name;
-    SillaScoreResult (StructuralScoringMachine::*run)(const Seq &,
-                                                      const Seq &);
-    std::pair<i32, Cycle> (StructuralScoringMachine::*backPropagate)();
-};
-
-constexpr ScoringPath kScoringPaths[] = {
-    {"naive", &StructuralScoringMachine::runNaive,
-     &StructuralScoringMachine::backPropagateBestNaive},
-    {"event", &StructuralScoringMachine::runEvent,
-     &StructuralScoringMachine::backPropagateBest},
-};
-
 TEST(StructuralScoringMachine, MatchesFunctionalScoringMachine)
 {
     const Scoring sc;
-    for (const ScoringPath &path : kScoringPaths) {
-        SCOPED_TRACE(path.name);
-        Rng rng(606);
-        for (u32 k : {4u, 8u, 16u}) {
-            StructuralScoringMachine hw(k, sc);
-            SillaScore sw(k, sc);
-            for (int t = 0; t < 25; ++t) {
-                const Seq ref = randomSeq(rng, 60 + rng.below(60));
-                const Seq qry = mutateSeq(
-                    rng, ref, static_cast<unsigned>(rng.below(6)));
-                const auto a = (hw.*path.run)(ref, qry);
-                const auto b = sw.run(ref, qry);
-                EXPECT_EQ(a.best, b.best) << "k=" << k;
-                EXPECT_EQ(a.refEnd, b.refEnd);
-                EXPECT_EQ(a.qryEnd, b.qryEnd);
-                EXPECT_EQ(a.streamCycles, b.streamCycles);
-            }
+    Rng rng(606);
+    for (u32 k : {4u, 8u, 16u}) {
+        StructuralScoringMachine hw(k, sc);
+        SillaScore sw(k, sc);
+        for (int t = 0; t < 25; ++t) {
+            const Seq ref = randomSeq(rng, 60 + rng.below(60));
+            const Seq qry = mutateSeq(
+                rng, ref, static_cast<unsigned>(rng.below(6)));
+            const auto a = hw.run(ref, qry);
+            const auto b = sw.run(ref, qry);
+            EXPECT_EQ(a.best, b.best) << "k=" << k;
+            EXPECT_EQ(a.refEnd, b.refEnd);
+            EXPECT_EQ(a.qryEnd, b.qryEnd);
+            EXPECT_EQ(a.streamCycles, b.streamCycles);
         }
     }
 }
@@ -207,20 +168,17 @@ TEST(StructuralScoringMachine, BackPropagationReachesGlobalBest)
     // PE (0,0) using only nearest-neighbour links, within the grid
     // diameter's worth of cycles.
     const Scoring sc;
-    for (const ScoringPath &path : kScoringPaths) {
-        SCOPED_TRACE(path.name);
-        Rng rng(608);
-        for (u32 k : {4u, 12u}) {
-            StructuralScoringMachine hw(k, sc);
-            for (int t = 0; t < 15; ++t) {
-                const Seq ref = randomSeq(rng, 80);
-                const Seq qry = mutateSeq(
-                    rng, ref, static_cast<unsigned>(rng.below(6)));
-                const auto res = (hw.*path.run)(ref, qry);
-                const auto [best, cycles] = (hw.*path.backPropagate)();
-                EXPECT_EQ(best, res.best);
-                EXPECT_LE(cycles, 2u * k + 1);
-            }
+    Rng rng(608);
+    for (u32 k : {4u, 12u}) {
+        StructuralScoringMachine hw(k, sc);
+        for (int t = 0; t < 15; ++t) {
+            const Seq ref = randomSeq(rng, 80);
+            const Seq qry = mutateSeq(
+                rng, ref, static_cast<unsigned>(rng.below(6)));
+            const auto res = hw.run(ref, qry);
+            const auto [best, cycles] = hw.backPropagateBest();
+            EXPECT_EQ(best, res.best);
+            EXPECT_LE(cycles, 2u * k + 1);
         }
     }
 }
@@ -228,15 +186,11 @@ TEST(StructuralScoringMachine, BackPropagationReachesGlobalBest)
 TEST(StructuralScoringMachine, PerfectAndHopelessPairs)
 {
     const Scoring sc;
-    for (const ScoringPath &path : kScoringPaths) {
-        SCOPED_TRACE(path.name);
-        StructuralScoringMachine hw(8, sc);
-        Rng rng(607);
-        const Seq s = randomSeq(rng, 101);
-        EXPECT_EQ((hw.*path.run)(s, s).best, 101);
-        EXPECT_EQ((hw.*path.run)(Seq(50, kBaseA), Seq(50, kBaseG)).best,
-                  0);
-    }
+    StructuralScoringMachine hw(8, sc);
+    Rng rng(607);
+    const Seq s = randomSeq(rng, 101);
+    EXPECT_EQ(hw.run(s, s).best, 101);
+    EXPECT_EQ(hw.run(Seq(50, kBaseA), Seq(50, kBaseG)).best, 0);
 }
 
 // ----------------------------------------------------------- tech model

@@ -19,7 +19,6 @@
 #include "align/simd/batch_score.hh"
 #include "align/simd/dispatch.hh"
 #include "align/simd/myers_batch.hh"
-#include "align/simd/striped.hh"
 #include "common/rng.hh"
 
 namespace genax {
@@ -297,74 +296,6 @@ TEST(SimdBatchScore, TruncatedRerunReproducesFullResult)
                 rerunCore.push(el.op, el.len);
         }
         EXPECT_EQ(fullCore.str(), rerunCore.str());
-    }
-}
-
-// ---------------------------------------------------------------------
-// Striped local Smith-Waterman vs gotohAlign(Local).
-
-void
-expectStripedMatches(const Seq &ref, const Seq &qry, const Scoring &sc)
-{
-    const i32 want = gotohAlign(ref, qry, sc, AlignMode::Local).score;
-    EXPECT_EQ(simd::localScoreScalar(ref, qry, sc), want);
-    TierGuard guard;
-    for (KernelTier t : supportedTiers()) {
-        ASSERT_TRUE(simd::setKernelTier(t).ok());
-        EXPECT_EQ(simd::stripedLocalScore(ref, qry, sc), want)
-            << "tier=" << simd::kernelTierName(t)
-            << " n=" << ref.size() << " m=" << qry.size();
-    }
-}
-
-TEST(SimdStriped, RandomizedFuzzAllTiers)
-{
-    Rng rng(20240807);
-    for (int round = 0; round < 60; ++round) {
-        const size_t m = rng.below(180);
-        const Seq q = randomSeq(rng, m);
-        const Seq r = rng.chance(0.5) ? mutate(rng, q, 6)
-                                      : randomSeq(rng, rng.below(220));
-        expectStripedMatches(r, q, Scoring{});
-    }
-}
-
-TEST(SimdStriped, DegenerateShapes)
-{
-    expectStripedMatches({}, {}, Scoring{});
-    expectStripedMatches({}, {kBaseA}, Scoring{});
-    expectStripedMatches({kBaseA}, {}, Scoring{});
-    expectStripedMatches({kBaseA}, {kBaseA}, Scoring{});
-    expectStripedMatches({kBaseC}, {kBaseG}, Scoring{});
-    expectStripedMatches(Seq(300, kBaseA), Seq(200, kBaseA), Scoring{});
-}
-
-TEST(SimdStriped, EightBitOverflowRerunsInSixteen)
-{
-    // Identical 400 bp: score 400 with default scoring, past the
-    // 8-bit re-run threshold (255 - bias - match = 250).
-    Rng rng(3);
-    const Seq q = randomSeq(rng, 400);
-    expectStripedMatches(q, q, Scoring{});
-    // And a high-identity variant.
-    expectStripedMatches(mutate(rng, q, 2), q, Scoring{});
-}
-
-TEST(SimdStriped, SixteenBitOverflowRerunsScalar)
-{
-    // match = 1000 on an identical 101 bp pair: 101000 > 65535, so
-    // even the 16-bit pass must hand off to the scalar kernel.
-    Rng rng(4);
-    const Seq q = randomSeq(rng, 101);
-    expectStripedMatches(q, q, Scoring{1000, 4, 6, 1});
-}
-
-TEST(SimdStriped, UnitEditScoring)
-{
-    Rng rng(6);
-    for (int round = 0; round < 10; ++round) {
-        const Seq q = randomSeq(rng, 50 + rng.below(100));
-        expectStripedMatches(mutate(rng, q, 5), q, Scoring::unitEdit());
     }
 }
 

@@ -8,7 +8,8 @@
 # Usage: tools/chaos_smoke.sh path/to/genax_align [path/to/genax_index]
 #        [path/to/genax_serve path/to/genax_client]
 # The snapshot-corruption leg and genax_index's bad-flag cases run
-# only when genax_index is given; the daemon-kill leg (SIGKILL
+# only when genax_index is given, genax_client's bad-flag cases only
+# when genax_client is given; the daemon-kill leg (SIGKILL
 # mid-batch: clean client error, no partial SAM, restart serves the
 # same snapshot byte-identically) runs only when genax_serve and
 # genax_client are given too.
@@ -159,6 +160,14 @@ if [[ -x "$index_bin" ]]; then
     for v in "--segments -1" "--segments 0" "--segments 200000" \
         "--k 0" "--k 20" "--k 12x" "--overlap -1" "--overlap 2147483649"; do
         bad_value "$v" "$index_bin" --ref "$tmp/ref.fa"
+    done
+fi
+# A client count past the bound is refused while parsing, before the
+# load generator sizes its per-client results or starts a thread.
+if [[ -x "$client_bin" ]]; then
+    for v in "--clients 1025" "--clients 18446744073709551615"; do
+        bad_value "$v" "$client_bin" --connect "unix:$tmp/absent.sock" \
+            --reads "$tmp/reads.fq"
     done
 fi
 

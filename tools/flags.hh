@@ -32,10 +32,12 @@ namespace genax {
 constexpr int kExitUsage = 2;
 
 /** Bounds shared by the tools' flags: the k-mer lengths the index
- *  tables support and the segment counts IndexSnapshot::build
- *  accepts. */
+ *  tables support, the segment counts IndexSnapshot::build accepts
+ *  and the load generator's client count (one thread and one
+ *  connection each). */
 constexpr u64 kMaxFlagK = 13;
 constexpr u64 kMaxFlagSegments = 100000;
+constexpr u64 kMaxFlagClients = 1024;
 
 /** `text` as the value of `flag`, in [lo, hi]; T is an unsigned
  *  integer type or double. */

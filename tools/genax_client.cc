@@ -71,7 +71,7 @@ printHelp(const char *prog, std::FILE *to)
         "                        ledger (default: client-PID or\n"
         "                        loadgen-K)\n"
         "  --clients N           load-generator mode: N concurrent\n"
-        "                        connections\n"
+        "                        connections (at most 1024)\n"
         "  --repeat R            requests per client in load mode\n"
         "                        (default 4)\n"
         "  --timeout S           connect timeout seconds (default 5)\n"
@@ -123,7 +123,7 @@ main(int argc, char **argv)
         } else if (arg == "--tenant") {
             tenant = flags.value();
         } else if (arg == "--clients") {
-            clients = flags.number(0, UINT64_MAX);
+            clients = flags.number(0, kMaxFlagClients);
         } else if (arg == "--repeat") {
             repeat = flags.number(0, UINT64_MAX);
         } else if (arg == "--timeout") {
